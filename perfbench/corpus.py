@@ -31,11 +31,23 @@ from layer_trace import Tracer, summarize
 #: second and would dominate a run.
 MIN_SIZE, MAX_SIZE = 4, 10
 CORPUS_SEED = 0
-#: Identical measured passes per run, each on a freshly set-up session.
-PASSES = 5
+#: Identical measured passes per run, each on a freshly set-up session.  An
+#: explanation's latency is its fastest pass: the host has slow spells of
+#: seconds to tens of seconds, and ten passes spread over the run leave
+#: nearly every explanation at least one pass outside them.
+PASSES = 10
+#: The work of a run is fixed by ``--seconds`` alone, so that it does not
+#: change with the host's speed: a pass explains ``seconds × NOMINAL_RATE /
+#: passes`` blocks, rounded to whole cycles of block sizes.  The rate is
+#: about what the 2-CPU host this was tuned on manages, pass overheads
+#: included.
+NOMINAL_RATE = 8.0
+#: No pass starts once this many times ``--seconds`` have gone by, so a much
+#: slower program still ends in time (with fewer passes).
+OVERRUN = 2.5
 #: Timed setups per pass (the last one's session is measured): setup_s is
 #: the median of them all.
-SETUPS_PER_PASS = 3
+SETUPS_PER_PASS = 2
 #: Blocks whose explanations are replayed on the sequential query path.
 SEQUENTIAL_CHECKS = 3
 #: Certified anchors re-scored on fresh Γ samples, and samples per anchor.
@@ -64,6 +76,12 @@ def synthesize_corpus(count: int) -> List[BasicBlock]:
     return [synthesizer.generate(MIN_SIZE + i % span, rng=stream) for i in range(count)]
 
 
+def corpus_size(seconds: float, passes: int) -> int:
+    """Blocks per pass for a run of ``seconds`` made of ``passes`` passes."""
+    span = MAX_SIZE - MIN_SIZE + 1
+    return span * max(1, round(seconds * NOMINAL_RATE / passes / span))
+
+
 def explanation_seed(seed: int, position: int) -> int:
     return seed * 100_003 + position
 
@@ -79,18 +97,13 @@ def set_up(batch_queries: bool = True) -> ExplanationSession:
     return session
 
 
-def explain_loop(session, blocks, seed, *, seconds=None, count=None):
-    """Explain blocks in order until ``seconds`` pass or ``count`` are done.
+def explain_loop(session, blocks, seed):
+    """Explain each block in order, one ``explain_many`` call per block.
 
     Returns ``(explanations, latencies)``.
     """
     explanations, latencies = [], []
-    deadline = time.perf_counter() + seconds if seconds is not None else None
     for position, block in enumerate(blocks):
-        if count is not None and position >= count:
-            break
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
         began = time.perf_counter()
         explanations.extend(
             session.explain_many([block], rng=explanation_seed(seed, position))
@@ -101,7 +114,7 @@ def explain_loop(session, blocks, seed, *, seconds=None, count=None):
 
 def _repeat_pass(session, blocks, seed, baseline, label, failures):
     """Repeat ``baseline``'s explanations; record any that come out different."""
-    again, latencies = explain_loop(session, blocks, seed, count=len(baseline))
+    again, latencies = explain_loop(session, blocks, seed)
     for position, (left, right) in enumerate(zip(baseline, again)):
         if not checks.same_explanation(left, right):
             failures.setdefault(position, f"{label} explained differently")
@@ -154,19 +167,21 @@ def _fastest(passes) -> List[float]:
 
 
 def run(seed: int, seconds: float, trace: bool, out_dir) -> dict:
-    blocks = synthesize_corpus(int(20 * seconds) + MAX_SIZE)
     if trace:
-        return _run_traced(seed, seconds, out_dir, blocks)
+        return _run_traced(seed, out_dir, synthesize_corpus(corpus_size(seconds, 4)))
 
-    # The first pass fills seconds / PASSES and the others repeat its
-    # explanations, each on a freshly set-up session.  An explanation's
-    # latency is its fastest pass, which filters out periods when the host
-    # runs slow; every pass must explain identically.
+    # Every pass explains the same blocks with the same seeds, each on a
+    # freshly set-up session.  An explanation's latency is its fastest pass,
+    # which filters out periods when the host runs slow; every pass must
+    # explain identically.
+    blocks = synthesize_corpus(corpus_size(seconds, PASSES))
     threshold = explainer_config().precision_threshold
     setups, passes, failures = [], [], {}
     explanations: List = []
-    heldout = float("nan")
+    began_run = time.perf_counter()
     for number in range(PASSES):
+        if passes and time.perf_counter() - began_run > OVERRUN * seconds:
+            break
         for _ in range(SETUPS_PER_PASS):
             began = time.perf_counter()
             session = set_up()
@@ -175,16 +190,14 @@ def run(seed: int, seconds: float, trace: bool, out_dir) -> dict:
                 session.close()
         with session:
             if number == 0:
-                explanations, latencies = explain_loop(
-                    session, blocks, seed, seconds=seconds / PASSES
-                )
+                explanations, latencies = explain_loop(session, blocks, seed)
             else:
                 latencies = _repeat_pass(
                     session, blocks, seed, explanations, f"pass {number + 1}", failures
                 )
             passes.append(latencies)
-            if number == PASSES - 1:
-                heldout = _heldout_mean(session, explanations, seed)
+    with set_up() as session:
+        heldout = _heldout_mean(session, explanations, seed)
     _structural_failures(explanations, threshold, failures)
     _sequential_failures(seed, blocks, explanations, failures)
     best = _fastest(passes)
@@ -206,7 +219,7 @@ def run(seed: int, seconds: float, trace: bool, out_dir) -> dict:
         "peak_rss_mb": metrics.own_peak_rss_mb(),
     }
     lines = [
-        f"{ops} explanations x {PASSES} passes (pass times "
+        f"{ops} explanations x {len(passes)} passes (pass times "
         + ", ".join(f"{sum(p):.2f}" for p in passes)
         + f" s); latency is each explanation's fastest pass; tail is "
         f"p{TAIL_PERCENTILE} over {ops} samples; setup runs {len(setups)}x; "
@@ -224,11 +237,11 @@ def run(seed: int, seconds: float, trace: bool, out_dir) -> dict:
     }
 
 
-def _run_traced(seed, seconds, out_dir, blocks) -> dict:
+def _run_traced(seed, out_dir, blocks) -> dict:
     """Alternating untraced and traced passes over the same explanations.
 
-    The first (untraced) pass fills ``seconds / 4``; three more passes —
-    traced, untraced, traced — repeat its explanations on fresh sessions.
+    Four passes over ``blocks`` — untraced, traced, untraced, traced — each
+    on a fresh session.
     Per-layer figures come from the two traced passes; the tracing overhead
     compares each explanation's fastest traced and fastest untraced pass.
     """
@@ -245,9 +258,7 @@ def _run_traced(seed, seconds, out_dir, blocks) -> dict:
                 tracer.install()
             try:
                 if number == 0:
-                    baseline, latencies = explain_loop(
-                        session, blocks, seed, seconds=seconds / 4
-                    )
+                    baseline, latencies = explain_loop(session, blocks, seed)
                 else:
                     latencies = _repeat_pass(
                         session, blocks, seed, baseline, f"pass {number + 1}", failures

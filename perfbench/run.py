@@ -1,4 +1,4 @@
-"""The repository benchmark: one command, three workloads.
+"""The repository benchmark: one command, two workloads.
 
     python3 perfbench/run.py --workload corpus-analytical --seed 1 --seconds 20 --trace 0
 

@@ -92,7 +92,7 @@ def test_corpus_layers_record_calls():
     session = corpus.set_up()
     block = corpus.synthesize_corpus(8)[6]
     with session, Tracer() as tracer:
-        corpus.explain_loop(session, [block], seed=1, count=1)
+        corpus.explain_loop(session, [block], seed=1)
     calls = _layer_calls(tracer)
     assert {layer: calls.get(layer, 0) for layer in corpus.LAYERS if not calls.get(layer)} == {}
     assert calls["root"] == 1

@@ -51,20 +51,34 @@ UARCHS = ("hsw", "skl")
 WINDOW = 8
 SEEDS_PER_BLOCK = 2
 REPEAT_FRACTION = 0.5
-#: New blocks come from a fixed pool (synthesized from a constant seed,
-#: sizes cycling through this range); the workload seed drives the item
-#: seeds, the uarch order and which items repeat.  Under the default config
-#: such blocks explain in tens of milliseconds.
+#: New items come from a fixed pool: blocks synthesized from a constant seed
+#: (sizes cycling through this range), each with fixed explanation seeds.
+#: The workload seed drives the traffic: the uarch order and which items
+#: repeat.  An item's explanation cost varies a lot with its seed, so
+#: seeded items made a run's work, not the code, the largest difference
+#: between seeds.  Under the default config such blocks explain in tens of
+#: milliseconds.
 POOL_SEED = 0
 MIN_SIZE, MAX_SIZE = 4, 7
-#: Each measured pass sends at least this many requests, so ten samples
-#: lie beyond p99; the pass window is stretched (up to 2x) to reach it.
-MIN_REQUESTS = 1000
-TAIL_PERCENTILE = 99
-#: Identical measured passes per run, each on a freshly launched server.
-PASSES = 3
+#: Identical measured passes per run, each on a freshly launched server.  A
+#: request's latency is its fastest pass, and throughput takes the fastest
+#: pass chunk by chunk: the host has slow spells of seconds to tens of
+#: seconds, and five passes spread over the run get around most of them.
+PASSES = 5
 #: Completions per chunk when taking the fastest pass's time chunk by chunk.
 CHUNK = 50
+#: The work of a run is fixed by ``--seconds`` alone, so that it does not
+#: change with the host's speed: a pass sends ``seconds × NOMINAL_RATE /
+#: passes`` requests, rounded to whole chunks.  The rate is about what the
+#: 2-CPU host this was tuned on manages, launches included.
+NOMINAL_RATE = 55.0
+#: No pass starts once this many times ``--seconds`` have gone by, so a much
+#: slower program still ends in time (with fewer passes).
+OVERRUN = 2.5
+#: Request latency percentile reported as ``latency_tail_ms``.  A pass holds
+#: about 500 requests, so p98 is the highest percentile with ten samples
+#: beyond it.
+TAIL_PERCENTILE = 98
 #: Distinct answered items compared against a direct uncached, unfused
 #: ExplanationSession, and certified anchors re-scored on fresh samples.
 REFERENCE_CHECKS = 12
@@ -127,7 +141,9 @@ def request_stream(seed: int) -> Iterator[Item]:
     A repeat is drawn only from items first sent at least ``WINDOW``
     positions earlier; in a closed loop of that window they have been
     answered, so a repeat is a result-cache read, never a duplicate in
-    flight.
+    flight.  Repeats make up ``REPEAT_FRACTION`` of the stream as soon as
+    that many are eligible, so every run does the same number of first
+    sightings.
     """
     rng = np.random.default_rng([seed, 2])
     synthesizer = BlockSynthesizer(rng=POOL_SEED)
@@ -137,22 +153,23 @@ def request_stream(seed: int) -> Iterator[Item]:
     seen: List[Tuple[int, Item]] = []
     eligible = 0
     blocks = 0
+    repeats = 0
     position = 0
     while True:
         while eligible < len(seen) and seen[eligible][0] <= position - WINDOW:
             eligible += 1
-        if eligible and rng.random() < REPEAT_FRACTION:
+        if eligible and repeats < REPEAT_FRACTION * position:
             item = seen[int(rng.integers(eligible))][1]
+            repeats += 1
         else:
             if not fresh:
                 block = synthesizer.generate(MIN_SIZE + blocks % span, rng=pool_rng)
                 block = BasicBlock.from_text(block.text)  # as the server parses it
                 blocks += 1
-                uarch_order = list(UARCHS)
-                rng.shuffle(uarch_order)
-                for uarch in uarch_order:
-                    for item_seed in rng.integers(0, 2**31 - 1, SEEDS_PER_BLOCK):
-                        fresh.append(Item(len(seen) + len(fresh), block, int(item_seed), uarch))
+                item_seeds = pool_rng.integers(0, 2**31 - 1, (len(UARCHS), SEEDS_PER_BLOCK))
+                for u in rng.permutation(len(UARCHS)):
+                    for item_seed in item_seeds[u]:
+                        fresh.append(Item(len(seen) + len(fresh), block, int(item_seed), UARCHS[u]))
             item = fresh.popleft()
             seen.append((position, item))
         yield item
@@ -247,26 +264,19 @@ def launch(workdir: Path, summary_path: Optional[Path] = None):
     return server, client
 
 
-def drive(client, stream, *, seconds=None, count=None, min_requests=0) -> List[Record]:
-    """Closed loop with ``WINDOW`` requests outstanding.
+def requests_per_pass(seconds: float, passes: int) -> int:
+    """Requests per pass for a run of ``seconds`` made of ``passes`` passes."""
+    return CHUNK * max(1, round(seconds * NOMINAL_RATE / passes / CHUNK))
 
-    Stops sending after ``seconds`` (stretched until ``min_requests`` or 2x
-    the window, which bounds a run on a slow host) or after ``count``
-    requests, then drains.
-    """
+
+def drive(client, stream, count: int) -> List[Record]:
+    """Closed loop with ``WINDOW`` requests outstanding: send ``count``
+    requests, then drain."""
     outstanding: deque = deque()
     records: List[Record] = []
     start = time.perf_counter()
-
-    def may_send() -> bool:
-        sent = len(records) + len(outstanding)
-        if count is not None:
-            return sent < count
-        elapsed = time.perf_counter() - start
-        return elapsed < seconds or (sent < min_requests and elapsed < 2 * seconds)
-
     while True:
-        while len(outstanding) < WINDOW and may_send():
+        while len(outstanding) < WINDOW and len(records) + len(outstanding) < count:
             item = next(stream)
             sent_at = time.perf_counter()
             request_id = client.submit(item.block, seed=item.seed, uarch=item.uarch)
@@ -279,13 +289,13 @@ def drive(client, stream, *, seconds=None, count=None, min_requests=0) -> List[R
         records.append(Record(item, response, now - sent_at, now - start))
 
 
-def measured_pass(workdir, seed, summary_path=None, **limits):
+def measured_pass(workdir, seed, count, summary_path=None):
     """Launch (timed as setup), drive one pass, read stats and peak RSS, stop."""
     began = time.perf_counter()
     server, client = launch(workdir, summary_path)
     setup = time.perf_counter() - began
     try:
-        records = drive(client, request_stream(seed), **limits)
+        records = drive(client, request_stream(seed), count)
         stats = client.stats()
         peak_rss = server.peak_rss_mb()
     finally:
@@ -397,25 +407,20 @@ def run(seed: int, seconds: float, trace: bool, out_dir: Path) -> dict:
 
 
 def _run_untraced(seed, seconds, scratch, config) -> dict:
-    """``PASSES`` identical passes, each on a freshly launched server.
-
-    The first fills ``seconds / PASSES`` (at least ``MIN_REQUESTS``), the
-    others send the same requests.  A request's latency is its fastest pass,
-    and throughput takes the fastest pass chunk by chunk: that filters out
-    periods when the host runs slow.  Each pass's launch is one setup sample.
+    """``PASSES`` passes sending the same requests, each on a freshly
+    launched server.  A request's latency is its fastest pass, and throughput
+    takes the fastest pass chunk by chunk: that filters out periods when the
+    host runs slow.  Each pass's launch is one setup sample.
     """
     threshold = config.precision_threshold
+    count = requests_per_pass(seconds, PASSES)
     setups, passes, peaks, failures = [], [], [], {}
     stats: dict = {}
+    began_run = time.perf_counter()
     for number in range(PASSES):
-        limits = (
-            {"seconds": seconds / PASSES, "min_requests": MIN_REQUESTS}
-            if number == 0
-            else {"count": len(passes[0])}
-        )
-        setup, records, pass_stats, peak = measured_pass(
-            scratch / f"pass{number}", seed, **limits
-        )
+        if passes and time.perf_counter() - began_run > OVERRUN * seconds:
+            break
+        setup, records, pass_stats, peak = measured_pass(scratch / f"pass{number}", seed, count)
         setups.append(setup)
         passes.append(records)
         peaks.append(peak)
@@ -428,6 +433,9 @@ def _run_untraced(seed, seconds, scratch, config) -> dict:
     _response_failures(records, threshold, failures)
     _reference_failures(records, seed, config, failures)
     answers = [a for a in map(_answer, records) if a is not None]
+    # Repeats are answered from the result cache; the work is in the first
+    # sightings.
+    first = _first_sightings(records)
     latencies = [min(column) for column in zip(*([r.latency for r in p] for p in passes))]
     busy = sum(min(column) for column in zip(*map(_chunk_times, passes)))
     nonempty = [a["coverage"] for a in answers if a["features"]]
@@ -439,7 +447,7 @@ def _run_untraced(seed, seconds, scratch, config) -> dict:
         "latency_p50_ms": 1000.0 * metrics.percentile(latencies, 50),
         "latency_tail_ms": 1000.0 * metrics.percentile(latencies, TAIL_PERCENTILE),
         "success_frac": 1.0 - len(failures) / ops,
-        "model_queries_per_expl": metrics.mean([a["num_queries"] for a in answers]),
+        "model_queries_per_expl": metrics.mean([a["num_queries"] for _, _, a in first]),
         "precision_mean": metrics.mean([a["precision"] for a in answers]),
         "certified_frac": metrics.mean([float(a["meets_threshold"]) for a in answers]),
         "heldout_precision_mean": _heldout_mean(records, seed, config, failures),
@@ -447,13 +455,13 @@ def _run_untraced(seed, seconds, scratch, config) -> dict:
         "peak_rss_mb": max(peaks),
     }
     lines = [
-        f"{ops} requests x {PASSES} passes (pass times "
+        f"{ops} requests x {len(passes)} passes (pass times "
         + ", ".join(f"{p[-1].done_at:.2f}" for p in passes)
         + f" s) over one connection, window {WINDOW}; latency is each "
         f"request's fastest pass; p{TAIL_PERCENTILE} over {len(latencies)} samples; "
         f"setup launches the server {len(setups)}x",
         f"req_per_s {ops / busy:.3f}; req_latency_p50_ms {values['latency_p50_ms']:.2f}; "
-        f"req_latency_p99_ms {values['latency_tail_ms']:.2f}; "
+        f"req_latency_p{TAIL_PERCENTILE}_ms {values['latency_tail_ms']:.2f}; "
         f"result-cache hit rate {cache.get('hit_rate', 0.0):.3f}; "
         f"coverage over {len(nonempty)} non-empty anchors; "
         f"failed_frac {len(failures) / ops:.4f}; peak_rss_mb is the server's",
@@ -492,12 +500,12 @@ def _service_layers(records: List[Record], stats) -> Dict[str, float]:
 
 
 def _run_traced(seed, seconds, scratch, config, out_dir) -> dict:
-    """An untraced server for ``seconds / 2``, then a traced server (launched
-    through ``serve_child.py``) answering the same requests."""
-    _, baseline, stats, _ = measured_pass(scratch / "plain", seed, seconds=seconds / 2)
-    ops = len(baseline)
+    """An untraced server, then a traced server (launched through
+    ``serve_child.py``) answering the same requests."""
+    ops = requests_per_pass(seconds, 2)
+    _, baseline, stats, _ = measured_pass(scratch / "plain", seed, ops)
     summary_path = out_dir / f"trace-serve-mixed-seed{seed}.json"
-    _, traced, _, _ = measured_pass(scratch / "traced", seed, summary_path, count=ops)
+    _, traced, _, _ = measured_pass(scratch / "traced", seed, ops, summary_path)
     summary = json.loads(summary_path.read_text())
 
     failures: Dict[int, str] = {}
