@@ -235,6 +235,11 @@ class AnchorSearch:
         )
         if empty_candidate.meets_threshold:
             return empty_candidate
+        # The empty set's coverage needs no population, so the search first
+        # needs it here.  Drawing it now — before the first beam level's
+        # precision rounds — keeps every later draw at the stream position
+        # the seeded goldens pin.
+        self.coverage_estimator.population()
 
         beams: List[Tuple[Feature, ...]] = [()]
         best_fallback = empty_candidate

@@ -102,6 +102,8 @@ class ExplainerConfig:
             raise ValueError("beam_width and max_anchor_size must be >= 1")
         if self.min_precision_samples > self.max_precision_samples:
             raise ValueError("min_precision_samples cannot exceed max_precision_samples")
+        if self.coverage_samples < 1:
+            raise ValueError("coverage_samples must be >= 1")
 
     @property
     def precision_threshold(self) -> float:

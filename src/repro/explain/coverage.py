@@ -17,7 +17,9 @@ implementation's per-feature re-scan of every block's instruction list.
 The population and its index live in a :class:`PopulationRecord`, which an
 :class:`~repro.runtime.session.ExplanationSession` shares across all beam
 levels of a search *and* across repeated explanations of the same block, so
-a fleet run pays for each background population exactly once.
+a fleet run pays for each background population exactly once.  The empty
+set needs no population (its coverage is 1 by definition), so a search that
+ends at the empty anchor leaves its record empty.
 """
 
 from __future__ import annotations
@@ -181,13 +183,18 @@ class CoverageEstimator:
     # -------------------------------------------------------------- coverage
 
     def coverage(self, features: Iterable[Feature]) -> float:
-        """Empirical coverage of a feature set (1.0 for the empty set)."""
+        """Empirical coverage of a feature set (1.0 for the empty set).
+
+        Every perturbation contains the empty set, so its coverage is
+        answered without drawing the population: a search that ends at the
+        empty anchor never pays for one.
+        """
         feature_list = list(features)
+        if not feature_list:
+            return 1.0
         population = self.population()
         if not population:
             return 0.0
-        if not feature_list:
-            return 1.0
         joint = self.record.presence_row(feature_list[0])
         if len(feature_list) > 1:
             joint = np.logical_and.reduce(

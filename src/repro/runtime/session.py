@@ -22,7 +22,9 @@ bit-for-bit identical across serial, thread and process backends.  The first
 explanation of each block is also bit-for-bit what the session-less explainer
 produces; *repeated* explanations of one block reuse the recorded population
 instead of redrawing it, which is exactly the state sharing the session is
-for.
+for.  A record fills only when a search goes past the empty anchor, so the
+explanation that draws a block's population is the first one that needs
+coverage, not necessarily the first one of the block.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,6 +132,8 @@ class SessionStats:
     cache_hits: int
     cache_misses: int
     cache_hit_rate: float
+    #: Drawn background populations the session holds.  A record whose
+    #: searches all ended at the empty anchor holds none and is not counted.
     populations_cached: int
     backend: str
     worker_restarts: int = 0
@@ -216,7 +220,8 @@ class ExplanationSession:
     result_cache:
         Whole-explanation memoization: a :class:`~repro.cache.ResultCache`
         instance (caller-owned), a path to build a disk-backed store from
-        (session-owned, closed with the session), or ``None`` to disable.
+        (session-owned, closed with the session), or ``None``/``False`` to
+        disable.
         With a cache installed, every *cache-eligible* computation — one
         driven by an integer seed — runs **history-free** with call-scoped
         population records (the same semantics the explanation service
@@ -225,6 +230,13 @@ class ExplanationSession:
         what the computation would have produced.  Explanations driven by a
         live generator (or the session's ambient rng) bypass the cache and
         keep the legacy session-scoped record sharing.
+
+    Population records fill lazily.  A search draws its block's background
+    population only when it continues past the empty anchor (the empty set's
+    coverage is 1 by definition), so an explanation that ends at the empty
+    anchor leaves the shared record empty.  A later explanation of that block
+    that needs coverage then draws the population from its own random stream,
+    and explanations after it reuse that draw.
 
     Use as a context manager (or call :meth:`close`) so pooled workers are
     released deterministically::
@@ -244,7 +256,7 @@ class ExplanationSession:
         rng: RandomSource = None,
         cache_entries: int = 100_000,
         max_population_records: int = 256,
-        result_cache: Union["ResultCache", str, Path, None] = None,
+        result_cache: Union["ResultCache", str, Path, Literal[False], None] = None,
     ) -> None:
         if max_population_records < 1:
             raise ValueError("max_population_records must be >= 1")
@@ -271,12 +283,12 @@ class ExplanationSession:
         if isinstance(result_cache, ResultCache):
             self.result_cache: Optional[ResultCache] = result_cache
             self._owns_result_cache = False
-        elif result_cache is not None:
-            self.result_cache = ResultCache(result_cache)
-            self._owns_result_cache = True
-        else:
+        elif result_cache is None or result_cache is False:
             self.result_cache = None
             self._owns_result_cache = False
+        else:
+            self.result_cache = ResultCache(result_cache)
+            self._owns_result_cache = True
         self._records: "OrderedDict[Tuple, PopulationRecord]" = OrderedDict()
         # Sharded explain_many runs shards on concurrent threads that all
         # look up records through this session; the lock keeps the LRU
@@ -688,13 +700,15 @@ class ExplanationSession:
         worker = self.backend.worker_stats()
         perturb = perturb_tally().delta(self._perturb_base)
         encoded = encoded_tally().delta(self._encoded_base)
+        with self._records_lock:
+            populations = sum(1 for r in self._records.values() if r.population)
         return SessionStats(
             explanations=self.explanations_produced,
             model_queries=self.model.query_count - self._query_base,
             cache_hits=hits,
             cache_misses=misses,
             cache_hit_rate=hits / lookups if lookups else 0.0,
-            populations_cached=len(self._records),
+            populations_cached=populations,
             backend=self.backend.describe(),
             worker_restarts=worker.get("restarts", 0),
             worker_retries=worker.get("retries", 0),

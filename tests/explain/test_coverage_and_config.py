@@ -20,8 +20,12 @@ def block():
 
 class TestCoverageEstimator:
     def test_empty_set_full_coverage(self, block):
-        estimator = CoverageEstimator(PerturbationSampler(block, rng=0), 100)
+        sampler = PerturbationSampler(block, rng=0)
+        estimator = CoverageEstimator(sampler, 100)
         assert estimator.coverage([]) == 1.0
+        # Answered by definition: no background population is drawn.
+        assert sampler.samples_drawn == 0
+        assert estimator.record.population == []
 
     def test_antitone_in_feature_sets(self, block):
         estimator = CoverageEstimator(PerturbationSampler(block, rng=1), 200)
@@ -81,6 +85,8 @@ class TestExplainerConfig:
             {"max_anchor_size": 0},
             {"confidence_delta": 0.0},
             {"min_precision_samples": 100, "max_precision_samples": 10},
+            {"coverage_samples": 0},
+            {"coverage_samples": -5},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):

@@ -11,7 +11,11 @@ from repro.runtime.backend import SerialBackend, ThreadBackend
 from repro.runtime.session import ExplanationSession
 from repro.utils.errors import BackendError
 
-from tests.conftest import FAST_CONFIG, explanation_fingerprint as _fingerprint
+from tests.conftest import (
+    FAST_CONFIG,
+    anchor_seed,
+    explanation_fingerprint as _fingerprint,
+)
 
 
 class TestSessionExplanations:
@@ -58,14 +62,44 @@ class TestSharedState:
             assert session.coverage_record(tiny_blocks[0]).population == population
 
     def test_population_records_are_lru_bounded(self, tiny_blocks):
+        # Only searches that go past the empty anchor fill their record.
+        first, second = tiny_blocks[0], tiny_blocks[2]
         with ExplanationSession(
             AnalyticalCostModel("hsw"), FAST_CONFIG, max_population_records=1
         ) as session:
-            session.explain(tiny_blocks[0], rng=0)
-            session.explain(tiny_blocks[1], rng=0)
+            session.explain(first, rng=anchor_seed(first, empty=False))
+            session.explain(second, rng=anchor_seed(second, empty=False))
             assert session.stats().populations_cached == 1
             # The surviving record belongs to the most recent block.
-            assert session.coverage_record(tiny_blocks[1]).population
+            assert session.coverage_record(second).population
+
+    def test_empty_anchor_leaves_record_empty_and_uncounted(self, tiny_blocks):
+        block = tiny_blocks[1]
+        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+            explanation = session.explain(block, rng=anchor_seed(block, empty=True))
+            assert explanation.coverage == 1.0
+            assert session.coverage_record(block).population == []
+            stats = session.stats()
+        assert stats.populations_cached == 0
+        assert "0 background populations" in stats.describe()
+
+    def test_record_left_empty_is_drawn_by_the_next_search_needing_it(
+        self, tiny_blocks
+    ):
+        """After an empty-anchor explanation, a later explanation of the same
+        block that needs coverage draws the population from its own stream:
+        exactly what a fresh session computes for it."""
+        block = tiny_blocks[1]
+        empty_seed = anchor_seed(block, empty=True)
+        full_seed = anchor_seed(block, empty=False)
+        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as fresh:
+            expected = fresh.explain(block, rng=full_seed)
+        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+            session.explain(block, rng=empty_seed)
+            got = session.explain(block, rng=full_seed)
+            record = session.coverage_record(block)
+        assert _fingerprint(got) == _fingerprint(expected)
+        assert len(record.population) == FAST_CONFIG.coverage_samples
 
     def test_invalid_population_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -95,13 +129,14 @@ class TestStats:
         with ExplanationSession(
             AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
         ) as session:
-            session.explain_many(tiny_blocks[:2], rng=0)
+            explanations = session.explain_many(tiny_blocks[:2], rng=0)
             stats = session.stats()
         assert stats.explanations == 2
         assert stats.model_queries > 0
         assert stats.cache_hits + stats.cache_misses >= stats.model_queries
         assert 0.0 <= stats.cache_hit_rate <= 1.0
-        assert stats.populations_cached == 2
+        # One drawn population per block whose search went past ∅.
+        assert stats.populations_cached == sum(1 for e in explanations if e.features)
         assert "serial" in stats.backend
         assert "2 explanations" in stats.describe()
 
@@ -120,6 +155,14 @@ class TestLifecycle:
         session.close()
         with pytest.raises(BackendError):
             session.explain(tiny_blocks[0], rng=0)
+
+    def test_result_cache_false_means_off(self, tiny_blocks):
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=False
+        ) as session:
+            assert session.result_cache is None
+            session.explain(tiny_blocks[0], rng=0)
+            assert session.stats().result_cache is None
 
     def test_close_is_idempotent(self):
         session = ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG)
