@@ -57,8 +57,6 @@ SECTIONS = (
     "continuous_batching",
     "result_cache",
     "resilience",
-    "soa_engine",
-    "encoded_pipeline",
 )
 
 
@@ -764,205 +762,6 @@ def run_resilience_bench(args, blocks) -> dict:
     }
 
 
-def run_soa_engine_bench(args, blocks) -> dict:
-    """Struct-of-arrays Γ engine + fused batch loop vs the pre-SoA hot path.
-
-    Both lanes run the full batched explanation pipeline over the same
-    seeded workload.  The ``baseline`` lane forces the pre-SoA
-    configuration — the ``legacy`` per-perturbation Γ engine and the numpy
-    gather/reduceat batch kernel — while the ``soa`` lane runs the current
-    defaults (wave-structured struct-of-arrays Γ, fused per-block cost
-    loop, array-state KL-LUCB rounds).  A Γ-only microbenchmark per engine
-    (reference oracle included) isolates the perturbation-layer speedup
-    from the Amdahl-limited end-to-end number.
-    """
-    from repro.perturb.algorithm import BlockPerturber, forced_engine
-
-    def lane(engine_name: str) -> dict:
-        model = build_model(args)
-        if engine_name == "legacy":
-            model.inner._use_reference_batch_kernel = True
-        explainer = CometExplainer(model, explainer_config(batched=True), rng=args.seed)
-        with forced_engine(engine_name if engine_name != "soa" else None):
-            start = time.perf_counter()
-            explainer.explain_many(blocks, rng=args.seed)
-            elapsed = time.perf_counter() - start
-        return {
-            "seconds": round(elapsed, 4),
-            "explanations_per_sec": round(len(blocks) / elapsed, 4),
-            "model_queries": model.query_count,
-        }
-
-    def gamma_rate(engine_name: str) -> float:
-        count = 200 if args.quick else 2000
-        total = 0.0
-        drawn = 0
-        for block in blocks:
-            perturber = BlockPerturber(block, rng=args.seed, engine=engine_name)
-            start = time.perf_counter()
-            perturber.perturb_many(count)
-            total += time.perf_counter() - start
-            drawn += count
-        return round(drawn / total, 1)
-
-    baseline = lane("legacy")
-    soa = lane("soa")
-    return {
-        "blocks": len(blocks),
-        "baseline_pre_soa": baseline,
-        "soa": soa,
-        "explanations_per_sec_speedup": round(
-            soa["explanations_per_sec"] / baseline["explanations_per_sec"], 2
-        ),
-        "gamma_perturbations_per_sec": {
-            engine: gamma_rate(engine) for engine in ("reference", "legacy", "soa")
-        },
-    }
-
-
-def run_encoded_pipeline_bench(args, blocks) -> dict:
-    """Encoded perturbation batches end to end vs the materialised pipeline.
-
-    Three analytical-model lanes run the identical seeded workload through
-    the full batched explanation pipeline:
-
-    * ``pr9_baseline`` — encoding off *and* the KL-bound bisection memo off:
-      exactly the PR 9 hot path, re-measured in the same run so the headline
-      speedup is an honest same-machine A/B rather than a comparison against
-      a stale recorded number;
-    * ``materialized`` — encoding off, memo on: isolates the satellite
-      bound-memo win from the columnar-pipeline win;
-    * ``encoded`` — the current defaults: Γ emits encoded rows, the cache
-      dedupes on row keys, and the analytical row kernel predicts without
-      constructing a single block.
-
-    An Ithemal-model pair (untrained weights — serving cost is independent
-    of weight values) records the neural-model win, where the encoded path
-    additionally amortises re-tokenisation through the per-instruction
-    embedding memo.  Results are asserted bit-for-bit identical across all
-    lanes of each pair — a lane that diverged would make the timings
-    meaningless — and the encoded lanes record their row accounting so the
-    report shows how much of the pipeline actually stayed encoded.
-    """
-    from contextlib import nullcontext
-
-    from repro.explain.precision import bound_memo_disabled
-    from repro.models.ithemal import IthemalCostModel
-    from repro.perturb.batch import encoded_tally, forced_encoded
-
-    def lane(workload, model_factory, encoded, memo, trials):
-        def once():
-            model = model_factory()
-            explainer = CometExplainer(
-                model, explainer_config(batched=True), rng=args.seed
-            )
-            memo_ctx = nullcontext() if memo else bound_memo_disabled()
-            tally_base = encoded_tally()
-            with forced_encoded(encoded), memo_ctx:
-                start = time.perf_counter()
-                explanations = explainer.explain_many(workload, rng=args.seed)
-                elapsed = time.perf_counter() - start
-            tally = encoded_tally().delta(tally_base)
-            results = [
-                (
-                    tuple(str(f) for f in e.features),
-                    e.precision,
-                    e.coverage,
-                    e.num_queries,
-                    e.prediction,
-                )
-                for e in explanations
-            ]
-            return elapsed, model.query_count, tally, results
-
-        elapsed, queries, tally, results = once()
-        for _ in range(trials - 1):
-            again, queries, tally, results = once()
-            elapsed = min(elapsed, again)
-        row = {
-            "seconds": round(elapsed, 4),
-            "explanations_per_sec": round(len(workload) / elapsed, 4),
-            "model_queries": queries,
-            "encoded_rows": tally.encoded,
-            "materialized_rows": tally.materialized,
-        }
-        return row, results
-
-    def pair(workload, model_factory, trials):
-        lanes = {}
-        baseline_results = None
-        for name, encoded, memo in (
-            ("pr9_baseline", False, False),
-            ("materialized", False, True),
-            ("encoded", True, True),
-        ):
-            lanes[name], results = lane(workload, model_factory, encoded, memo, trials)
-            if baseline_results is None:
-                baseline_results = results
-            elif results != baseline_results:  # bit-for-bit, or timings lie
-                raise RuntimeError(f"{name} lane diverged from pr9_baseline")
-        base_rate = lanes["pr9_baseline"]["explanations_per_sec"]
-        lanes["encoded_vs_pr9"] = round(
-            lanes["encoded"]["explanations_per_sec"] / base_rate, 2
-        )
-        lanes["encoded_vs_materialized"] = round(
-            lanes["encoded"]["explanations_per_sec"]
-            / lanes["materialized"]["explanations_per_sec"],
-            2,
-        )
-        return lanes
-
-    analytical = pair(
-        blocks, lambda: build_model(args), trials=1 if args.quick else 3
-    )
-    neural_blocks = BlockSynthesizer(rng=args.seed).generate_many(
-        2 if args.quick else 12,
-        min_instructions=6,
-        max_instructions=12,
-        rng=args.seed + 2,
-    )
-
-    # An untrained Ithemal predicts near-uniformly, so KL-LUCB converges at
-    # the sample floor and there is no query traffic to measure.  Train a
-    # small configuration briefly (seeded, against the analytical model's
-    # throughputs) so predictions vary with block content; parameters are
-    # snapshotted once and restored per trial — lane timings never include
-    # training, and every trial starts from identical weights.
-    def trained_ithemal():
-        from repro.models.analytical import AnalyticalCostModel
-        from repro.models.ithemal import IthemalConfig
-
-        teacher = AnalyticalCostModel(args.microarch)
-        training = BlockSynthesizer(rng=args.seed + 3).generate_many(
-            32, min_instructions=3, max_instructions=10, rng=args.seed + 4
-        )
-        model = IthemalCostModel(
-            args.microarch,
-            IthemalConfig(embedding_size=16, hidden_size=16, epochs=2),
-        )
-        model.train(training, [teacher.predict(b) for b in training])
-        return {name: value.copy() for name, value in model.parameters().items()}, model
-
-    weights, template = trained_ithemal()
-
-    def ithemal_factory():
-        for name, value in template.parameters().items():
-            value[...] = weights[name]
-        template._embed_memo.clear()
-        return CachedCostModel(template)
-
-    ithemal = pair(
-        neural_blocks,
-        ithemal_factory,
-        trials=1 if args.quick else 3,
-    )
-    return {
-        "blocks": len(blocks),
-        "analytical": analytical,
-        "ithemal": {"blocks": len(neural_blocks), **ithemal},
-    }
-
-
 def stamp_host_cpus(report: dict) -> None:
     """Stamp the host CPU count into the report and every section.
 
@@ -1053,16 +852,6 @@ def main(argv=None) -> int:
     if "resilience" in selected:
         resilience = run_resilience_bench(args, blocks[: args.matrix_blocks])
         report["resilience"] = resilience
-
-    soa_engine = None
-    if "soa_engine" in selected:
-        soa_engine = run_soa_engine_bench(args, blocks)
-        report["soa_engine"] = soa_engine
-
-    encoded_pipeline = None
-    if "encoded_pipeline" in selected:
-        encoded_pipeline = run_encoded_pipeline_bench(args, blocks)
-        report["encoded_pipeline"] = encoded_pipeline
 
     output = Path(args.output)
     if selected != set(SECTIONS) and output.exists():
@@ -1221,41 +1010,6 @@ def main(argv=None) -> int:
             f"({resilience['checkpoint_replay_speedup']:.2f}x, "
             f"{resilience['checkpoint_skips']} skips)"
         )
-    if soa_engine is not None:
-        print(f"soa engine — {soa_engine['blocks']} blocks")
-        for name in ("baseline_pre_soa", "soa"):
-            row = soa_engine[name]
-            print(
-                f"  {name:>16}: {row['seconds']:7.2f}s  "
-                f"{row['explanations_per_sec']:7.3f} expl/s"
-            )
-        print(
-            f"  soa vs pre-soa: "
-            f"{soa_engine['explanations_per_sec_speedup']:.2f}x explanations/sec"
-        )
-        gamma = soa_engine["gamma_perturbations_per_sec"]
-        print(
-            "  Γ perturbations/sec: "
-            + "  ".join(f"{engine}={gamma[engine]:,.0f}" for engine in gamma)
-        )
-    if encoded_pipeline is not None:
-        print(f"encoded pipeline — {encoded_pipeline['blocks']} blocks")
-        for model_key in ("analytical", "ithemal"):
-            section = encoded_pipeline[model_key]
-            for name in ("pr9_baseline", "materialized", "encoded"):
-                row = section[name]
-                print(
-                    f"  {model_key:>10} {name:>12}: {row['seconds']:7.2f}s  "
-                    f"{row['explanations_per_sec']:7.3f} expl/s  "
-                    f"({row['encoded_rows']} encoded / "
-                    f"{row['materialized_rows']} materialized rows)"
-                )
-            print(
-                f"  {model_key:>10} encoded vs pr9: "
-                f"{section['encoded_vs_pr9']:.2f}x  "
-                f"(vs materialized+memo: "
-                f"{section['encoded_vs_materialized']:.2f}x)"
-            )
     print(f"  report written to {output}")
     return 0
 

@@ -6,11 +6,10 @@ functions by cumulative time, and asserts two shares of the run:
 * the cost model's own batch prediction keeps at least a *floor* share —
   the engine exists to spend its time querying the model, and framework
   code must not quietly grow back around the model calls;
-* Γ (perturbation generation, ``perturb_many``/``perturb_batch``) stays
-  under a *ceiling* share — the encoded-pipeline work of PR 10 moved block
-  materialisation out of the hot loop, and a Γ share creeping back over
-  the ceiling means rows are being materialised eagerly again (the Amdahl
-  budget ``docs/performance.md`` tracks).
+* Γ (perturbation generation, ``perturb_many``) stays under a *ceiling*
+  share — a Γ share creeping over the ceiling means perturbation has
+  become the hot loop's bottleneck again (the Amdahl budget
+  ``docs/performance.md`` tracks).
 
 Run standalone (exits non-zero when either bound is violated):
 
@@ -56,7 +55,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         type=float,
         default=0.55,
         help="maximum share of total profiled time spent inside Γ "
-        "(perturb_many/perturb_batch, cumulative)",
+        "(perturb_many, cumulative)",
     )
     parser.add_argument("--top", type=int, default=20)
     return parser.parse_args(argv)
@@ -65,43 +64,33 @@ def parse_args(argv=None) -> argparse.Namespace:
 def model_share(stats: pstats.Stats) -> float:
     """Cumulative-time share of the inner model's batch prediction.
 
-    The markers are matched on function name so the check survives
-    line-number drift.  ``_predict_rows_batch`` is the analytical model's
-    fused kernel — the top-level inner entry on the encoded path, where
-    ``predict_batch`` calls it directly and ``_predict_batch`` never runs;
-    ``_predict_batch`` covers the materialised and reference-kernel paths.
-    Taking the max (never the sum: one delegates to the other) keeps the
-    floor meaningful on every lane.
+    The marker is matched on function name so the check survives
+    line-number drift; matching on ``analytical.py`` keeps it pinned to the
+    analytical model's fused kernel.
     """
     total = stats.total_tt
     if total <= 0.0:
         raise SystemExit("profile captured no time at all")
-    best = 0.0
+    model = 0.0
     for (filename, _line, name), entry in stats.stats.items():
-        if name in ("_predict_batch", "_predict_rows_batch") and filename.endswith(
-            "analytical.py"
-        ):
-            cumulative = entry[3]
-            best = max(best, cumulative)
-    return best / total
+        if name == "_predict_batch" and filename.endswith("analytical.py"):
+            model += entry[3]
+    return model / total
 
 
 def gamma_share(stats: pstats.Stats) -> float:
     """Cumulative-time share of Γ: perturbation generation end to end.
 
-    ``perturb_many`` and ``perturb_batch`` are disjoint entry points (the
-    eager and encoded sampler paths) so their cumulative times add without
-    double counting; matching on ``algorithm.py`` keeps the check pinned to
-    the perturber even if same-named methods appear elsewhere.
+    ``perturb_many`` is the perturber's one batched entry point; matching on
+    ``algorithm.py`` keeps the check pinned to the perturber even if
+    same-named methods appear elsewhere.
     """
     total = stats.total_tt
     if total <= 0.0:
         raise SystemExit("profile captured no time at all")
     gamma = 0.0
     for (filename, _line, name), entry in stats.stats.items():
-        if name in ("perturb_many", "perturb_batch") and filename.endswith(
-            "algorithm.py"
-        ):
+        if name == "perturb_many" and filename.endswith("algorithm.py"):
             gamma += entry[3]
     return gamma / total
 
@@ -132,7 +121,7 @@ def main(argv=None) -> int:
     share = model_share(stats)
     print(f"inner-model _predict_batch share of total time: {share:.1%}")
     gamma = gamma_share(stats)
-    print(f"gamma perturb_many/perturb_batch share of total time: {gamma:.1%}")
+    print(f"gamma perturb_many share of total time: {gamma:.1%}")
     failed = False
     if share < args.min_model_share:
         print(
@@ -148,7 +137,7 @@ def main(argv=None) -> int:
         print(
             f"FAIL: gamma share {gamma:.1%} is above the "
             f"{args.max_gamma_share:.1%} ceiling — perturbation generation "
-            "(likely eager materialisation) has crept back into the hot loop",
+            "has crept back into the hot loop",
             file=sys.stderr,
         )
         failed = True

@@ -20,6 +20,8 @@ from repro.isa.parser import parse_block_text
 from repro.isa.validation import validate_block_instructions
 from repro.utils.errors import ValidationError
 
+_EMPTY_BLOCK = "a basic block must contain at least one instruction"
+
 
 class BlockCategory(str, Enum):
     """BHive-style block categories (Chen et al., 2019; paper Appendix H.1).
@@ -59,7 +61,7 @@ class BasicBlock:
     def __post_init__(self) -> None:
         object.__setattr__(self, "instructions", tuple(self.instructions))
         if len(self.instructions) == 0:
-            raise ValidationError("a basic block must contain at least one instruction")
+            raise ValidationError(_EMPTY_BLOCK)
 
     # ------------------------------------------------------------- creation
 
@@ -152,10 +154,22 @@ class BasicBlock:
     # -------------------------------------------------------------- rewrite
 
     def with_instructions(self, instructions: Sequence[Instruction]) -> "BasicBlock":
-        """A copy of this block (keeping metadata) with new instructions."""
-        return BasicBlock(
-            tuple(instructions), source=self.source, block_id=self.block_id
-        )
+        """A copy of this block (keeping metadata) with new instructions.
+
+        Γ builds every perturbed block through here, so the copy skips the
+        frozen-dataclass ``__init__`` (one ``object.__setattr__`` per field
+        plus ``__post_init__``) and fills the instance dict directly.  The
+        result is indistinguishable from ``BasicBlock(...)``.
+        """
+        instructions = tuple(instructions)
+        if not instructions:
+            raise ValidationError(_EMPTY_BLOCK)
+        block = object.__new__(BasicBlock)
+        fields = block.__dict__
+        fields["instructions"] = instructions
+        fields["source"] = self.source
+        fields["block_id"] = self.block_id
+        return block
 
     def replace_instruction(self, index: int, instruction: Instruction) -> "BasicBlock":
         """A copy with the instruction at ``index`` replaced."""

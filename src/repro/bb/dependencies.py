@@ -149,38 +149,6 @@ def find_dependencies(instructions: Sequence[Instruction]) -> List[Dependency]:
     return dependencies
 
 
-def raw_dependency_pairs(instructions: Sequence[Instruction]) -> List[Tuple[int, int]]:
-    """``(source, destination)`` pairs of RAW hazards, nearest-writer only.
-
-    A lean subset of :func:`find_dependencies` for hot batched prediction
-    paths: it reports exactly the instruction pairs that carry a RAW hazard
-    (deduplicated across locations) without materialising
-    :class:`Dependency` objects or scanning for WAR/WAW hazards.
-    """
-    last_writer: Dict[Location, int] = {}
-    pairs: List[Tuple[int, int]] = []
-    seen: Set[Tuple[int, int]] = set()
-    last_writer_get = last_writer.get
-    for index, instruction in enumerate(instructions):
-        # Inlined _tracked_accesses memo: this scan runs once per unique
-        # block in the batched model path, so even the per-instruction
-        # function-call overhead of the helper was visible in profiles.
-        accesses = instruction.__dict__.get("_tracked_accesses")
-        if accesses is None:
-            accesses = _tracked_accesses(instruction)
-        reads, writes = accesses
-        for loc in reads:
-            source = last_writer_get(loc)
-            if source is not None:
-                pair = (source, index)
-                if pair not in seen:
-                    seen.add(pair)
-                    pairs.append(pair)
-        for loc in writes:
-            last_writer[loc] = index
-    return pairs
-
-
 def dependencies_between(
     dependencies: Sequence[Dependency], source: int, destination: int
 ) -> List[Dependency]:

@@ -15,7 +15,6 @@ tighter than Hoeffding bounds for probabilities near 0 or 1.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -41,30 +40,16 @@ def kl_bernoulli(p: float, q: float) -> float:
 # explanation is a few thousand keys, so eviction order does not matter.
 _BOUND_MEMO: Dict[tuple, float] = {}
 _BOUND_MEMO_LIMIT = 65536
-_BOUND_MEMO_ENABLED = True
-
-
-@contextmanager
-def bound_memo_disabled():
-    """Disable the bisection memo for a scope (benchmark baseline lanes)."""
-    global _BOUND_MEMO_ENABLED
-    previous = _BOUND_MEMO_ENABLED
-    _BOUND_MEMO_ENABLED = False
-    try:
-        yield
-    finally:
-        _BOUND_MEMO_ENABLED = previous
 
 
 def bernoulli_upper_bound(p_hat: float, n: int, beta: float, tolerance: float = 1e-5) -> float:
     """Largest ``q ≥ p_hat`` with ``n · KL(p_hat, q) ≤ beta`` (bisection)."""
     if n <= 0:
         return 1.0
-    if _BOUND_MEMO_ENABLED:
-        key = (True, p_hat, n, beta, tolerance)
-        cached = _BOUND_MEMO.get(key)
-        if cached is not None:
-            return cached
+    key = (True, p_hat, n, beta, tolerance)
+    cached = _BOUND_MEMO.get(key)
+    if cached is not None:
+        return cached
     level = beta / n
     low, high = p_hat, 1.0
     while high - low > tolerance:
@@ -74,10 +59,9 @@ def bernoulli_upper_bound(p_hat: float, n: int, beta: float, tolerance: float = 
         else:
             low = mid
     value = (low + high) / 2.0
-    if _BOUND_MEMO_ENABLED:
-        if len(_BOUND_MEMO) >= _BOUND_MEMO_LIMIT:
-            _BOUND_MEMO.clear()
-        _BOUND_MEMO[key] = value
+    if len(_BOUND_MEMO) >= _BOUND_MEMO_LIMIT:
+        _BOUND_MEMO.clear()
+    _BOUND_MEMO[key] = value
     return value
 
 
@@ -85,11 +69,10 @@ def bernoulli_lower_bound(p_hat: float, n: int, beta: float, tolerance: float = 
     """Smallest ``q ≤ p_hat`` with ``n · KL(p_hat, q) ≤ beta`` (bisection)."""
     if n <= 0:
         return 0.0
-    if _BOUND_MEMO_ENABLED:
-        key = (False, p_hat, n, beta, tolerance)
-        cached = _BOUND_MEMO.get(key)
-        if cached is not None:
-            return cached
+    key = (False, p_hat, n, beta, tolerance)
+    cached = _BOUND_MEMO.get(key)
+    if cached is not None:
+        return cached
     level = beta / n
     low, high = 0.0, p_hat
     while high - low > tolerance:
@@ -99,10 +82,9 @@ def bernoulli_lower_bound(p_hat: float, n: int, beta: float, tolerance: float = 
         else:
             high = mid
     value = (low + high) / 2.0
-    if _BOUND_MEMO_ENABLED:
-        if len(_BOUND_MEMO) >= _BOUND_MEMO_LIMIT:
-            _BOUND_MEMO.clear()
-        _BOUND_MEMO[key] = value
+    if len(_BOUND_MEMO) >= _BOUND_MEMO_LIMIT:
+        _BOUND_MEMO.clear()
+    _BOUND_MEMO[key] = value
     return value
 
 

@@ -24,15 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.bb.block import BasicBlock
-from repro.bb.dependencies import (
-    Dependency,
-    DependencyKind,
-    _tracked_accesses,
-    raw_dependency_pairs,
-)
+from repro.bb.dependencies import Dependency, DependencyKind, _tracked_accesses
 from repro.bb.features import (
     DependencyFeature,
     Feature,
@@ -63,10 +56,6 @@ class AnalyticalCostModel(CostModel):
         # on the instance itself under a per-uarch attribute — the batch
         # loop then pays one dict lookup per instruction visit.
         self._cost_attr = f"_cost_{self.microarch.short_name}"
-        # Selects the numpy gather/reduceat kernel instead of the per-block
-        # loop; kept for the benchmark's pre-SoA baseline lane and the
-        # batch-kernel parity test.
-        self._use_reference_batch_kernel = False
 
     # -------------------------------------------------------- cost functions
 
@@ -107,46 +96,25 @@ class AnalyticalCostModel(CostModel):
     def _predict_batch(self, blocks: Sequence[BasicBlock]) -> List[float]:
         """Batch prediction as one tight per-block loop.
 
-        Profiling the explanation hot loop showed the numpy gather/reduceat
-        kernel (kept as :meth:`_predict_batch_reference`) dominated by
-        per-element ``np.fromiter`` dispatch and memo-key hashing, not by the
-        arithmetic: explanation batches are many *small* blocks, the worst
-        shape for array kernels.  The loop form costs one instance-attribute
-        lookup per instruction and a handful of float compares per block, and
-        is bit-for-bit identical to both the reference kernel and the
-        sequential :meth:`_predict` — the same table floats flow through the
-        same IEEE additions, maxima and division.
+        Explanation batches are many *small* blocks, the worst shape for
+        array kernels: per-element dispatch would outweigh the arithmetic.
+        The loop costs one instance-attribute lookup per instruction and a
+        handful of float compares per block, and is bit-for-bit identical to
+        the sequential :meth:`_predict` — the same table floats flow through
+        the same IEEE additions, maxima and division.
         """
-        if self._use_reference_batch_kernel:
-            return self._predict_batch_reference(blocks)
-        return self._predict_rows_batch([block.instructions for block in blocks])
-
-    def _rows_kernel(self):
-        """Encoded batches featurise straight from instruction rows.
-
-        The fused loop below only ever reads ``block.instructions``, so the
-        encoded pipeline skips block construction entirely.  The reference
-        numpy kernel wants whole blocks (benchmark baseline lane), so it
-        opts out and encoded batches materialise for it.
-        """
-        if self._use_reference_batch_kernel:
-            return None
-        return self._predict_rows_batch
-
-    def _predict_rows_batch(
-        self, rows: Sequence[Sequence[Instruction]]
-    ) -> List[float]:
         cost_attr = self._cost_attr
         issue_width = self.microarch.issue_width
         out: List[float] = []
-        for instructions in rows:
+        for block in blocks:
+            instructions = block.instructions
             costs: List[float] = []
             best = 0.0
             # One fused pass: instruction costs and RAW hazard costs
-            # (nearest-writer, exactly the pairs raw_dependency_pairs
-            # reports) in the same traversal.  Pair deduplication is
-            # dropped because ``max`` is idempotent — a duplicate hazard
-            # pair cannot change the block maximum.
+            # (nearest writer, the RAW pairs of ``block.dependencies``) in
+            # the same traversal.  Pair deduplication is dropped because
+            # ``max`` is idempotent — a duplicate hazard pair cannot change
+            # the block maximum.
             last_writer: Dict[tuple, int] = {}
             last_writer_get = last_writer.get
             for index, instruction in enumerate(instructions):
@@ -174,54 +142,6 @@ class AnalyticalCostModel(CostModel):
                 best = front_end
             out.append(best)
         return out
-
-    def _predict_batch_reference(self, blocks: Sequence[BasicBlock]) -> List[float]:
-        """The numpy gather/reduceat batch kernel (pre-SoA hot path).
-
-        Per-instruction reciprocal throughputs of the whole batch are gathered
-        into one flat array (table lookups memoised by instruction form);
-        per-block maxima, the vectorized front-end bound and the RAW
-        dependency costs (sums of endpoint costs, gathered by flat index) are
-        then reduced with numpy.  Bit-for-bit identical to the sequential
-        :meth:`_predict` — the same table floats flow through the same IEEE
-        additions and maxima.
-        """
-        if not blocks:
-            return []
-        counts = np.array([block.num_instructions for block in blocks], dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat_costs = np.fromiter(
-            (
-                self._memoised_throughput(instruction)
-                for block in blocks
-                for instruction in block.instructions
-            ),
-            dtype=np.float64,
-            count=int(counts.sum()),
-        )
-        # max over instruction features, block by block.
-        best = np.maximum.reduceat(flat_costs, offsets)
-        # front-end bound cost_eta(n) = n / issue_width.
-        np.maximum(best, counts / self.microarch.issue_width, out=best)
-        # RAW dependency costs: cost(source) + cost(destination).  The lean
-        # RAW-only scan yields the same hazard pairs as block.dependencies
-        # without materialising the full dependency analysis per block.
-        raw_sources: List[int] = []
-        raw_destinations: List[int] = []
-        raw_owners: List[int] = []
-        for index, block in enumerate(blocks):
-            base = offsets[index]
-            for source, destination in raw_dependency_pairs(block.instructions):
-                raw_sources.append(base + source)
-                raw_destinations.append(base + destination)
-                raw_owners.append(index)
-        if raw_owners:
-            dependency_costs = (
-                flat_costs[np.array(raw_sources, dtype=np.intp)]
-                + flat_costs[np.array(raw_destinations, dtype=np.intp)]
-            )
-            np.maximum.at(best, np.array(raw_owners, dtype=np.intp), dependency_costs)
-        return [float(v) for v in best]
 
 
 def feature_costs(block: BasicBlock, model: AnalyticalCostModel) -> FeatureCosts:

@@ -46,14 +46,6 @@ class QueryTally:
     drew, and how many of those silently fell back to the unperturbed block
     after ``max_block_attempts`` rejected candidates (see
     :func:`repro.perturb.algorithm.thread_perturb_tally`).
-
-    ``encoded_rows``/``materialized_rows`` track the encoded pipeline the
-    same way: rows Γ emitted without constructing a block versus block
-    constructions (rows emitted materialised plus on-demand
-    materialisations) — a healthy encoded run keeps ``materialized_rows``
-    near the Γ fallback count, so a silent regression to the
-    materialise-everything path is visible here (see
-    :func:`repro.perturb.batch.thread_encoded_tally`).
     """
 
     queries: int
@@ -61,8 +53,6 @@ class QueryTally:
     misses: int = 0
     perturbations: int = 0
     perturb_fallbacks: int = 0
-    encoded_rows: int = 0
-    materialized_rows: int = 0
 
     def delta(self, since: "QueryTally") -> "QueryTally":
         """The accounting accrued between ``since`` and this snapshot."""
@@ -72,8 +62,6 @@ class QueryTally:
             misses=self.misses - since.misses,
             perturbations=self.perturbations - since.perturbations,
             perturb_fallbacks=self.perturb_fallbacks - since.perturb_fallbacks,
-            encoded_rows=self.encoded_rows - since.encoded_rows,
-            materialized_rows=self.materialized_rows - since.materialized_rows,
         )
 
 
@@ -124,23 +112,6 @@ class CostModel(ABC):
         sequential path wherever exactness is achievable.
         """
         return [float(self._predict(block)) for block in blocks]
-
-    def _rows_kernel(
-        self,
-    ) -> Optional[Callable[[Sequence[Sequence]], List[float]]]:
-        """Instruction-row batch kernel, if this model can featurise from rows.
-
-        An encoded :class:`~repro.perturb.batch.PerturbationBatch` carries
-        resolved instruction references without constructing blocks.  Models
-        whose featurization only reads ``block.instructions`` return a
-        callable ``rows -> costs`` here (``rows`` being per-row instruction
-        sequences in program order) and encoded batches then predict without
-        materialising a single block.  The default — and any model needing
-        the full block (simulators re-assemble ``block.text``) — returns
-        ``None``, which routes encoded batches through on-demand
-        materialisation instead.
-        """
-        return None
 
     # ------------------------------------------------------ execution backend
 
@@ -257,19 +228,15 @@ class CostModel(ABC):
         # consumers, and the Γ counters are process-global per thread (not
         # per model), so the model interface only reads them on snapshot.
         from repro.perturb.algorithm import thread_perturb_tally
-        from repro.perturb.batch import thread_encoded_tally
 
         tallies = self._thread_tallies
         perturb = thread_perturb_tally()
-        encoded = thread_encoded_tally()
         return QueryTally(
             queries=tallies.queries,
             hits=tallies.hits,
             misses=tallies.misses,
             perturbations=perturb.perturbations,
             perturb_fallbacks=perturb.fallbacks,
-            encoded_rows=encoded.encoded,
-            materialized_rows=encoded.materialized,
         )
 
     def predict(self, block: BasicBlock) -> float:
@@ -291,18 +258,7 @@ class CostModel(ABC):
 
         Counts one query per block (batching amortises cost, it does not hide
         work) and validates every prediction like :meth:`predict`.
-
-        Encoded perturbation batches (duck-typed on the
-        ``encoded_perturbations`` marker) predict through the model's row
-        kernel when it has one — no block is ever constructed — and fall
-        back to materialising the batch otherwise, which is exactly the
-        pre-encoding behaviour.
         """
-        if getattr(blocks, "encoded_perturbations", False):
-            kernel = self._rows_kernel()
-            if kernel is not None:
-                return self._predict_encoded_batch(blocks, kernel)
-            blocks = blocks.blocks()
         blocks = list(blocks)
         if not blocks:
             return []
@@ -317,34 +273,6 @@ class CostModel(ABC):
             if not value >= 0.0:
                 raise ModelError(
                     f"{self.name} produced an invalid cost {value!r} for block:\n{block.text}"
-                )
-        return values
-
-    def _predict_encoded_batch(self, batch, kernel) -> List[float]:
-        """Predict an encoded batch through ``kernel`` without materialising.
-
-        Accounting and validation match :meth:`predict_batch` on the
-        materialised blocks exactly; only the representation differs.  The
-        offending row is materialised lazily when a prediction fails
-        validation — the error path is the one place the block is needed.
-        """
-        from repro.perturb.batch import materialize_row, row_refs
-
-        rows = batch.rows
-        if not rows:
-            return []
-        self._count_queries(len(rows))
-        values = [float(v) for v in kernel([row_refs(row) for row in rows])]
-        if len(values) != len(rows):
-            raise ModelError(
-                f"{self.name} returned {len(values)} predictions for "
-                f"{len(rows)} blocks"
-            )
-        for value, row in zip(values, rows):
-            if not value >= 0.0:
-                raise ModelError(
-                    f"{self.name} produced an invalid cost {value!r} for block:\n"
-                    f"{materialize_row(row).text}"
                 )
         return values
 
@@ -365,30 +293,9 @@ class CostModel(ABC):
         lookups served by work another segment of the same fused batch paid
         for — always zero for uncached models, where every block is an
         inner evaluation charged to its own segment.
-
-        When any segment arrives as an encoded perturbation batch the fused
-        concatenation stays encoded, so the single :meth:`predict_batch`
-        call below still reaches the model's row kernel.
         """
-        encoded_type = next(
-            (
-                type(segment)
-                for segment in segments
-                if getattr(segment, "encoded_perturbations", False)
-            ),
-            None,
-        )
-        if encoded_type is not None:
-            batches = [
-                segment.rows
-                if getattr(segment, "encoded_perturbations", False)
-                else list(segment)
-                for segment in segments
-            ]
-            flat = encoded_type([row for batch in batches for row in batch])
-        else:
-            batches = [list(batch) for batch in segments]
-            flat = [block for batch in batches for block in batch]
+        batches = [list(batch) for batch in segments]
+        flat = [block for batch in batches for block in batch]
         values = self.predict_batch(flat)
         out: List[List[float]] = []
         offset = 0
@@ -533,24 +440,14 @@ class CachedCostModel(CostModel):
         one ``inner.predict_batch`` call, and duplicates within the batch
         share the result (they count as hits, exactly as they would have on
         the sequential path).
-
-        Encoded perturbation batches are deduplicated without materialising:
-        an encoded row's ``key()`` is identical to its block's content key,
-        so hits collide with entries cached on any path, and only the
-        distinct misses travel onward (still encoded) to the inner model.
         """
-        encoded_type = None
-        if getattr(blocks, "encoded_perturbations", False):
-            encoded_type = type(blocks)
-            rows = blocks.rows
-        else:
-            rows = list(blocks)
-        if not rows:
+        blocks = list(blocks)
+        if not blocks:
             return []
-        keys = [row.key() for row in rows]
-        results: List[Optional[float]] = [None] * len(rows)
+        keys = [block.key() for block in blocks]
+        results: List[Optional[float]] = [None] * len(blocks)
         miss_order: List[tuple] = []
-        miss_rows: List[BasicBlock] = []
+        miss_blocks: List[BasicBlock] = []
         pending: Dict[tuple, List[int]] = {}
         tallies = self._thread_tallies
         hit_count = 0
@@ -560,7 +457,7 @@ class CachedCostModel(CostModel):
             # per batch (same totals, a fraction of the attribute traffic).
             cache_get = self._cache.get
             cache_touch = self._cache.move_to_end
-            for position, (row, key) in enumerate(zip(rows, keys)):
+            for position, (block, key) in enumerate(zip(blocks, keys)):
                 bucket = pending.get(key)
                 if bucket is not None:
                     # Duplicate of a block already being queried in this batch.
@@ -575,18 +472,17 @@ class CachedCostModel(CostModel):
                     continue
                 pending[key] = [position]
                 miss_order.append(key)
-                miss_rows.append(row)
-            miss_count = len(miss_rows)
+                miss_blocks.append(block)
+            miss_count = len(miss_blocks)
             self.hits += hit_count
             tallies.hits += hit_count
             self.misses += miss_count
             tallies.misses += miss_count
-            if miss_rows:
+            if miss_blocks:
                 self.query_count += miss_count
                 tallies.queries += miss_count
-        if miss_rows:
-            misses = encoded_type(miss_rows) if encoded_type is not None else miss_rows
-            values = self.inner.predict_batch(misses)
+        if miss_blocks:
+            values = self.inner.predict_batch(miss_blocks)
             with self._cache_lock:
                 for key, value in zip(miss_order, values):
                     self._store(key, value)
@@ -608,24 +504,11 @@ class CachedCostModel(CostModel):
         segment they appear in, and those served across segment boundaries
         are additionally reported as ``shared_hits`` — the dedupe the fused
         tick got for free by batching requests together.
-
-        Segments may mix encoded batches and plain block lists freely (a
-        fused tick can serve requests from both pipelines): encoded rows key
-        and dedupe against cached blocks without materialising, and the
-        distinct misses are forwarded as one encoded batch whenever any
-        segment arrived encoded.
         """
-        encoded_type = None
-        batches: List[Sequence] = []
-        for segment in segments:
-            if getattr(segment, "encoded_perturbations", False):
-                encoded_type = type(segment)
-                batches.append(segment.rows)
-            else:
-                batches.append(list(segment))
+        batches = [list(segment) for segment in segments]
         results: List[List[Optional[float]]] = [[None] * len(batch) for batch in batches]
         miss_order: List[tuple] = []
-        miss_rows: List[BasicBlock] = []
+        miss_blocks: List[BasicBlock] = []
         pending: Dict[tuple, List[Tuple[int, int]]] = {}
         first_segment: Dict[tuple, int] = {}
         per_segment = [[0, 0, 0] for _ in batches]  # queries, hits, misses
@@ -633,8 +516,8 @@ class CachedCostModel(CostModel):
         tallies = self._thread_tallies
         with self._cache_lock:
             for index, batch in enumerate(batches):
-                for position, row in enumerate(batch):
-                    key = row.key()
+                for position, block in enumerate(batch):
+                    key = block.key()
                     if key in pending:
                         # Duplicate of a block already being queried in this
                         # fused batch (same or earlier segment).
@@ -658,15 +541,14 @@ class CachedCostModel(CostModel):
                     pending[key] = [(index, position)]
                     first_segment[key] = index
                     miss_order.append(key)
-                    miss_rows.append(row)
-            if miss_rows:
-                self.query_count += len(miss_rows)
-                tallies.queries += len(miss_rows)
+                    miss_blocks.append(block)
+            if miss_blocks:
+                self.query_count += len(miss_blocks)
+                tallies.queries += len(miss_blocks)
                 for key in miss_order:
                     per_segment[first_segment[key]][0] += 1
-        if miss_rows:
-            misses = encoded_type(miss_rows) if encoded_type is not None else miss_rows
-            values = self.inner.predict_batch(misses)
+        if miss_blocks:
+            values = self.inner.predict_batch(miss_blocks)
             with self._cache_lock:
                 for key, value in zip(miss_order, values):
                     self._store(key, value)

@@ -229,24 +229,17 @@ class IthemalCostModel(CostModel):
         whole batch at once (padded to the longest block), then one vectorized
         readout.  Equivalent to the sequential path up to BLAS summation
         order (agreement to ~1e-12 relative, verified by the parity tests).
+        Perturbed blocks share most of their instructions, so the pooled
+        embeddings come from the per-instruction memo.
         """
-        return self._predict_rows_batch([block.instructions for block in blocks])
-
-    def _rows_kernel(self):
-        """Tokenisation only reads instructions, so encoded batches predict
-        straight from rows — with re-tokenisation amortised away by the
-        per-instruction embedding memo."""
-        return self._predict_rows_batch
-
-    def _predict_rows_batch(self, rows: Sequence[Sequence]) -> List[float]:
-        if not rows:
+        if not blocks:
             return []
-        lengths = [len(instructions) for instructions in rows]
+        lengths = [len(block.instructions) for block in blocks]
         steps = max(lengths)
-        inputs = np.zeros((len(rows), steps, self.config.embedding_size))
+        inputs = np.zeros((len(blocks), steps, self.config.embedding_size))
         embedding_for = self._embedding_for
-        for row, instructions in enumerate(rows):
-            for position, instruction in enumerate(instructions):
+        for row, block in enumerate(blocks):
+            for position, instruction in enumerate(block.instructions):
                 inputs[row, position] = embedding_for(instruction)
         final_hidden = self.lstm.forward_batch(inputs, lengths)
         raw = final_hidden @ self.w_out + self.b_out[0]

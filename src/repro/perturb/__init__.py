@@ -8,15 +8,6 @@ from repro.perturb.replacements import (
     random_immediate,
 )
 from repro.perturb.algorithm import BlockPerturber, PreservationConstraints
-from repro.perturb.batch import (
-    EncodedRow,
-    EncodedTally,
-    PerturbationBatch,
-    encoded_enabled,
-    encoded_tally,
-    forced_encoded,
-    thread_encoded_tally,
-)
 from repro.perturb.sampler import PerturbationSampler
 from repro.perturb.space import estimate_space_size, per_instruction_choices
 
@@ -30,13 +21,6 @@ __all__ = [
     "BlockPerturber",
     "PreservationConstraints",
     "PerturbationSampler",
-    "EncodedRow",
-    "EncodedTally",
-    "PerturbationBatch",
-    "encoded_enabled",
-    "encoded_tally",
-    "forced_encoded",
-    "thread_encoded_tally",
     "estimate_space_size",
     "per_instruction_choices",
 ]

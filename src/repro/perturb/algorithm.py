@@ -23,9 +23,8 @@ import threading
 import warnings
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from repro.bb.features import (
 from repro.isa.instructions import Instruction
 from repro.isa.operands import ImmediateOperand, MemoryOperand, RegisterOperand
 from repro.isa.validation import is_valid_instruction
-from repro.perturb.batch import EncodedRow, PerturbationBatch, _count_rows
 from repro.perturb.config import PerturbationConfig, ReplacementScheme
 from repro.perturb.replacements import (
     cache_opcode_replacements,
@@ -61,11 +59,6 @@ _MEMORY_DELTAS = (-64, -32, -16, -8, 8, 16, 32, 64)
 #: dynamic dependency break picks its replacement register outside the static
 #: tables, so the rewritten endpoint is treated as stale for every root.
 _ALL_ROOTS = object()
-
-#: Resolution sentinel for :meth:`BlockPerturber._resolve_row`: the row's
-#: decisions changed nothing, so the original block instance stands in for it
-#: (no construction, memos stay warm).
-_IDENTITY = object()
 
 
 @dataclass(frozen=True)
@@ -117,7 +110,11 @@ def thread_perturb_tally() -> PerturbTally:
     return PerturbTally(
         perturbations=tally.perturbations, fallbacks=tally.fallbacks
     )
-#: Live perturbers, for the session-level plan-cache gauge.
+
+
+#: Live perturbers, for the session-level plan-cache gauge.  Registration
+#: and snapshots both hold ``_accounting_lock``: a weak set cannot be
+#: iterated while another thread adds to it.
 _live_perturbers: "weakref.WeakSet[BlockPerturber]" = weakref.WeakSet()
 
 #: Fallback-rate warning thresholds (satellite of the silent-fallback bugfix):
@@ -125,11 +122,6 @@ _live_perturbers: "weakref.WeakSet[BlockPerturber]" = weakref.WeakSet()
 #: least ``_FALLBACK_WARNING_MIN`` perturbations fell back to the original.
 _FALLBACK_WARNING_MIN = 40
 _FALLBACK_WARNING_RATE = 0.2
-
-#: Module-level engine override (see :func:`forced_engine`).
-_FORCED_ENGINE: Optional[str] = None
-
-_ENGINES = ("soa", "legacy", "reference")
 
 
 def perturb_tally() -> PerturbTally:
@@ -141,29 +133,15 @@ def perturb_tally() -> PerturbTally:
 
 
 def plan_cache_entries() -> int:
-    """Total constraint-plan cache entries across live perturbers (a gauge)."""
-    return sum(len(p._plan_cache) for p in list(_live_perturbers))
+    """Total constraint-plan cache entries across live perturbers (a gauge).
 
-
-@contextmanager
-def forced_engine(name: Optional[str]) -> Iterator[None]:
-    """Force every perturber built in this scope onto one Γ engine.
-
-    Benchmark and test plumbing: lets the end-to-end pipeline run on the
-    ``legacy`` per-perturbation vectorized engine (the pre-SoA hot path) or
-    the ``reference`` scalar oracle without threading an argument through
-    sampler and explainer construction.  Not thread-safe; scope it around
-    single-threaded runs only.
+    Perturbers register from whichever thread builds them (service
+    dispatchers do so concurrently with ``stats`` calls), so the snapshot of
+    the weak set is taken under the same lock the registration holds.
     """
-    global _FORCED_ENGINE
-    if name is not None and name not in _ENGINES:
-        raise ValueError(f"unknown perturbation engine {name!r}")
-    previous = _FORCED_ENGINE
-    _FORCED_ENGINE = name
-    try:
-        yield
-    finally:
-        _FORCED_ENGINE = previous
+    with _accounting_lock:
+        perturbers = list(_live_perturbers)
+    return sum(len(p._plan_cache) for p in perturbers)
 
 
 @dataclass(frozen=True)
@@ -388,6 +366,11 @@ class BlockPerturber:
     independent perturbations on every :meth:`perturb` call.  It is the
     object the explanation sampler queries thousands of times per
     explanation.
+
+    Γ runs on one of two engines, chosen by ``PerturbationConfig.vectorized``:
+    the struct-of-arrays *wave* engine (the default) or the scalar
+    *reference* engine, which is the oracle and also serves the wave
+    engine's retry attempts and the whole-instruction replacement scheme.
     """
 
     def __init__(
@@ -397,22 +380,11 @@ class BlockPerturber:
         rng: RandomSource = None,
         *,
         max_cached_plans: int = 256,
-        engine: Optional[str] = None,
     ) -> None:
         if max_cached_plans < 1:
             raise ValueError("max_cached_plans must be >= 1")
-        if engine is not None and engine not in _ENGINES:
-            raise ValueError(f"unknown perturbation engine {engine!r}")
         self.block = block
         self.config = config or PerturbationConfig()
-        # Engine precedence: explicit argument, then the scoped
-        # forced_engine() override, then the config's vectorized switch
-        # (True -> the struct-of-arrays wave engine, False -> the scalar
-        # reference oracle).  "legacy" is the pre-SoA per-perturbation
-        # vectorized engine, kept for parity tests and benchmark baselines.
-        self._engine = engine or _FORCED_ENGINE or (
-            "soa" if self.config.vectorized else "reference"
-        )
         self._rng = as_rng(rng)
         self._opcode_pools = cache_opcode_replacements(block)
         # Feature set -> constraint plan, LRU-bounded: a warm session
@@ -442,7 +414,8 @@ class BlockPerturber:
         self._perturbations = 0
         self._fallbacks = 0
         self._fallback_warning_emitted = False
-        _live_perturbers.add(self)
+        with _accounting_lock:
+            _live_perturbers.add(self)
 
     # ------------------------------------------------------------------ API
 
@@ -515,7 +488,7 @@ class BlockPerturber:
         generator = as_rng(rng) if rng is not None else self._rng
         plan = self._plan_for(features)
         if (
-            self._engine == "soa"
+            self.config.vectorized
             and self.config.replacement_scheme is not ReplacementScheme.WHOLE_INSTRUCTION
         ):
             out, fallbacks = self._perturb_wave(plan, count, generator)
@@ -524,46 +497,12 @@ class BlockPerturber:
         self._account(count, fallbacks)
         return out
 
-    def perturb_batch(
-        self,
-        count: int,
-        features: Iterable[Feature] = (),
-        rng: RandomSource = None,
-    ) -> PerturbationBatch:
-        """Encoded twin of :meth:`perturb_many` (same stream, same blocks).
-
-        The wave engine resolves each row to its survivor instruction
-        references and defers block construction
-        (:class:`~repro.perturb.batch.EncodedRow`); rows that leave the wave
-        fast path — retry attempts through the per-perturbation engine,
-        ``max_block_attempts`` fallbacks — are materialised eagerly, in row
-        order, so the random stream stays bit-identical to
-        :meth:`perturb_many`.  Non-wave engines (``legacy``/``reference``,
-        and the whole-instruction scheme) stay untouched oracles: their rows
-        are materialised blocks wrapped in the batch container.
-        """
-        generator = as_rng(rng) if rng is not None else self._rng
-        plan = self._plan_for(features)
-        if (
-            self._engine == "soa"
-            and self.config.replacement_scheme is not ReplacementScheme.WHOLE_INSTRUCTION
-        ):
-            rows, fallbacks, encoded = self._perturb_wave_rows(
-                plan, count, generator
-            )
-        else:
-            rows, fallbacks = self._perturb_loop(plan, count, generator)
-            encoded = 0
-        self._account(count, fallbacks)
-        _count_rows(encoded, count - encoded)
-        return PerturbationBatch(rows)
-
     # ------------------------------------------------------------ internals
 
     def _perturb_loop(
         self, plan: _ConstraintPlan, count: int, rng: np.random.Generator
     ) -> Tuple[List[BasicBlock], int]:
-        """The per-perturbation engines' outer loop (reference/legacy, and the
+        """The reference engine's outer loop (``vectorized=False``, and the
         whole-instruction scheme, which interleaves operand-randomisation
         coins with its picks — data-dependent rng — so it cannot wave)."""
         out: List[BasicBlock] = []
@@ -571,7 +510,7 @@ class BlockPerturber:
         for _ in range(count):
             perturbed = None
             for _ in range(self.config.max_block_attempts):
-                perturbed = self._perturb_once(plan, rng)
+                perturbed = self._perturb_once_reference(plan, rng)
                 if perturbed is not None:
                     break
             if perturbed is None:
@@ -607,119 +546,6 @@ class BlockPerturber:
                 stacklevel=3,
             )
 
-    @staticmethod
-    def _vector_flips(
-        rng: np.random.Generator, count: int, probability: float
-    ) -> np.ndarray:
-        """``count`` independent coin flips in one rng call.
-
-        Mirrors :func:`repro.utils.rng.coin`'s degenerate cases so
-        probability-0/1 configurations consume no random state.
-        """
-        if count == 0 or probability == 0.0:
-            return np.zeros(count, dtype=bool)
-        if probability == 1.0:
-            return np.ones(count, dtype=bool)
-        return rng.random(count) < probability
-
-    def _perturb_once(
-        self, plan: _ConstraintPlan, rng: np.random.Generator
-    ) -> Optional[BasicBlock]:
-        """One perturbation attempt on the configured per-perturbation engine.
-
-        The wave engine also lands here for retry attempts (a failed row
-        re-runs through the legacy engine, which consumes the same random
-        stream the reference oracle would under degenerate probabilities).
-        """
-        if self._engine == "reference":
-            return self._perturb_once_reference(plan, rng)
-        return self._perturb_once_legacy(plan, rng)
-
-    def _perturb_once_legacy(
-        self, plan: _ConstraintPlan, rng: np.random.Generator
-    ) -> Optional[BasicBlock]:
-        """The pre-SoA per-perturbation vectorized engine.
-
-        Coins for one perturbation are batched per decision family but every
-        perturbation still walks the block's Python objects; kept as the
-        benchmark baseline lane, the whole-instruction-scheme engine and the
-        wave engine's retry path.
-        """
-        config = self.config
-        constraints = plan.constraints
-        working: List[Optional[Instruction]] = list(self.block.instructions)
-
-        # --- vertex perturbation (lines 8-12 of Algorithm 1) -------------
-        # All of the round's retain and delete coin flips are drawn in two
-        # vectorized rng calls; only the replacement picks (whose pool sizes
-        # vary per index) stay scalar.
-        perturb_flags = self._vector_flips(
-            rng, len(plan.unlocked_indices), 1.0 - config.p_instruction_retain
-        )
-        if perturb_flags.any():
-            flagged = [
-                index
-                for index, flip in zip(plan.unlocked_indices, perturb_flags)
-                if flip
-            ]
-            delete_flips = self._vector_flips(
-                rng,
-                len(flagged),
-                config.p_delete if plan.deletion_allowed else 0.0,
-            )
-            live = len(working)
-            for position, index in enumerate(flagged):
-                if (
-                    delete_flips[position]
-                    and index not in plan.undeletable
-                    and live > 1
-                ):
-                    working[index] = None
-                    live -= 1
-                    continue
-                working[index] = self._replace_vertex(
-                    working[index], index, constraints, rng
-                )
-
-        # --- edge perturbation (lines 13-17 of Algorithm 1) --------------
-        live_deps = [
-            dep
-            for dep in self.block.dependencies
-            if (dep.source, dep.destination, dep.kind, dep.location)
-            not in plan.preserved_keys
-            and working[dep.source] is not None
-            and working[dep.destination] is not None
-        ]
-        retain_flags = self._vector_flips(
-            rng, len(live_deps), config.p_dependency_explicit_retain
-        )
-        attempts = [
-            dep for dep, retained in zip(live_deps, retain_flags) if not retained
-        ]
-        attempt_flags = self._vector_flips(
-            rng, len(attempts), config.p_dependency_perturb_attempt
-        )
-        rewritten: Set[int] = set()
-        for dep, attempt in zip(attempts, attempt_flags):
-            if not attempt:
-                continue
-            touched = self._break_dependency(working, dep, plan, rng)
-            if touched is not None:
-                rewritten.add(touched)
-
-        survivors = [inst for inst in working if inst is not None]
-        if not survivors:
-            return None
-        # Vertex replacements are validated when they are built (and cached),
-        # and untouched instructions come from the already-valid original
-        # block, so only instructions rewritten by dependency breaking still
-        # need a validity check here.
-        for index in rewritten:
-            instruction = working[index]
-            if instruction is not None and not is_valid_instruction(instruction):
-                return None
-        return self.block.with_instructions(survivors)
-
     # ------------------------------------------- struct-of-arrays (wave) Γ
 
     def _soa_tables(self, plan: _ConstraintPlan) -> _SoaTables:
@@ -732,7 +558,7 @@ class BlockPerturber:
         """Flatten a plan into the wave engine's decision tables (rng-free).
 
         The per-index *effective* replacement tables fold in everything the
-        per-perturbation engines check after drawing a pick — replacement
+        reference engine checks after drawing a pick — replacement
         validity and the shadowing-write rejection — so a table entry of
         ``None`` means "this pick retains the original instruction", exactly
         as a failed replacement attempt does.  Keeping the full pool length
@@ -878,7 +704,7 @@ class BlockPerturber:
         One ``rng.random((rows, cols))`` draw consumes exactly the same
         random stream as ``rows`` sequential ``rng.random(cols)`` calls, and
         the degenerate probabilities (and empty shapes) consume none at all —
-        the same contract :meth:`_vector_flips` keeps per perturbation.
+        the same contract :func:`~repro.utils.rng.coin` keeps per coin.
         Returns plain nested lists: the wave engine reads the flags one row
         at a time, where list indexing beats numpy scalar extraction.
         """
@@ -900,8 +726,8 @@ class BlockPerturber:
         in O(1) rng calls up front; each row is then applied with one bounded
         integer draw per opcode pick batch and one per dependency break.  A
         row whose rewritten instructions fail validation retries immediately
-        through the per-perturbation engine so its random-stream position
-        matches a sequential run.
+        through the reference engine, so its retries sit at the stream
+        position a row-by-row run would give them.
         """
         config = self.config
         tables = self._soa_tables(plan)
@@ -952,110 +778,13 @@ class BlockPerturber:
             )
             attempt = 1
             while perturbed is None and attempt < max_attempts:
-                perturbed = self._perturb_once(plan, rng)
+                perturbed = self._perturb_once_reference(plan, rng)
                 attempt += 1
             if perturbed is None:
                 perturbed = self.block
                 fallbacks += 1
             out.append(perturbed)
         return out, fallbacks
-
-    def _perturb_wave_rows(
-        self, plan: _ConstraintPlan, count: int, rng: np.random.Generator
-    ) -> Tuple[List[object], int, int]:
-        """Encoded twin of :meth:`_perturb_wave`: rows stay unmaterialised.
-
-        Draws the identical coin/pick rectangles and walks the identical
-        per-row resolution (:meth:`_resolve_row`), so the random stream is
-        bit-for-bit the stream :meth:`_perturb_wave` consumes.  Fast-path
-        rows come back as :class:`~repro.perturb.batch.EncodedRow` (survivor
-        references, block deferred) or the original block instance (identity
-        rows); rows whose resolution fails retry eagerly — in row order,
-        because retries consume rng — through the per-perturbation engine
-        and land materialised.  Returns ``(rows, fallbacks, encoded)`` where
-        ``encoded`` counts fast-path rows.
-        """
-        config = self.config
-        tables = self._soa_tables(plan)
-        n_unlocked = tables.n_unlocked
-        n_deps = tables.n_deps
-        p_perturb = 1.0 - config.p_instruction_retain
-        p_delete = config.p_delete if plan.deletion_allowed else 0.0
-        p_retain = config.p_dependency_explicit_retain
-        p_attempt = config.p_dependency_perturb_attempt
-        perturb_rows = self._flip_rows(rng, count, n_unlocked, p_perturb)
-        delete_rows = self._flip_rows(rng, count, n_unlocked, p_delete)
-        retain_rows = self._flip_rows(rng, count, n_deps, p_retain)
-        attempt_rows = self._flip_rows(rng, count, n_deps, p_attempt)
-        degenerate = all(
-            p in (0.0, 1.0) for p in (p_perturb, p_delete, p_retain, p_attempt)
-        )
-        vertex_picks: Optional[List[List[int]]] = None
-        dep_picks: Optional[List[List[int]]] = None
-        if not degenerate:
-            if n_unlocked:
-                vertex_picks = rng.integers(
-                    0, tables.pool_bounds, size=(count, n_unlocked)
-                ).tolist()
-            if n_deps:
-                dep_picks = rng.integers(
-                    0, tables.dep_bounds, size=(count, n_deps)
-                ).tolist()
-        rows: List[object] = []
-        fallbacks = 0
-        encoded = 0
-        block = self.block
-        max_attempts = config.max_block_attempts
-        for row in range(count):
-            perturb_row = perturb_rows[row]
-            retain_row = retain_rows[row]
-            attempt_row = attempt_rows[row]
-            # Zero-flag rows are identity by construction — every vertex
-            # action is gated on its perturb flag and every edge action on
-            # ``attempt and not retain`` — and their resolution consumes no
-            # rng (deletes/picks are reached only behind those same flags),
-            # so the full resolve walk can be skipped without moving the
-            # random stream.  At the paper's default retain/attempt rates a
-            # third of all rows take this exit.
-            if not (
-                any(perturb_row)
-                or any(
-                    attempt_row[d] and not retain_row[d]
-                    for d in range(n_deps)
-                )
-            ):
-                rows.append(block)
-                encoded += 1
-                continue
-            resolved = self._resolve_row(
-                plan,
-                tables,
-                perturb_row,
-                delete_rows[row],
-                retain_row,
-                attempt_row,
-                rng,
-                vertex_picks[row] if vertex_picks is not None else None,
-                dep_picks[row] if dep_picks is not None else None,
-            )
-            if resolved is _IDENTITY:
-                rows.append(block)
-                encoded += 1
-                continue
-            if resolved is not None:
-                rows.append(EncodedRow(block, tuple(resolved)))
-                encoded += 1
-                continue
-            perturbed = None
-            attempt = 1
-            while perturbed is None and attempt < max_attempts:
-                perturbed = self._perturb_once(plan, rng)
-                attempt += 1
-            if perturbed is None:
-                perturbed = block
-                fallbacks += 1
-            rows.append(perturbed)
-        return rows, fallbacks, encoded
 
     def _apply_row(
         self,
@@ -1069,54 +798,14 @@ class BlockPerturber:
         vertex_picks: Optional[List[int]] = None,
         dep_picks: Optional[List[int]] = None,
     ) -> Optional[BasicBlock]:
-        """Materialise one perturbation from its pre-drawn decision row.
-
-        Thin wrapper over :meth:`_resolve_row` that builds the block; the
-        encoded pipeline (:meth:`perturb_batch`) calls the resolver directly
-        and defers construction.
-        """
-        resolved = self._resolve_row(
-            plan,
-            tables,
-            perturb_row,
-            delete_row,
-            retain_row,
-            attempt_row,
-            rng,
-            vertex_picks,
-            dep_picks,
-        )
-        if resolved is None:
-            return None
-        if resolved is _IDENTITY:
-            # Nothing moved: hand back the original block *instance* so the
-            # cost model's and dependency scan's per-instance memos stay
-            # warm (block equality is by content, so downstream results are
-            # bit-identical to a freshly-built copy).
-            return self.block
-        return self.block.with_instructions(resolved)
-
-    def _resolve_row(
-        self,
-        plan: _ConstraintPlan,
-        tables: _SoaTables,
-        perturb_row: List[bool],
-        delete_row: List[bool],
-        retain_row: List[bool],
-        attempt_row: List[bool],
-        rng: np.random.Generator,
-        vertex_picks: Optional[List[int]] = None,
-        dep_picks: Optional[List[int]] = None,
-    ):
-        """Resolve one decision row to its survivor instruction references.
+        """Build one perturbation from its pre-drawn decision row.
 
         ``vertex_picks``/``dep_picks`` carry the row's slice of the wave's
         pre-drawn pick rectangles; when absent (degenerate-coin waves) the
-        picks are drawn here, in reference order.  Returns the survivor list
-        (block construction is the caller's choice), :data:`_IDENTITY` when
-        the row changed nothing, or ``None`` when a rewritten instruction
-        failed validation (the caller retries through the per-perturbation
-        engine).
+        picks are drawn here, in reference order.  Returns the perturbed
+        block, the original block *instance* when the row changed nothing,
+        or ``None`` when a rewritten instruction failed validation (the
+        caller retries through the reference engine).
         """
         working: List[Optional[Instruction]] = list(self.block.instructions)
         live = len(working)
@@ -1243,7 +932,11 @@ class BlockPerturber:
             changed = True
 
         if not changed:
-            return _IDENTITY
+            # Nothing moved: hand back the original block *instance* so the
+            # cost model's and dependency scan's per-instance memos stay
+            # warm (block equality is by content, so downstream results are
+            # bit-identical to a freshly-built copy).
+            return self.block
         survivors = [inst for inst in working if inst is not None]
         if not survivors:
             return None
@@ -1251,7 +944,7 @@ class BlockPerturber:
             instruction = working[index]
             if instruction is not None and not is_valid_instruction(instruction):
                 return None
-        return survivors
+        return self.block.with_instructions(survivors)
 
     # ------------------------------------------------- reference (scalar) Γ
 
@@ -1263,9 +956,11 @@ class BlockPerturber:
         One coin flip per decision, uncached replacement construction and a
         full re-validation of every surviving instruction.  This is the
         sequential baseline measured by ``benchmarks/bench_query_engine.py``
-        and the distributional oracle of the perturbation property tests; it
-        is not used by the explanation pipeline unless
-        ``PerturbationConfig.vectorized`` is switched off.
+        and the distributional oracle of the perturbation property tests.
+        The explanation pipeline reaches it when
+        ``PerturbationConfig.vectorized`` is switched off, for the
+        whole-instruction replacement scheme, and for the wave engine's
+        retry attempts.
         """
         config = self.config
         constraints = plan.constraints
@@ -1409,57 +1104,6 @@ class BlockPerturber:
             )
             self._rename_pools[key] = pool
         return pool
-
-    def _replace_vertex(
-        self,
-        instruction: Instruction,
-        index: int,
-        constraints: PreservationConstraints,
-        rng: np.random.Generator,
-    ) -> Instruction:
-        """Replace an instruction's opcode (and, in the whole-instruction
-        scheme, its operands).  A failed attempt retains the instruction,
-        which is how opcodes with no replacements (e.g. ``lea``) end up
-        retained more often (Appendix D)."""
-        pool = self._opcode_pools.get(index, [])
-        if (
-            self.config.replacement_scheme is not ReplacementScheme.WHOLE_INSTRUCTION
-            and instruction is self.block.instructions[index]
-        ):
-            # Opcode-only replacement of an unmodified instruction: the
-            # replacement (and its validity) is a pure function of
-            # (index, mnemonic), so the instruction object is built and
-            # validated once and shared across all perturbations.
-            if not pool:
-                return instruction
-            mnemonic = choice(rng, pool)
-            key = (index, mnemonic)
-            if key in self._replacement_cache:
-                replaced = self._replacement_cache[key]
-            else:
-                candidate = instruction.with_mnemonic(mnemonic)
-                replaced = candidate if is_valid_instruction(candidate) else None
-                self._replacement_cache[key] = replaced
-            if replaced is None:
-                return instruction
-        else:
-            replaced = instruction
-            if pool:
-                replaced = instruction.with_mnemonic(choice(rng, pool))
-            if self.config.replacement_scheme is ReplacementScheme.WHOLE_INSTRUCTION:
-                replaced = self._randomise_operands(replaced, index, constraints, rng)
-            if not is_valid_instruction(replaced):
-                return instruction
-        # Do not let the replacement start writing the register of a preserved
-        # dependency that passes over this instruction (it would shadow the
-        # preserved hazard); treat that as a failed perturbation attempt.
-        forbidden = constraints.shadowing_writes_forbidden(index)
-        if forbidden:
-            original_writes = {loc[1] for loc in instruction.writes if loc[0] == "reg"}
-            new_writes = {loc[1] for loc in replaced.writes if loc[0] == "reg"}
-            if (new_writes - original_writes) & forbidden:
-                return instruction
-        return replaced
 
     def _randomise_operands(
         self,

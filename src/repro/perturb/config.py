@@ -34,11 +34,12 @@ class PerturbationConfig:
     p_dependency_explicit_retain: float = 0.1
     replacement_scheme: ReplacementScheme = ReplacementScheme.OPCODE_ONLY
     max_block_attempts: int = 4
-    #: When true (the default) Γ uses the vectorized fast path: batched coin
+    #: When true (the default) Γ uses the vectorized wave engine: batched coin
     #: flips, cached replacement/rename objects and targeted re-validation.
-    #: When false it runs the scalar reference implementation (the
-    #: pre-batching engine), which the query-engine benchmark uses as its
-    #: sequential baseline and the property tests use as an oracle.
+    #: When false it runs the scalar reference engine, which the query-engine
+    #: benchmark uses as its sequential baseline and the property tests use
+    #: as an oracle.  The whole-instruction scheme runs on the reference
+    #: engine either way.
     vectorized: bool = True
 
     def __post_init__(self) -> None:

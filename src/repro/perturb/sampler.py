@@ -20,7 +20,6 @@ import numpy as np
 from repro.bb.block import BasicBlock
 from repro.bb.features import Feature, features_present
 from repro.perturb.algorithm import BlockPerturber
-from repro.perturb.batch import PerturbationBatch
 from repro.perturb.config import PerturbationConfig
 from repro.utils.rng import RandomSource, as_rng
 
@@ -60,18 +59,10 @@ class PerturbationSampler:
         self.samples_drawn += count
         return self._perturber.perturb_many(count, features, rng=self._rng)
 
-    def sample_encoded(
-        self, features: Iterable[Feature] = (), count: int = 1
-    ) -> PerturbationBatch:
-        """Encoded twin of :meth:`sample`: the same draws, blocks deferred.
-
-        Consumes the identical random stream as :meth:`sample` and resolves
-        to content-identical rows (see
-        :meth:`~repro.perturb.algorithm.BlockPerturber.perturb_batch`), so a
-        caller may mix the two freely without changing seeded results.
-        """
-        self.samples_drawn += count
-        return self._perturber.perturb_batch(count, features, rng=self._rng)
+    # Kept only because the repository benchmark's layer tracer names this
+    # entry point (``perfbench/layer_trace.py``); nothing in the library
+    # calls it.  Drop it together with that tracer row.
+    sample_encoded = sample
 
     def sample_unconstrained(self, count: int = 1) -> List[BasicBlock]:
         """Draw ``count`` unconstrained perturbations (from D = D_∅)."""

@@ -47,7 +47,6 @@ from repro.explain.coverage import PopulationRecord
 from repro.explain.explanation import Explanation
 from repro.models.base import CachedCostModel, CostModel, QueryCounter
 from repro.perturb.algorithm import perturb_tally, plan_cache_entries
-from repro.perturb.batch import encoded_tally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
 from repro.runtime.checkpoint import CheckpointJournal, run_fingerprint
 from repro.utils.cancellation import CancelToken
@@ -152,13 +151,6 @@ class SessionStats:
     #: Constraint-plan cache entries currently held by live perturbers (a
     #: gauge, not a counter — bounded per perturber by ``max_cached_plans``).
     plan_cache_entries: int = 0
-    #: Encoded-pipeline coverage during this session: rows Γ emitted without
-    #: constructing a block versus block constructions (emitted materialised
-    #: plus materialised on demand).  A healthy encoded run keeps
-    #: ``materialized_rows`` near the fallback count; ``materialized_rows``
-    #: tracking ``encoded_rows`` means the fast path is being bypassed.
-    encoded_rows: int = 0
-    materialized_rows: int = 0
 
     def describe(self) -> str:
         resilience = ""
@@ -174,12 +166,6 @@ class SessionStats:
                 f", {self.perturb_fallbacks}/{self.perturbations} perturbation "
                 f"fallbacks"
             )
-        encoded = ""
-        if self.encoded_rows:
-            encoded = (
-                f", {self.encoded_rows} encoded rows "
-                f"({self.materialized_rows} materialized)"
-            )
         memo = ""
         if self.result_cache is not None:
             memo = f", {self.result_cache.describe()}"
@@ -187,7 +173,7 @@ class SessionStats:
             f"{self.explanations} explanations, {self.model_queries} model "
             f"queries ({self.cache_hit_rate:.1%} cache hit rate), "
             f"{self.populations_cached} background populations, "
-            f"backend {self.backend}{resilience}{perturb}{encoded}{memo}"
+            f"backend {self.backend}{resilience}{perturb}{memo}"
         )
 
 
@@ -300,7 +286,6 @@ class ExplanationSession:
         self._hit_base = self.model.hits
         self._miss_base = self.model.misses
         self._perturb_base = perturb_tally()
-        self._encoded_base = encoded_tally()
         self._closed = False
 
     # -------------------------------------------------------------- explain
@@ -699,7 +684,6 @@ class ExplanationSession:
         lookups = hits + misses
         worker = self.backend.worker_stats()
         perturb = perturb_tally().delta(self._perturb_base)
-        encoded = encoded_tally().delta(self._encoded_base)
         with self._records_lock:
             populations = sum(1 for r in self._records.values() if r.population)
         return SessionStats(
@@ -720,8 +704,6 @@ class ExplanationSession:
             perturbations=perturb.perturbations,
             perturb_fallbacks=perturb.fallbacks,
             plan_cache_entries=plan_cache_entries(),
-            encoded_rows=encoded.encoded,
-            materialized_rows=encoded.materialized,
         )
 
     # ------------------------------------------------------------- lifecycle

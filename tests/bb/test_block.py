@@ -1,5 +1,7 @@
 """Tests for the BasicBlock value object and category classification."""
 
+import pickle
+
 import pytest
 
 from repro.bb.block import BasicBlock, BlockCategory, classify_block
@@ -72,9 +74,31 @@ class TestRewrites:
         assert [i.mnemonic for i in new] == ["add", "pop"]
 
     def test_with_instructions_keeps_metadata(self):
-        block = BasicBlock.from_text(SIMPLE, source="clang")
-        new = block.with_instructions([parse_instruction("nop")])
+        block = BasicBlock.from_text(SIMPLE, source="clang", block_id="b7")
+        instructions = [parse_instruction("mov rdx, rcx"), parse_instruction("nop")]
+        new = block.with_instructions(iter(instructions))
         assert new.source == "clang"
+        assert new.block_id == "b7"
+        # The dict-filling copy must be indistinguishable from a block built
+        # through the dataclass constructor.
+        built = BasicBlock(tuple(instructions), source="clang", block_id="b7")
+        assert isinstance(new.instructions, tuple)
+        assert new.key() == built.key()
+        assert hash(new) == hash(built)
+        assert new == built
+        assert new.text == built.text
+        assert new.dependencies == built.dependencies
+        restored = pickle.loads(pickle.dumps(new))
+        assert restored == new
+        assert (restored.source, restored.block_id) == ("clang", "b7")
+
+    def test_with_instructions_rejects_empty(self):
+        block = BasicBlock.from_text(SIMPLE)
+        with pytest.raises(ValidationError):
+            block.with_instructions([])
+        single = BasicBlock.from_text("nop")
+        with pytest.raises(ValidationError):
+            single.delete_instruction(0)
 
 
 class TestCategories:

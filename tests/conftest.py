@@ -22,10 +22,8 @@ in a session).  They live here once now:
 The constants (``FAST_CONFIG``) back the fixtures so module-level test
 parameterisation can reuse them without requesting a fixture.
 ``anchor_seed`` finds a seed whose explanation of a block ends at (or goes
-past) the empty anchor on whichever Γ engine the run uses.
+past) the empty anchor.
 """
-
-import os
 
 import pytest
 
@@ -33,26 +31,8 @@ from repro.bb.block import BasicBlock
 from repro.data.synthesis import BlockSynthesizer
 from repro.explain.config import ExplainerConfig
 from repro.models.analytical import AnalyticalCostModel
-from repro.perturb.algorithm import forced_engine
 from repro.runtime.session import ExplanationSession
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _perturb_engine_lane():
-    """Pin every perturber onto one Γ engine for the whole test session.
-
-    ``REPRO_PERTURB_ENGINE=reference`` runs the suites on the scalar
-    oracle (the explicit ``vectorized=False`` CI lane); ``legacy``/``soa``
-    select the vectorized engines.  Tests that pass an explicit ``engine``
-    argument (the parity suites) still exercise the engine they name —
-    the explicit argument outranks this override.
-    """
-    engine = os.environ.get("REPRO_PERTURB_ENGINE")
-    if not engine:
-        yield
-        return
-    with forced_engine(engine):
-        yield
 
 FAST_CONFIG = ExplainerConfig(
     epsilon=0.2,
@@ -103,9 +83,9 @@ def anchor_seed(block, *, empty):
     """The first rng seed whose fresh ``FAST_CONFIG`` explanation of
     ``block`` ends at the empty anchor (``empty=True``) or goes past it.
 
-    Which searches end at ∅ depends on the random stream, and the Γ engine
-    lanes (``REPRO_PERTURB_ENGINE``) consume it differently, so tests that
-    need one case or the other look a seed up instead of pinning one.
+    Which searches end at ∅ depends on the random stream, so tests that
+    need one case or the other look a seed up instead of pinning one — a
+    change to how Γ consumes the stream then moves the seed, not the test.
     """
     for seed in range(64):
         with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:

@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from repro.bb.block import BasicBlock
+from repro.bb.features import extract_features
 from repro.explain.config import ExplainerConfig
 from repro.explain.explainer import CometExplainer
 from repro.explain.precision import PrecisionEstimator
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.models.mca import PortPressureCostModel
+from repro.perturb.config import PerturbationConfig
 from repro.runtime.backend import available_backends, resolve_backend
 from repro.runtime.session import ExplanationSession
 
@@ -70,6 +72,32 @@ class TestBatchedSequentialParity:
 
     def test_batched_is_default(self):
         assert ExplainerConfig().batch_queries is True
+
+
+class TestReferenceGamma:
+    """The full explainer on the scalar reference Γ (``vectorized=False``),
+    the oracle engine the wave engine's retries also run on."""
+
+    CONFIG = FAST_CONFIG.with_overrides(
+        perturbation=PerturbationConfig(vectorized=False)
+    )
+
+    def _explain(self, block, *, batched):
+        model = CachedCostModel(AnalyticalCostModel("hsw"))
+        config = self.CONFIG.with_overrides(batch_queries=batched)
+        return CometExplainer(model, config, rng=3).explain(block)
+
+    def test_explanations_are_sound_and_path_independent(self, tiny_blocks):
+        certified = 0
+        for block in tiny_blocks:
+            batched = self._explain(block, batched=True)
+            sequential = self._explain(block, batched=False)
+            assert _fingerprint(batched) == _fingerprint(sequential)
+            assert set(batched.features) <= set(extract_features(block))
+            if batched.meets_threshold:
+                certified += 1
+                assert batched.precision >= self.CONFIG.precision_threshold
+        assert certified, "no anchor was certified; the precision check is vacuous"
 
 
 class TestBackendParity:

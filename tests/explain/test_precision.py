@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.explain import precision
 from repro.explain.precision import (
     ArmStatistics,
     PrecisionEstimator,
@@ -67,6 +68,31 @@ class TestConfidenceBounds:
         upper = bernoulli_upper_bound(p_hat, n, beta)
         assert 0.0 <= lower <= p_hat + 1e-6
         assert p_hat - 1e-6 <= upper <= 1.0
+
+
+class TestBoundMemo:
+    """The bisection memo serves exactly the float a fresh bisection computes."""
+
+    GRID = [
+        (0.0, 5), (0.02, 12), (0.25, 40), (0.5, 7), (0.73, 100), (1.0, 3),
+    ]
+
+    @pytest.mark.parametrize("p_hat,n", GRID)
+    def test_memoised_bounds_equal_fresh_bisection(self, p_hat, n, monkeypatch):
+        beta = 1.9
+        with monkeypatch.context() as scope:
+            scope.setattr(precision, "_BOUND_MEMO", {})
+            fresh_upper = bernoulli_upper_bound(p_hat, n, beta)
+            fresh_lower = bernoulli_lower_bound(p_hat, n, beta)
+        # First call populates the shared memo, second serves from it; both
+        # must equal the bisection on an empty memo bit for bit.
+        for _ in range(2):
+            assert bernoulli_upper_bound(p_hat, n, beta) == fresh_upper
+            assert bernoulli_lower_bound(p_hat, n, beta) == fresh_lower
+
+    def test_zero_samples_bypasses_memo(self):
+        assert bernoulli_upper_bound(0.5, 0, 1.0) == 1.0
+        assert bernoulli_lower_bound(0.5, 0, 1.0) == 0.0
 
 
 class TestArmStatistics:

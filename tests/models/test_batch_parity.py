@@ -15,6 +15,7 @@ from repro.models.base import CachedCostModel, CallableCostModel
 from repro.models.ithemal import IthemalConfig, IthemalCostModel
 from repro.models.mca import PortPressureCostModel
 from repro.models.uica import UiCACostModel
+from repro.perturb.algorithm import BlockPerturber
 from repro.utils.errors import ModelError
 
 
@@ -67,34 +68,54 @@ class TestPredictBatchParity:
 
 
 class TestAnalyticalBatchKernels:
-    """Three-way parity of the analytical model's batch formulations.
-
-    The fused per-block loop (the default ``_predict_batch``), the numpy
-    gather/reduceat kernel kept as ``_predict_batch_reference`` (the pre-SoA
-    hot path, still the benchmark baseline lane) and the sequential
+    """The analytical model's fused per-block batch loop and the sequential
     ``_predict`` must be bit-for-bit identical: the same table floats flow
     through the same IEEE additions and maxima.
     """
 
     @pytest.mark.parametrize("uarch", ["hsw", "skl"])
-    def test_loop_reference_and_sequential_agree(self, uarch, block_fleet):
+    def test_loop_and_sequential_agree(self, uarch, block_fleet):
         model = AnalyticalCostModel(uarch)
         sequential = [model._predict(block) for block in block_fleet]
-        loop = model._predict_batch(block_fleet)
-        reference = model._predict_batch_reference(block_fleet)
-        assert loop == sequential
-        assert reference == sequential
+        assert model._predict_batch(block_fleet) == sequential
 
-    def test_reference_kernel_flag_switches_the_batch_path(self, block_fleet):
-        model = AnalyticalCostModel("hsw")
-        default = model.predict_batch(block_fleet)
-        model._use_reference_batch_kernel = True
-        flagged = model.predict_batch(block_fleet)
-        assert flagged == default
 
-    def test_reference_kernel_empty_batch(self):
-        model = AnalyticalCostModel("hsw")
-        assert model._predict_batch_reference([]) == []
+class TestSegmentedParity:
+    """A fused ``predict_batch_segmented`` call answers exactly what one
+    ``predict_batch`` over the concatenated segments answers."""
+
+    def _segments(self):
+        block = BasicBlock.from_text(
+            "mov rax, rbx\nadd rcx, rax\nimul rdx, rcx\nsub rsi, 4\n"
+            "mov qword ptr [rsi], rdx\nadd rax, 1"
+        )
+        perturber = BlockPerturber(block)
+        rng = np.random.default_rng(13)
+        # The empty segment stands for a fused request whose round drew nothing.
+        return [perturber.perturb_many(n, rng=rng) for n in (7, 0, 12, 5)]
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: AnalyticalCostModel("hsw"),
+            lambda: CachedCostModel(AnalyticalCostModel("hsw")),
+            lambda: IthemalCostModel(
+                "hsw", IthemalConfig(embedding_size=8, hidden_size=8, epochs=1)
+            ),
+        ],
+        ids=["analytical", "cached", "ithemal"],
+    )
+    def test_segmented_parity(self, factory):
+        segments = self._segments()
+        flat = [block for segment in segments for block in segment]
+        model = factory()
+        values, tallies, _ = model.predict_batch_segmented(segments)
+        assert [len(v) for v in values] == [len(s) for s in segments]
+        assert sum(t.queries for t in tallies) == len(flat)
+        assert [p for segment in values for p in segment] == factory().predict_batch(
+            flat
+        )
+
 
 class TestCachedBatchPath:
     def test_batch_matches_sequential_values(self, block_fleet):

@@ -11,6 +11,7 @@ from repro.models.ithemal import (
     IthemalCostModel,
     train_ithemal,
 )
+from repro.perturb.algorithm import BlockPerturber
 from repro.utils.errors import ModelError
 
 
@@ -117,3 +118,48 @@ class TestPersistence:
             IthemalConfig(embedding_size=0)
         with pytest.raises(ValueError):
             IthemalConfig(validation_fraction=1.5)
+
+
+def _tiny_untrained():
+    return IthemalCostModel(
+        "hsw", IthemalConfig(embedding_size=8, hidden_size=8, epochs=1)
+    )
+
+
+class TestEmbedMemo:
+    """The per-instruction pooled-embedding memo behind batched inference."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        # Γ output: perturbations share instruction instances, the shape the
+        # memo exists for.
+        block = BasicBlock.from_text(
+            "mov rax, rbx\nadd rcx, rax\nimul rdx, rcx\nsub rsi, 4\n"
+            "mov qword ptr [rsi], rdx\nadd rax, 1"
+        )
+        return BlockPerturber(block).perturb_many(40, rng=np.random.default_rng(21))
+
+    def test_predict_populates_memo(self, blocks):
+        model = _tiny_untrained()
+        model.predict_batch(blocks)
+        assert model._embed_memo
+
+    def test_train_invalidates_memo(self, blocks):
+        model = _tiny_untrained()
+        model.predict_batch(blocks[:8])
+        assert model._embed_memo
+        model.train(blocks[:8], [float(len(b)) for b in blocks[:8]], epochs=1)
+        # Training mutates the embedding matrix in place; predictions after
+        # training must come from the updated weights, not stale pools.
+        fresh = _tiny_untrained()
+        fresh.train(blocks[:8], [float(len(b)) for b in blocks[:8]], epochs=1)
+        assert model.predict_batch(blocks[:8]) == fresh.predict_batch(blocks[:8])
+
+    def test_load_starts_with_clean_memo(self, tmp_path, blocks):
+        model = _tiny_untrained()
+        model.train(blocks[:6], [float(len(b)) for b in blocks[:6]], epochs=1)
+        path = tmp_path / "ithemal.npz"
+        model.save(path)
+        restored = IthemalCostModel.load(path)
+        assert not restored._embed_memo
+        assert restored.predict_batch(blocks[:6]) == model.predict_batch(blocks[:6])

@@ -9,6 +9,8 @@ per perturber, process-wide, per thread (``QueryTally``), per session
 (``SessionStats``) — plus the once-per-block warning and the LRU bound.
 """
 
+import collections
+import sys
 import threading
 import warnings
 
@@ -25,6 +27,7 @@ from repro.perturb.algorithm import (
     plan_cache_entries,
     thread_perturb_tally,
 )
+from repro.perturb.config import PerturbationConfig
 from repro.runtime.session import ExplanationSession
 
 from tests.conftest import FAST_CONFIG
@@ -70,10 +73,10 @@ class TestCounters:
 
 
 class TestFallbacks:
-    def _all_attempts_fail(self, block, **kwargs):
+    def _all_attempts_fail(self, block):
         """A perturber whose every attempt fails validity → pure fallbacks."""
-        perturber = BlockPerturber(block, rng=0, engine="reference", **kwargs)
-        perturber._perturb_once = lambda plan, rng: None
+        perturber = BlockPerturber(block, PerturbationConfig(vectorized=False), rng=0)
+        perturber._perturb_once_reference = lambda plan, rng: None
         return perturber
 
     def test_fallbacks_counted(self, block):
@@ -117,6 +120,33 @@ class TestPlanCache:
         perturber = BlockPerturber(block, rng=0)
         perturber.perturb_many(1)
         assert plan_cache_entries() >= perturber.plan_cache_size >= 1
+
+    def test_gauge_survives_concurrent_construction(self, block):
+        """Regression: a ``stats`` call snapshotting the live-perturber set
+        while a dispatcher thread built a perturber raised ``RuntimeError:
+        Set changed size during iteration``, which dropped the TCP
+        connection the stats op arrived on."""
+        stop = threading.Event()
+
+        def construct():
+            # Live sessions hold their perturbers, so the set the gauge walks
+            # is large; a short window of them stays alive here too.
+            alive = collections.deque(maxlen=200)
+            while not stop.is_set():
+                alive.append(BlockPerturber(block, rng=0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads densely
+        builder = threading.Thread(target=construct)
+        builder.start()
+        try:
+            for _ in range(20_000):
+                plan_cache_entries()
+        finally:
+            stop.set()
+            builder.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not builder.is_alive()
 
 
 class TestSessionStats:

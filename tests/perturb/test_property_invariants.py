@@ -1,23 +1,23 @@
-"""Property-based invariants of the perturbation layer, across all engines.
+"""Property-based invariants of the perturbation layer, on both engines.
 
-Γ exists three times: the struct-of-arrays wave engine the explanation
-pipeline runs (``engine="soa"``), the pre-SoA per-perturbation vectorized
-engine kept as a benchmark baseline (``engine="legacy"``), and the scalar
-reference engine (``engine="reference"``, also reachable as
-``PerturbationConfig(vectorized=False)``) kept as oracle.  This suite pins
+Γ exists twice, selected by ``PerturbationConfig.vectorized``: the
+struct-of-arrays wave engine the explanation pipeline runs (``True``) and
+the scalar reference engine kept as oracle (``False``).  This suite pins
 the contract between them over *generated* blocks, feature sets and
 probability configurations:
 
-* every perturbed block from every engine is valid x86 with ≥ 1 instruction,
+* every perturbed block from either engine is valid x86 with ≥ 1
+  instruction,
 * every feature requested to be preserved is present in every perturbation,
-  from every engine — including the memory-dependency case where breaking a
+  from either engine — including the memory-dependency case where breaking a
   *register* dependency must not rename a base/index register through a
   preserved memory operand (a real bug this suite's generators caught),
 * under degenerate probabilities (every coin 0 or 1, where no engine
-  consumes random state for flips — the ``_vector_flips`` contract) all
-  three engines are bit-for-bit identical, perturbation by perturbation,
+  consumes random state for flips — the :func:`repro.utils.rng.coin`
+  contract) the two engines are bit-for-bit identical, perturbation by
+  perturbation,
 * the identity configuration (retain everything, attempt nothing) returns
-  the original block from every engine.
+  the original block from either engine.
 
 Bit-identity under *arbitrary* probabilities is deliberately not asserted:
 the engines draw the same distributions but consume the stream in different
@@ -25,6 +25,8 @@ orders (per-coin rectangles and whole-wave pick pre-draws vs sequential
 scalar calls), so only the degenerate corner — where the flip contract says
 no state is consumed at all — is stream-exact across engines.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -42,8 +44,14 @@ _SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: All three Γ engines, oracle first (see module docstring).
-ENGINES = ("reference", "legacy", "soa")
+#: ``PerturbationConfig.vectorized`` per Γ engine, oracle first.
+ENGINES = {"reference": False, "wave": True}
+
+
+def _perturber(block, config, seed, engine):
+    return BlockPerturber(
+        block, replace(config, vectorized=ENGINES[engine]), rng=seed
+    )
 
 
 @st.composite
@@ -70,7 +78,7 @@ def probability_configs(draw):
 @st.composite
 def degenerate_configs(draw):
     """Configs whose every coin is 0 or 1 — no flip consumes random state,
-    so all three engines must walk identical rng streams."""
+    so both engines must walk identical rng streams."""
     zero_one = st.sampled_from([0.0, 1.0])
     return PerturbationConfig(
         p_instruction_retain=draw(zero_one),
@@ -106,7 +114,7 @@ def feature_subsets(draw, block):
 @settings(**_SETTINGS)
 def test_all_engines_always_produce_valid_blocks(block, config, seed):
     for engine in ENGINES:
-        perturber = BlockPerturber(block, config, rng=seed, engine=engine)
+        perturber = _perturber(block, config, seed, engine)
         for perturbed in perturber.perturb_many(4):
             validate_block_instructions(perturbed.instructions)
             assert perturbed.num_instructions >= 1
@@ -122,7 +130,7 @@ def test_all_engines_always_produce_valid_blocks(block, config, seed):
 def test_all_engines_preserve_requested_features(block, config, seed, data):
     preserved = data.draw(feature_subsets(block))
     for engine in ENGINES:
-        perturber = BlockPerturber(block, config, rng=seed, engine=engine)
+        perturber = _perturber(block, config, seed, engine)
         for perturbed in perturber.perturb_many(4, preserved):
             assert features_present(preserved, perturbed), (
                 f"{engine} lost a preserved feature in:\n{perturbed.text}"
@@ -139,15 +147,14 @@ def test_all_engines_preserve_requested_features(block, config, seed, data):
 def test_engines_bit_identical_under_degenerate_probabilities(
     block, config, seed, data
 ):
-    """With every coin fixed, all engines consume identical rng streams, so
-    the perturbation sequences must match key for key, three ways."""
+    """With every coin fixed, both engines consume identical rng streams, so
+    the perturbation sequences must match key for key."""
     preserved = data.draw(feature_subsets(block))
     sequences = {}
     for engine in ENGINES:
-        perturber = BlockPerturber(block, config, rng=seed, engine=engine)
+        perturber = _perturber(block, config, seed, engine)
         sequences[engine] = [p.key() for p in perturber.perturb_many(6, preserved)]
-    assert sequences["soa"] == sequences["reference"]
-    assert sequences["legacy"] == sequences["reference"]
+    assert sequences["wave"] == sequences["reference"]
 
 
 @given(block=synthetic_blocks(), seed=st.integers(min_value=0, max_value=1000))
@@ -157,7 +164,7 @@ def test_identity_config_returns_original_block(block, seed):
         p_instruction_retain=1.0, p_dependency_retain=1.0
     )
     for engine in ENGINES:
-        perturber = BlockPerturber(block, identity, rng=seed, engine=engine)
+        perturber = _perturber(block, identity, seed, engine)
         for perturbed in perturber.perturb_many(3):
             assert perturbed.key() == block.key()
 
@@ -190,11 +197,11 @@ class TestLockedMemoryRenameRegression:
             getattr(feature, "location_space", None) == "reg" for feature in features
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_preserved_memory_dependency_survives_register_breaking(self, engine):
         preserved = self._memory_dependency_features()
         config = PerturbationConfig()
         for seed in range(10):
-            perturber = BlockPerturber(self.BLOCK, config, rng=seed, engine=engine)
+            perturber = _perturber(self.BLOCK, config, seed, engine)
             for perturbed in perturber.perturb_many(10, preserved):
                 assert features_present(preserved, perturbed), perturbed.text
