@@ -1,5 +1,6 @@
 """Tests for the BasicBlock value object and category classification."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -99,6 +100,74 @@ class TestRewrites:
         single = BasicBlock.from_text("nop")
         with pytest.raises(ValidationError):
             single.delete_instruction(0)
+
+
+class TestFastCopy:
+    """``with_instructions`` skips the dataclass constructor and fills the
+    instance dict itself; Γ builds every perturbed block that way, so the
+    copy must be indistinguishable from ``BasicBlock(...)`` on every kind of
+    block the cost models see."""
+
+    TEMPLATE = "imul rax, rbx\nsub rsi, 4"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "add rcx, rax\nmov rdx, rcx\nimul rdx, rcx\npop rbx",
+            "mov rax, qword ptr [rdi]\nadd rax, rbx\nmov rcx, rax",
+            "mov qword ptr [rdi], rax\nadd rax, rbx\nmov qword ptr [rdi + 8], rax",
+            "mov qword ptr [rsi], rdx\nmov rax, qword ptr [rsi]\nadd rax, 1",
+            "vmulss xmm0, xmm1, xmm2\nvaddss xmm3, xmm0, xmm1",
+            "div rcx",
+        ],
+        ids=["scalar", "load", "store", "memory-dependency", "vector", "single"],
+    )
+    def test_copy_matches_constructor(self, text):
+        template = BasicBlock.from_text(self.TEMPLATE, source="openblas", block_id="t1")
+        instructions = BasicBlock.from_text(text).instructions
+        copy = template.with_instructions(list(instructions))
+        built = BasicBlock(instructions, source="openblas", block_id="t1")
+        assert vars(copy) == vars(built)
+        assert copy == built and hash(copy) == hash(built)
+        assert copy.key() == built.key()
+        assert copy.text == built.text
+        assert copy.dependencies == built.dependencies
+        assert copy.category is built.category
+        assert copy.num_instructions == built.num_instructions
+
+    def test_copy_is_frozen(self):
+        copy = BasicBlock.from_text(SIMPLE).with_instructions(
+            [parse_instruction("nop")]
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.source = "clang"
+
+    def test_copy_does_not_inherit_template_memos(self):
+        template = BasicBlock.from_text(SIMPLE)
+        # Warm every per-instance memo of the template first.
+        template.key(), template.text, template.dependencies, template.category
+        copy = template.with_instructions(template.instructions[:1])
+        assert set(vars(copy)) == {"instructions", "source", "block_id"}
+        assert copy.key() != template.key()
+        assert copy.text == "add rcx, rax"
+        assert copy.dependencies == ()
+
+    def test_copy_supports_dataclass_replace(self):
+        template = BasicBlock.from_text(SIMPLE, source="clang", block_id="b7")
+        copy = template.with_instructions(template.instructions[1:])
+        renamed = dataclasses.replace(copy, block_id="b8")
+        assert renamed == copy
+        assert (renamed.source, renamed.block_id) == ("clang", "b8")
+
+    def test_rewrites_keep_metadata(self):
+        block = BasicBlock.from_text(SIMPLE, source="clang", block_id="b7")
+        push = parse_instruction("push rbx")
+        replaced = block.replace_instruction(2, push)
+        deleted = block.delete_instruction(0)
+        assert replaced == BasicBlock(block.instructions[:2] + (push,))
+        assert deleted == BasicBlock(block.instructions[1:])
+        for rewritten in (replaced, deleted):
+            assert (rewritten.source, rewritten.block_id) == ("clang", "b7")
 
 
 class TestCategories:

@@ -19,7 +19,7 @@ from repro.explain.precision import PrecisionEstimator
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.models.mca import PortPressureCostModel
-from repro.perturb.config import PerturbationConfig
+from repro.perturb.config import PerturbationConfig, ReplacementScheme
 from repro.runtime.backend import available_backends, resolve_backend
 from repro.runtime.session import ExplanationSession
 
@@ -98,6 +98,26 @@ class TestReferenceGamma:
                 certified += 1
                 assert batched.precision >= self.CONFIG.precision_threshold
         assert certified, "no anchor was certified; the precision check is vacuous"
+
+    def test_whole_instruction_scheme_runs_end_to_end(self, tiny_blocks):
+        # The wave engine hands this scheme to the reference engine whatever
+        # ``vectorized`` says, so both settings explain identically.
+        results = {}
+        for vectorized in (True, False):
+            config = FAST_CONFIG.with_overrides(
+                perturbation=PerturbationConfig(
+                    replacement_scheme=ReplacementScheme.WHOLE_INSTRUCTION,
+                    vectorized=vectorized,
+                )
+            )
+            model = CachedCostModel(AnalyticalCostModel("hsw"))
+            explanations = CometExplainer(model, config, rng=4).explain_many(
+                tiny_blocks, rng=4
+            )
+            results[vectorized] = [_fingerprint(e) for e in explanations]
+            for block, explanation in zip(tiny_blocks, explanations):
+                assert set(explanation.features) <= set(extract_features(block))
+        assert results[True] == results[False]
 
 
 class TestBackendParity:

@@ -90,6 +90,25 @@ class TestBoundMemo:
             assert bernoulli_upper_bound(p_hat, n, beta) == fresh_upper
             assert bernoulli_lower_bound(p_hat, n, beta) == fresh_lower
 
+    def test_upper_and_lower_bounds_are_memoised_apart(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(precision, "_BOUND_MEMO", memo)
+        upper = bernoulli_upper_bound(0.4, 20, 1.5)
+        lower = bernoulli_lower_bound(0.4, 20, 1.5)
+        assert len(memo) == 2
+        assert lower < 0.4 < upper
+        assert bernoulli_upper_bound(0.4, 20, 1.5) == upper
+        assert bernoulli_lower_bound(0.4, 20, 1.5) == lower
+
+    def test_full_memo_is_cleared_not_grown(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(precision, "_BOUND_MEMO", memo)
+        monkeypatch.setattr(precision, "_BOUND_MEMO_LIMIT", 3)
+        for n in range(1, 8):
+            fresh = bernoulli_upper_bound(0.5, n, 1.0)
+            assert len(memo) <= 3
+            assert bernoulli_upper_bound(0.5, n, 1.0) == fresh
+
     def test_zero_samples_bypasses_memo(self):
         assert bernoulli_upper_bound(0.5, 0, 1.0) == 1.0
         assert bernoulli_lower_bound(0.5, 0, 1.0) == 0.0

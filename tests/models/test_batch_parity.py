@@ -16,6 +16,7 @@ from repro.models.ithemal import IthemalConfig, IthemalCostModel
 from repro.models.mca import PortPressureCostModel
 from repro.models.uica import UiCACostModel
 from repro.perturb.algorithm import BlockPerturber
+from repro.perturb.config import PerturbationConfig
 from repro.utils.errors import ModelError
 
 
@@ -67,6 +68,48 @@ class TestPredictBatchParity:
         assert model.predict_batch(block_fleet[:5]) == [float(len(b)) for b in block_fleet[:5]]
 
 
+def _gamma_rows(count, seed, config=None):
+    """Γ output as the batched query path carries it: blocks built by
+    ``with_instructions``, plus the original block instance itself for every
+    row that changed nothing."""
+    block = BasicBlock.from_text(
+        "mov rax, rbx\nadd rcx, rax\nimul rdx, rcx\nsub rsi, 4\n"
+        "mov qword ptr [rsi], rdx\nadd rax, 1",
+        source="clang",
+    )
+    return BlockPerturber(block, config).perturb_many(
+        count, rng=np.random.default_rng(seed)
+    )
+
+
+def _constructed(blocks):
+    return [
+        BasicBlock(b.instructions, source=b.source, block_id=b.block_id)
+        for b in blocks
+    ]
+
+
+class TestPerturbedBlockParity:
+    """Every model scores Γ output exactly as it scores the same blocks
+    built through the ``BasicBlock`` constructor."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return _gamma_rows(30, seed=31)
+
+    @pytest.mark.parametrize("model", _exact_models(), ids=lambda m: m.describe())
+    def test_exact_models(self, model, rows):
+        assert model.predict_batch(rows) == model.predict_many(_constructed(rows))
+
+    def test_ithemal_within_float_tolerance(self, rows):
+        model = IthemalCostModel(
+            "hsw", IthemalConfig(embedding_size=8, hidden_size=8, epochs=0)
+        )
+        np.testing.assert_allclose(
+            model.predict_batch(rows), model.predict_many(_constructed(rows)), rtol=1e-9
+        )
+
+
 class TestAnalyticalBatchKernels:
     """The analytical model's fused per-block batch loop and the sequential
     ``_predict`` must be bit-for-bit identical: the same table floats flow
@@ -102,8 +145,10 @@ class TestSegmentedParity:
             lambda: IthemalCostModel(
                 "hsw", IthemalConfig(embedding_size=8, hidden_size=8, epochs=1)
             ),
+            lambda: CallableCostModel(lambda b: float(b.num_instructions), name="count"),
+            lambda: PortPressureCostModel("hsw", batch_workers=4),
         ],
-        ids=["analytical", "cached", "ithemal"],
+        ids=["analytical", "cached", "ithemal", "callable", "port-pressure-threaded"],
     )
     def test_segmented_parity(self, factory):
         segments = self._segments()
@@ -139,6 +184,31 @@ class TestCachedBatchPath:
         cached.predict_batch(block_fleet[:6])
         assert cached.inner.query_count == 6
         assert cached.hits == 6
+
+    def test_gamma_rows_dedupe_by_content(self):
+        # Mostly-retaining Γ repeats rows, the original instance included.
+        config = PerturbationConfig(
+            p_instruction_retain=0.9, p_dependency_explicit_retain=0.9
+        )
+        rows = _gamma_rows(40, seed=2, config=config)
+        unique = len({row.key() for row in rows})
+        assert unique < len(rows)
+        cached = CachedCostModel(AnalyticalCostModel("hsw"))
+        assert cached.predict_batch(rows) == AnalyticalCostModel("hsw").predict_many(rows)
+        assert cached.inner.query_count == unique
+        assert cached.misses == unique
+        assert cached.hits == len(rows) - unique
+
+    def test_reparsed_blocks_hit_gamma_entries(self):
+        rows = _gamma_rows(30, seed=5)
+        cached = CachedCostModel(AnalyticalCostModel("hsw"))
+        expected = cached.predict_batch(rows)
+        queries = cached.inner.query_count
+        # Fresh instruction objects from the text: the cache key is content,
+        # not the construction path.
+        reparsed = [BasicBlock.from_text(row.text) for row in rows]
+        assert cached.predict_batch(reparsed) == expected
+        assert cached.inner.query_count == queries
 
     def test_query_count_ignores_cache_hits(self, block_fleet):
         """Regression: the wrapper used to count cache hits as queries."""

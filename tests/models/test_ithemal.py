@@ -144,6 +144,35 @@ class TestEmbedMemo:
         model.predict_batch(blocks)
         assert model._embed_memo
 
+    def test_memo_rows_equal_pooled_embeddings(self, blocks):
+        model = _tiny_untrained()
+        model.predict_batch(blocks)
+        for block in blocks[:10]:
+            pooled, _ = model._instruction_embeddings(block)
+            for row, instruction in enumerate(block.instructions):
+                np.testing.assert_array_equal(
+                    model._embed_memo[instruction.key()], pooled[row]
+                )
+
+    def test_memo_is_keyed_by_instruction_content(self, blocks):
+        model = _tiny_untrained()
+        model.predict_batch(blocks)
+        # Re-parsed copies share no instruction objects with the Γ output,
+        # yet add no entries: the memo is keyed by content.
+        entries = len(model._embed_memo)
+        assert entries == len({i.key() for b in blocks for i in b.instructions})
+        model.predict_batch([BasicBlock.from_text(b.text) for b in blocks])
+        assert len(model._embed_memo) == entries
+
+    def test_warm_memo_predictions_are_bit_identical(self, blocks):
+        model = _tiny_untrained()
+        cold = model.predict_batch(blocks)
+        assert model.predict_batch(blocks) == cold
+        # A memo filled in another order serves the same vectors.
+        other = _tiny_untrained()
+        other.predict_batch(list(reversed(blocks)))
+        assert other.predict_batch(blocks) == cold
+
     def test_train_invalidates_memo(self, blocks):
         model = _tiny_untrained()
         model.predict_batch(blocks[:8])

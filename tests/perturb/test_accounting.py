@@ -10,6 +10,7 @@ per perturber, process-wide, per thread (``QueryTally``), per session
 """
 
 import collections
+import gc
 import sys
 import threading
 import warnings
@@ -43,6 +44,17 @@ class TestCounters:
         process_before = perturb_tally()
         thread_before = thread_perturb_tally()
         perturber = BlockPerturber(block, rng=0)
+
+        perturber.perturb_many(25)
+
+        assert perturber.perturbations == 25
+        assert perturb_tally().delta(process_before).perturbations == 25
+        assert thread_perturb_tally().delta(thread_before).perturbations == 25
+
+    def test_reference_engine_counts_at_every_level(self, block):
+        process_before = perturb_tally()
+        thread_before = thread_perturb_tally()
+        perturber = BlockPerturber(block, PerturbationConfig(vectorized=False), rng=0)
 
         perturber.perturb_many(25)
 
@@ -91,6 +103,26 @@ class TestFallbacks:
         assert delta.perturbations == 5
         assert delta.fallbacks == 5
 
+    def test_wave_fallbacks_counted_after_reference_retries(self, block):
+        perturber = BlockPerturber(block, rng=0)
+        retries = []
+
+        def failing_reference(plan, rng):
+            retries.append(plan)
+            return None
+
+        perturber._apply_row = lambda *args, **kwargs: None
+        perturber._perturb_once_reference = failing_reference
+        before = perturb_tally()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = perturber.perturb_many(5)
+        assert all(perturbed is block for perturbed in out)
+        # One wave attempt plus max_block_attempts - 1 reference retries.
+        assert len(retries) == 5 * (perturber.config.max_block_attempts - 1)
+        assert perturber.fallbacks == 5
+        assert perturb_tally().delta(before).fallbacks == 5
+
     def test_warning_fires_once_above_rate_threshold(self, block):
         perturber = self._all_attempts_fail(block)
         with pytest.warns(RuntimeWarning, match="fell back to the original"):
@@ -120,6 +152,17 @@ class TestPlanCache:
         perturber = BlockPerturber(block, rng=0)
         perturber.perturb_many(1)
         assert plan_cache_entries() >= perturber.plan_cache_size >= 1
+
+    def test_gauge_forgets_collected_perturbers(self, block):
+        perturber = BlockPerturber(block, rng=0)
+        for feature in extract_features(block)[:3]:
+            perturber.perturb_many(1, [feature])
+        held = perturber.plan_cache_size
+        before = plan_cache_entries()
+        del perturber
+        gc.collect()
+        assert held == 3
+        assert plan_cache_entries() <= before - held
 
     def test_gauge_survives_concurrent_construction(self, block):
         """Regression: a ``stats`` call snapshotting the live-perturber set
@@ -159,3 +202,15 @@ class TestSessionStats:
         assert stats.perturbations > 0
         assert 0 <= stats.perturb_fallbacks <= stats.perturbations
         assert stats.plan_cache_entries >= 0
+
+    def test_reference_gamma_session_reports_perturbations(self, block):
+        config = FAST_CONFIG.with_overrides(
+            perturbation=PerturbationConfig(vectorized=False)
+        )
+        before = perturb_tally()
+        with ExplanationSession(AnalyticalCostModel("hsw"), config, rng=0) as session:
+            session.explain(block)
+            stats = session.stats()
+        assert stats.perturbations == perturb_tally().delta(before).perturbations
+        assert stats.perturbations > 0
+        assert 0 <= stats.perturb_fallbacks <= stats.perturbations

@@ -1,5 +1,6 @@
 """Tests for the perturbation algorithm Γ (Algorithm 1)."""
 
+import numpy as np
 import pytest
 
 from repro.bb.block import BasicBlock
@@ -214,3 +215,72 @@ class TestReferenceEngine:
         fast_changed = sum(1 for p in fast if p != div_block) / len(fast)
         reference_changed = sum(1 for p in reference if p != div_block) / len(reference)
         assert abs(fast_changed - reference_changed) < 0.15
+
+
+class TestEngineRouting:
+    """Which engine serves what: ``vectorized`` picks wave or reference, and
+    the reference engine also runs the wave engine's retries and every
+    whole-instruction perturbation."""
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["reference", "wave"])
+    def test_same_seed_leaves_stream_at_same_position(self, div_block, vectorized):
+        # A session threads one generator through every Γ call, so equal
+        # blocks are not enough: the next caller must see the same draws.
+        config = PerturbationConfig(vectorized=vectorized)
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        a = BlockPerturber(div_block, config).perturb_many(12, rng=rng_a)
+        b = BlockPerturber(div_block, config).perturb_many(12, rng=rng_b)
+        assert [x.key() for x in a] == [y.key() for y in b]
+        assert rng_a.integers(0, 2**31, size=4).tolist() == (
+            rng_b.integers(0, 2**31, size=4).tolist()
+        )
+
+    def test_reference_batch_equals_repeated_single_perturbations(self, div_block):
+        """The reference engine walks the stream row by row — the property
+        that lets wave retries sit where a row-by-row run puts them."""
+        config = PerturbationConfig(vectorized=False)
+        insts, deps, _ = features_by_type(div_block)
+        preserved = [insts[1], deps[0]]
+        rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+        batch = BlockPerturber(div_block, config).perturb_many(15, preserved, rng_a)
+        single = BlockPerturber(div_block, config)
+        singles = [single.perturb(preserved, rng_b) for _ in range(15)]
+        assert [b.key() for b in batch] == [s.key() for s in singles]
+
+    def test_whole_instruction_scheme_ignores_vectorized(self, div_block):
+        outputs = {}
+        for vectorized in (False, True):
+            config = PerturbationConfig(
+                replacement_scheme=ReplacementScheme.WHOLE_INSTRUCTION,
+                vectorized=vectorized,
+            )
+            rng = np.random.default_rng(23)
+            blocks = BlockPerturber(div_block, config).perturb_many(20, rng=rng)
+            outputs[vectorized] = (
+                [b.key() for b in blocks],
+                rng.integers(0, 2**31, size=4).tolist(),
+            )
+        assert outputs[True] == outputs[False]
+
+    def test_wave_retries_run_on_reference_engine(self, div_block):
+        insts, deps, count = features_by_type(div_block)
+        preserved = [insts[0], deps[0], count]
+        perturber = BlockPerturber(div_block, rng=4)
+        reference = perturber._perturb_once_reference
+        calls = []
+
+        def counting_reference(plan, rng):
+            calls.append(plan)
+            return reference(plan, rng)
+
+        # Every wave row fails validation, so each one must be rebuilt by
+        # the reference engine (or fall back after max_block_attempts).
+        perturber._apply_row = lambda *args, **kwargs: None
+        perturber._perturb_once_reference = counting_reference
+        blocks = perturber.perturb_many(25, preserved)
+        retries_per_row = perturber.config.max_block_attempts - 1
+        assert 25 <= len(calls) <= 25 * retries_per_row
+        assert perturber.fallbacks < 25
+        for perturbed in blocks:
+            validate_block_instructions(perturbed.instructions)
+            assert features_present(preserved, perturbed)

@@ -8,6 +8,9 @@ probability configurations:
 
 * every perturbed block from either engine is valid x86 with ≥ 1
   instruction,
+* every perturbed block equals, field for field and memo for memo, the
+  block the ``BasicBlock`` constructor builds from its instructions (Γ
+  builds through the dict-filling ``with_instructions``),
 * every feature requested to be preserved is present in every perturbation,
   from either engine — including the memory-dependency case where breaking a
   *register* dependency must not rename a base/index register through a
@@ -118,6 +121,29 @@ def test_all_engines_always_produce_valid_blocks(block, config, seed):
         for perturbed in perturber.perturb_many(4):
             validate_block_instructions(perturbed.instructions)
             assert perturbed.num_instructions >= 1
+
+
+@given(
+    block=synthetic_blocks(),
+    config=probability_configs(),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+@settings(**_SETTINGS)
+def test_all_engines_build_blocks_equal_to_constructed_ones(block, config, seed):
+    for engine in ENGINES:
+        perturber = _perturber(block, config, seed, engine)
+        for perturbed in perturber.perturb_many(4):
+            built = BasicBlock(
+                perturbed.instructions, source=block.source, block_id=block.block_id
+            )
+            assert (perturbed.source, perturbed.block_id) == (
+                built.source,
+                built.block_id,
+            )
+            assert perturbed == built and hash(perturbed) == hash(built)
+            assert perturbed.text == built.text
+            assert perturbed.dependencies == built.dependencies
+            assert perturbed.category is built.category
 
 
 @given(

@@ -28,6 +28,17 @@ class TestSampling:
         assert len(sampler.sample((), 25)) == 25
         assert sampler.samples_drawn == 25
 
+    def test_sample_encoded_is_an_alias_of_sample(self, block):
+        # The repository benchmark's layer tracer still wraps this name.
+        plain = PerturbationSampler(block, rng=11)
+        aliased = PerturbationSampler(block, rng=11)
+        features = extract_features(block)[:2]
+        expected = plain.sample(features, 15)
+        assert [b.key() for b in aliased.sample_encoded(features, 15)] == [
+            b.key() for b in expected
+        ]
+        assert aliased.samples_drawn == plain.samples_drawn == 15
+
     def test_unconstrained_equals_empty_feature_set(self, block):
         a = PerturbationSampler(block, rng=5).sample_unconstrained(10)
         b = PerturbationSampler(block, rng=5).sample((), 10)
