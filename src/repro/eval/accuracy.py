@@ -20,7 +20,6 @@ from repro.explain.config import ExplainerConfig
 from repro.models.analytical import AnalyticalCostModel, ground_truth_explanations
 from repro.runtime.backend import BackendSource
 from repro.runtime.session import ExplanationSession
-from repro.utils.rng import spawn_rngs
 from repro.utils.tables import format_mean_std, render_table
 
 
@@ -65,12 +64,14 @@ def _comet_accuracy_for_seed(
     *,
     backend: BackendSource = None,
 ) -> float:
-    outcomes = []
     with ExplanationSession(model, config, backend=backend) as session:
-        for block, block_rng in zip(blocks, spawn_rngs(seed, len(blocks))):
-            truth = ground_truth_explanations(block, model)
-            explanation = session.explain(block, rng=block_rng)
-            outcomes.append(explanation_accuracy(explanation.features, truth))
+        explanations = session.explain_many(blocks, rng=seed)
+    outcomes = [
+        explanation_accuracy(
+            explanation.features, ground_truth_explanations(block, model)
+        )
+        for block, explanation in zip(blocks, explanations)
+    ]
     return accuracy_rate(outcomes)
 
 

@@ -68,9 +68,9 @@ def explain_blocks(
     """Explain every block through one session (shared helper).
 
     The session spawns the same independent per-block random streams the
-    harness always used; it adds the shared cache wrapper, the per-block
-    background populations and — when ``backend`` (or ``REPRO_BACKEND``)
-    says so — process/thread fan-out of the model queries.
+    harness always used; it adds the shared cache wrapper and — when
+    ``backend`` (or ``REPRO_BACKEND``) says so — process/thread fan-out of
+    the model queries.
     """
     with ExplanationSession(model, config, backend=backend) as session:
         return session.explain_many(blocks, rng=seed)

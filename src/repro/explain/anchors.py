@@ -62,8 +62,8 @@ class AnchorSearch:
         # token that never fires leaves the random stream untouched.
         self.cancel = cancel
         self.sampler = PerturbationSampler(block, self.config.perturbation, rng)
-        # An injected record shares one background population across repeated
-        # searches over the same block (see ExplanationSession); without one
+        # An injected record shares one background population with the
+        # repeats of this block in one call (see CallRecords); without one
         # the search draws a private population, as the paper's setup does.
         self.coverage_estimator = CoverageEstimator(
             self.sampler, self.config.coverage_samples, record=coverage_record

@@ -63,15 +63,15 @@ class ExplainerConfig:
         summation order), which can in principle flip an outcome that lands
         exactly on the tolerance-ball boundary.
     shared_background:
-        When true (the default), an
-        :class:`~repro.runtime.session.ExplanationSession` reuses one
-        background population (and its presence index) per block across all
-        anchor beam levels and across repeated explanations of that block in
-        the run.  When false every search draws a private population, exactly
-        as the one-shot explainer does.  This knob is about *state sharing*;
-        the execution substrate is selected separately, on the session or
-        model (``backend=``), because where predictions run must never change
-        what the search computes.
+        When true (the default), repeats of a block within one
+        ``explain_many`` call (or one service request) share one background
+        population and its presence index: the first of them that needs
+        coverage draws it, the later ones reuse it.  When false every search
+        draws a private population.  A block that occurs once draws its own
+        either way, and nothing is shared across calls.  This knob is about
+        *state sharing*; the execution substrate is selected separately, on
+        the session or model (``backend=``), because where predictions run
+        must never change what the search computes.
     perturbation:
         Configuration of the perturbation algorithm Γ.
     """

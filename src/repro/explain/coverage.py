@@ -14,12 +14,11 @@ across the whole population becomes one boolean numpy row.  Coverage of a
 feature set is then the mean of the AND of its rows, instead of the seed
 implementation's per-feature re-scan of every block's instruction list.
 
-The population and its index live in a :class:`PopulationRecord`, which an
-:class:`~repro.runtime.session.ExplanationSession` shares across all beam
-levels of a search *and* across repeated explanations of the same block, so
-a fleet run pays for each background population exactly once.  The empty
-set needs no population (its coverage is 1 by definition), so a search that
-ends at the empty anchor leaves its record empty.
+The population and its index live in a :class:`PopulationRecord`, shared by
+all beam levels of a search and, within one ``explain_many`` call or service
+request, by the repeats of the same block; no record outlives its call.  The
+empty set needs no population (its coverage is 1 by definition), so a search
+that ends at the empty anchor leaves its record empty.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ class PopulationRecord:
 
     The record is populated lazily through whichever sampler first needs it,
     so the random stream is consumed exactly as the unshared path would
-    consume it; later users (other beam levels, repeated explanations of the
-    same block in one session) reuse both the blocks and the index without
-    touching their own random streams.
+    consume it; later users (other beam levels, repeats of the same block
+    within one call) reuse both the blocks and the index without touching
+    their own random streams.
     """
 
     def __init__(self) -> None:
@@ -158,9 +157,9 @@ class PopulationRecord:
 class CoverageEstimator:
     """Empirical coverage over a shared background population.
 
-    Pass a ``record`` to score against population state owned elsewhere (an
-    explanation session's per-block cache); by default the estimator owns a
-    private record, matching the seed behaviour of one population per search.
+    Pass a ``record`` to score against population state owned elsewhere
+    (shared by the repeats of a block within one call); by default the
+    estimator owns a private record, one population per search.
     """
 
     def __init__(

@@ -2,18 +2,54 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.bb.block import BasicBlock
 from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
+from repro.explain.coverage import PopulationRecord
 from repro.explain.explanation import Explanation
-from repro.models.base import CostModel, QueryCounter
+from repro.models.base import CostModel, QueryCounter, QueryTally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
+from repro.utils.cancellation import CancelToken
 from repro.utils.rng import RandomSource, as_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.runtime.session import ExplanationSession
+
+
+def search_block(
+    model: CostModel,
+    block: BasicBlock,
+    config: ExplainerConfig,
+    rng: RandomSource,
+    *,
+    record: Optional[PopulationRecord] = None,
+    cancel: Optional[CancelToken] = None,
+    charge: Optional[Callable[[QueryTally], None]] = None,
+) -> Explanation:
+    """Run one anchor search — the single code path every driver shares.
+
+    The one-shot explainer, sessions, shard runners and process-shard
+    workers all call this, so a block's explanation is computed by
+    byte-identical code no matter where it executes.  ``record`` shares a
+    background population with other searches of the same block (``None``
+    draws a private one).  A ``cancel`` token is checked cooperatively
+    between KL-LUCB rounds; a token that never fires leaves the random
+    stream untouched.  ``charge`` receives the search's query and Γ
+    accounting even when the search is cancelled or fails.
+    """
+    counter = QueryCounter(model)
+    try:
+        with counter:
+            search = AnchorSearch(
+                model, block, config, rng, coverage_record=record, cancel=cancel
+            )
+            anchor = search.search()
+    finally:
+        if charge is not None:
+            charge(counter.tally)
+    return Explanation.from_search(search, anchor, num_queries=counter.queries)
 
 
 class CometExplainer:
@@ -79,18 +115,16 @@ class CometExplainer:
     def explain(self, block: BasicBlock, rng: RandomSource = None) -> Explanation:
         """Explain the model's prediction for ``block``."""
         generator = as_rng(rng) if rng is not None else self._rng
-        with QueryCounter(self.model) as counter:
-            search = AnchorSearch(self.model, block, self.config, generator)
-            anchor = search.search()
-        return Explanation.from_search(search, anchor, num_queries=counter.queries)
+        return search_block(self.model, block, self.config, generator)
 
     def session(self, rng: RandomSource = None) -> "ExplanationSession":
         """An :class:`~repro.runtime.session.ExplanationSession` over this
         explainer's model, configuration and (when set) backend.
 
-        The session adds the run-level shared state — one cache wrapper and
-        one background population per block — that the one-shot API leaves
-        on the floor.  Close it (it is a context manager) when the run ends.
+        The session adds the run-level shared state — one cache wrapper, one
+        backend and, optionally, a result cache — that the one-shot API
+        leaves on the floor.  Close it (it is a context manager) when the
+        run ends.
         """
         from repro.runtime.session import ExplanationSession
 
@@ -114,11 +148,11 @@ class CometExplainer:
         """Explain several blocks with independent random streams.
 
         The fleet path: the whole dataset is routed through one session, so
-        every block shares the query cache, the execution backend and — for
-        repeated blocks — the background population.  Per-block random
-        streams are spawned exactly as they always were, so results for
-        distinct blocks are bit-for-bit the explanations :meth:`explain`
-        would have produced one at a time.
+        every block shares the query cache and the execution backend, and
+        repeats of a block within the call share its background population.
+        Per-block random streams are spawned exactly as they always were, so
+        results for distinct blocks are bit-for-bit the explanations
+        :meth:`explain` would have produced one at a time.
 
         ``shards`` controls block-level parallelism (``"auto"``, the default,
         = one shard per backend worker, hence sequential on the serial

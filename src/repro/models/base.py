@@ -64,6 +64,16 @@ class QueryTally:
             perturb_fallbacks=self.perturb_fallbacks - since.perturb_fallbacks,
         )
 
+    def __add__(self, other: "QueryTally") -> "QueryTally":
+        """The accounting of two pieces of work together."""
+        return QueryTally(
+            queries=self.queries + other.queries,
+            hits=self.hits + other.hits,
+            misses=self.misses + other.misses,
+            perturbations=self.perturbations + other.perturbations,
+            perturb_fallbacks=self.perturb_fallbacks + other.perturb_fallbacks,
+        )
+
 
 class _ThreadTallies(threading.local):
     """Per-thread query/hit/miss accumulators (zero-initialised per thread)."""
@@ -574,12 +584,14 @@ class QueryCounter:
     counts exactly its own queries even while other shards hammer the same
     shared model — this is what makes per-explanation ``num_queries``
     identical between the sequential loop and sharded ``explain_many``.
-    ``hits``/``misses`` carry the cache-lookup split for cached models.
+    ``hits``/``misses`` carry the cache-lookup split for cached models, and
+    :attr:`tally` the whole delta, Γ counters included.
     """
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
         self.start = QueryTally(0)
+        self.tally = QueryTally(0)
         self.queries = 0
         self.hits = 0
         self.misses = 0
@@ -589,7 +601,7 @@ class QueryCounter:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        delta = self.model.query_tally().delta(self.start)
+        delta = self.tally = self.model.query_tally().delta(self.start)
         self.queries = delta.queries
         self.hits = delta.hits
         self.misses = delta.misses

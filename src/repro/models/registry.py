@@ -90,7 +90,6 @@ def build_session(
     workers: Optional[int] = None,
     rng=None,
     cache_entries: int = 100_000,
-    max_population_records: int = 256,
     result_cache=None,
     **model_kwargs,
 ) -> "ExplanationSession":
@@ -115,6 +114,5 @@ def build_session(
         workers=workers,
         rng=rng,
         cache_entries=cache_entries,
-        max_population_records=max_population_records,
         result_cache=result_cache,
     )

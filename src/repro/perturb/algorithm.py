@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -112,11 +111,6 @@ def thread_perturb_tally() -> PerturbTally:
     )
 
 
-#: Live perturbers, for the session-level plan-cache gauge.  Registration
-#: and snapshots both hold ``_accounting_lock``: a weak set cannot be
-#: iterated while another thread adds to it.
-_live_perturbers: "weakref.WeakSet[BlockPerturber]" = weakref.WeakSet()
-
 #: Fallback-rate warning thresholds (satellite of the silent-fallback bugfix):
 #: warn once per perturber when more than ``_FALLBACK_WARNING_RATE`` of at
 #: least ``_FALLBACK_WARNING_MIN`` perturbations fell back to the original.
@@ -130,18 +124,6 @@ def perturb_tally() -> PerturbTally:
         return PerturbTally(
             perturbations=_perturbations_total, fallbacks=_fallbacks_total
         )
-
-
-def plan_cache_entries() -> int:
-    """Total constraint-plan cache entries across live perturbers (a gauge).
-
-    Perturbers register from whichever thread builds them (service
-    dispatchers do so concurrently with ``stats`` calls), so the snapshot of
-    the weak set is taken under the same lock the registration holds.
-    """
-    with _accounting_lock:
-        perturbers = list(_live_perturbers)
-    return sum(len(p._plan_cache) for p in perturbers)
 
 
 @dataclass(frozen=True)
@@ -414,8 +396,6 @@ class BlockPerturber:
         self._perturbations = 0
         self._fallbacks = 0
         self._fallback_warning_emitted = False
-        with _accounting_lock:
-            _live_perturbers.add(self)
 
     # ------------------------------------------------------------------ API
 

@@ -6,9 +6,8 @@ cost-model queries) from its *execution substrate*:
 * :mod:`repro.runtime.backend` — where batches of independent work run
   (:class:`SerialBackend`, :class:`ThreadBackend`, :class:`ProcessBackend`),
 * :mod:`repro.runtime.session` — :class:`ExplanationSession`, which owns the
-  state shared across one explanation run: the cache wrapper, the execution
-  backend, and the per-block background populations reused across anchor beam
-  levels and repeated explanations,
+  state shared across one explanation run: the cache wrapper and the
+  execution backend (background populations live for one call),
 * :mod:`repro.runtime.pool` — :class:`SessionPool`, a leased LRU pool of
   warm sessions keyed by (model, microarch), shared by the explanation
   service's dispatcher fleet and library callers alike.

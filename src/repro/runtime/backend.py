@@ -126,7 +126,7 @@ class ExecutionBackend(ABC):
 
     #: Whether work dispatched to this backend runs in the caller's address
     #: space.  In-process backends (serial, thread) see — and may mutate —
-    #: shared state such as a session's query cache and population records;
+    #: shared state such as a session's query cache;
     #: the process backend ships copies to its workers, so callers that shard
     #: stateful work must pack everything a work item needs into the item.
     shares_memory: bool = True

@@ -1,52 +1,49 @@
 """Explanation sessions: shared state for whole-dataset explanation runs.
 
 The one-shot :class:`~repro.explain.explainer.CometExplainer` API treats each
-explanation as an island: fresh cache history, a fresh background population
-per search, and whatever execution substrate happens to be wired into the
-model.  An :class:`ExplanationSession` makes the run the unit of ownership
-instead.  One session holds
+explanation as an island: fresh cache history and whatever execution
+substrate happens to be wired into the model.  An :class:`ExplanationSession`
+makes the run the unit of ownership instead.  One session holds
 
 * the :class:`~repro.models.base.CachedCostModel` wrapper (so every block of
   a run shares one LRU-cached query history),
 * the :class:`~repro.runtime.backend.ExecutionBackend` all batch prediction
   fans out on (installed on the model for the session's lifetime, released on
   ``close()``),
-* one :class:`~repro.explain.coverage.PopulationRecord` per explained block —
-  the background population and its vectorized presence index are drawn once
-  and reused across every anchor beam level and every repeated explanation of
-  that block in the run.
+* optionally a :class:`~repro.cache.ResultCache` of whole explanations.
+
+None of these changes what a search computes, only how fast, so a session
+is history-free: it keeps no per-block state between calls.  A block's
+background population (Eq. 6) lives for one call — shared by the beam levels
+of its search and, within one ``explain_many`` call, by the repeats of that
+block (see :class:`CallRecords`).
 
 Determinism: the backend never touches the random stream (it only decides
 where deterministic predictions execute), so seeded session runs are
-bit-for-bit identical across serial, thread and process backends.  The first
-explanation of each block is also bit-for-bit what the session-less explainer
-produces; *repeated* explanations of one block reuse the recorded population
-instead of redrawing it, which is exactly the state sharing the session is
-for.  A record fills only when a search goes past the empty anchor, so the
-explanation that draws a block's population is the first one that needs
-coverage, not necessarily the first one of the block.
+bit-for-bit identical across serial, thread and process backends, and every
+``explain`` call is bit-for-bit what the session-less explainer produces for
+the same seed, whatever the session explained before.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Literal, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.bb.block import BasicBlock
 from repro.cache.fingerprint import cacheable_seed, result_fingerprint
 from repro.cache.store import CacheStats, ResultCache
-from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import PopulationRecord
+from repro.explain.explainer import search_block
 from repro.explain.explanation import Explanation
-from repro.models.base import CachedCostModel, CostModel, QueryCounter
-from repro.perturb.algorithm import perturb_tally, plan_cache_entries
+from repro.models.base import CachedCostModel, CostModel, QueryTally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
 from repro.runtime.checkpoint import CheckpointJournal, run_fingerprint
 from repro.utils.cancellation import CancelToken
@@ -57,28 +54,30 @@ from repro.utils.rng import RandomSource, as_rng, spawn_rngs, spawn_seeds
 _ShardItem = Tuple[int, BasicBlock, np.random.Generator]
 
 
-def _search_block(
-    model: CostModel,
-    block: BasicBlock,
-    config: ExplainerConfig,
-    generator: np.random.Generator,
-    record: Optional[PopulationRecord],
-    cancel: Optional[CancelToken] = None,
-) -> Explanation:
-    """Run one anchor search — the single code path every driver shares.
+class CallRecords:
+    """Population records scoped to one call over ``blocks``.
 
-    Used by :meth:`ExplanationSession.explain`, the in-process shard runner
-    and the process-shard worker, so a block's explanation is computed by
-    byte-identical code no matter where it executes.  A ``cancel`` token is
-    checked cooperatively between KL-LUCB rounds; a token that never fires
-    leaves the random stream untouched.
+    Only a block that repeats within the call gets a shared
+    :class:`~repro.explain.coverage.PopulationRecord`: its first search that
+    goes past the empty anchor draws the population and later repeats reuse
+    it.  A block that occurs once gets ``None`` — its search draws the
+    identical population privately.  The record is dropped at the block's
+    last occurrence, so a call holds populations only for repeats still to
+    come.  Call :meth:`take` once per occurrence, in order.
     """
-    with QueryCounter(model) as counter:
-        search = AnchorSearch(
-            model, block, config, generator, coverage_record=record, cancel=cancel
-        )
-        anchor = search.search()
-    return Explanation.from_search(search, anchor, num_queries=counter.queries)
+
+    def __init__(self, blocks: Sequence[BasicBlock], shared: bool) -> None:
+        self._left = Counter(block.key() for block in blocks) if shared else Counter()
+        self._records: Dict[tuple, PopulationRecord] = {}
+
+    def take(self, block: BasicBlock) -> Optional[PopulationRecord]:
+        """The record for the next occurrence of ``block`` (``None`` if unshared)."""
+        key = block.key()
+        left = self._left.pop(key, 0)
+        if left <= 1:
+            return self._records.pop(key, None)
+        self._left[key] = left - 1
+        return self._records.setdefault(key, PopulationRecord())
 
 
 def _explain_shard(
@@ -86,71 +85,77 @@ def _explain_shard(
     config: ExplainerConfig,
     shard: Sequence[_ShardItem],
     cancel: Optional[CancelToken] = None,
+    charge: Optional[Callable[[QueryTally], None]] = None,
 ) -> List[Tuple[int, Explanation]]:
-    """Explain one shard with shard-local population records.
+    """Explain one shard with call-scoped population records.
 
-    Every sharded path — in-process threads and process workers alike — runs
-    this exact loop, so shard results are byte-identical across backends.
-    Records are *scoped to the shard* on purpose: sharing the session's LRU
-    across concurrent shards would make reuse-vs-redraw depend on eviction
-    timing, and all occurrences of a block key are routed to one shard
-    anyway, so first-fill/reuse order within the shard matches the serial
-    loop exactly.
+    Every fleet path — the serial loop, in-process threads and process
+    workers alike — runs this exact loop, so results are byte-identical
+    across backends: all occurrences of a block key are routed to one shard
+    in order, so repeats share a population exactly as in the serial loop.
     """
-    records: dict = {}
+    records = CallRecords([block for _, block, _ in shard], config.shared_background)
     results: List[Tuple[int, Explanation]] = []
     for position, block, stream in shard:
         if cancel is not None:
             cancel.check()
-        record = None
-        if config.shared_background:
-            key = (block.key(), config.coverage_samples)
-            record = records.setdefault(key, PopulationRecord())
-        results.append(
-            (position, _search_block(model, block, config, stream, record, cancel))
+        explanation = search_block(
+            model,
+            block,
+            config,
+            stream,
+            record=records.take(block),
+            cancel=cancel,
+            charge=charge,
         )
+        results.append((position, explanation))
     return results
 
 
-def _explain_shard_remote(payload) -> List[Tuple[int, Explanation]]:
+def _explain_shard_remote(payload) -> Tuple[List[Tuple[int, Explanation]], QueryTally]:
     """Process-shard worker: the payload carries everything the shard needs
     (model, config, items, cache bound) because workers share no memory with
-    the session.  Module-level so it pickles by reference."""
+    the session, and the shard's accounting travels back with its results.
+    Module-level so it pickles by reference."""
     model, config, shard, cache_entries = payload
     if not isinstance(model, CachedCostModel):
         model = CachedCostModel(model, max_entries=cache_entries)
-    return _explain_shard(model, config, shard)
+    spent: List[QueryTally] = []
+    pairs = _explain_shard(model, config, shard, charge=spent.append)
+    return pairs, sum(spent, QueryTally(0))
 
 
 @dataclass(frozen=True)
 class SessionStats:
-    """Run-level accounting, snapshot via :meth:`ExplanationSession.stats`."""
+    """Run-level accounting, snapshot via :meth:`ExplanationSession.stats`.
+
+    The work counters — ``model_queries``, ``cache_hits``, ``cache_misses``,
+    ``perturbations`` and ``perturb_fallbacks`` — are the sum of what the
+    session's own explanation paths measured, process-shard workers and
+    fused service ticks included, and nothing another session did.  Queries
+    issued on ``session.model`` outside an explanation (such as
+    :meth:`~ExplanationSession.global_explainer` scoring) show on the
+    model's own counters instead.
+    """
 
     explanations: int
     model_queries: int
     cache_hits: int
     cache_misses: int
     cache_hit_rate: float
-    #: Drawn background populations the session holds.  A record whose
-    #: searches all ended at the empty anchor holds none and is not counted.
-    populations_cached: int
     backend: str
     worker_restarts: int = 0
     worker_retries: int = 0
     worker_fallbacks: int = 0
     checkpoint_skips: int = 0
     result_cache: Optional[CacheStats] = None
-    #: Γ perturbations produced during this session (process-wide counters,
-    #: diffed against the session's start snapshot).
+    #: Γ perturbations the session's searches drew.
     perturbations: int = 0
     #: Perturbations that silently fell back to the original block after
     #: ``max_block_attempts`` failed attempts — each injects a trivially
     #: preserving sample into precision estimates, so a high rate is a
     #: red flag for the perturbation configuration.
     perturb_fallbacks: int = 0
-    #: Constraint-plan cache entries currently held by live perturbers (a
-    #: gauge, not a counter — bounded per perturber by ``max_cached_plans``).
-    plan_cache_entries: int = 0
 
     def describe(self) -> str:
         resilience = ""
@@ -172,7 +177,6 @@ class SessionStats:
         return (
             f"{self.explanations} explanations, {self.model_queries} model "
             f"queries ({self.cache_hit_rate:.1%} cache hit rate), "
-            f"{self.populations_cached} background populations, "
             f"backend {self.backend}{resilience}{perturb}{memo}"
         )
 
@@ -198,31 +202,22 @@ class ExplanationSession:
         Random source for explanations that do not bring their own stream.
     cache_entries:
         LRU capacity used when the session wraps the model itself.
-    max_population_records:
-        How many per-block background populations (plus presence indexes)
-        the session keeps alive at once, least-recently-used first.  Bounds
-        memory on fleets of distinct blocks, where a record pays off only if
-        its block comes around again.
     result_cache:
         Whole-explanation memoization: a :class:`~repro.cache.ResultCache`
         instance (caller-owned), a path to build a disk-backed store from
         (session-owned, closed with the session), or ``None``/``False`` to
         disable.
-        With a cache installed, every *cache-eligible* computation — one
-        driven by an integer seed — runs **history-free** with call-scoped
-        population records (the same semantics the explanation service
-        applies per request), so each memoized result is a pure function of
-        ``(block, model, uarch, config, seed)`` and a hit is bit-for-bit
-        what the computation would have produced.  Explanations driven by a
-        live generator (or the session's ambient rng) bypass the cache and
-        keep the legacy session-scoped record sharing.
+        Every computation is history-free, so a result driven by an integer
+        seed is a pure function of ``(block, model, uarch, config, seed)``
+        and a hit is bit-for-bit what the computation would have produced.
+        Explanations driven by a live generator (or the session's ambient
+        rng) bypass the cache.
 
-    Population records fill lazily.  A search draws its block's background
-    population only when it continues past the empty anchor (the empty set's
-    coverage is 1 by definition), so an explanation that ends at the empty
-    anchor leaves the shared record empty.  A later explanation of that block
-    that needs coverage then draws the population from its own random stream,
-    and explanations after it reuse that draw.
+    The session keeps no per-block state between calls: a background
+    population is drawn by the search that needs it (one that continues past
+    the empty anchor, whose coverage is 1 by definition) and dropped when
+    the call returns, so each call answers exactly what a fresh session
+    would.
 
     Use as a context manager (or call :meth:`close`) so pooled workers are
     released deterministically::
@@ -241,12 +236,8 @@ class ExplanationSession:
         workers: Optional[int] = None,
         rng: RandomSource = None,
         cache_entries: int = 100_000,
-        max_population_records: int = 256,
         result_cache: Union["ResultCache", str, Path, Literal[False], None] = None,
     ) -> None:
-        if max_population_records < 1:
-            raise ValueError("max_population_records must be >= 1")
-        self.max_population_records = max_population_records
         self.config = config or ExplainerConfig()
         self.model: CachedCostModel = (
             model
@@ -275,48 +266,22 @@ class ExplanationSession:
         else:
             self.result_cache = ResultCache(result_cache)
             self._owns_result_cache = True
-        self._records: "OrderedDict[Tuple, PopulationRecord]" = OrderedDict()
-        # Sharded explain_many runs shards on concurrent threads that all
-        # look up records through this session; the lock keeps the LRU
-        # bookkeeping (and record creation) race-free.
-        self._records_lock = threading.Lock()
         self.explanations_produced = 0
         self.checkpoint_skips = 0
-        self._query_base = self.model.query_count
-        self._hit_base = self.model.hits
-        self._miss_base = self.model.misses
-        self._perturb_base = perturb_tally()
+        # Shard threads and fused ticks charge their work concurrently.
+        self._work = QueryTally(0)
+        self._work_lock = threading.Lock()
         self._closed = False
 
-    # -------------------------------------------------------------- explain
+    def charge(self, tally: QueryTally) -> None:
+        """Add work done for this session to its :meth:`stats`.
 
-    def coverage_record(self, block: BasicBlock) -> Optional[PopulationRecord]:
-        """The shared population record for ``block`` (``None`` when disabled)."""
-        if not self.config.shared_background:
-            return None
-        key = (block.key(), self.config.coverage_samples)
-        with self._records_lock:
-            record = self._records.get(key)
-            if record is None:
-                record = self._records[key] = PopulationRecord()
-            self._records.move_to_end(key)
-            while len(self._records) > self.max_population_records:
-                self._records.popitem(last=False)
-        return record
-
-    def reset_population_records(self) -> None:
-        """Drop the per-block background populations (keep cache and backend).
-
-        Population reuse is *stateful*: a search whose block already has a
-        recorded population skips the draw and therefore consumes its random
-        stream differently than a fresh search would.  Callers that promise
-        history-independent seeded results — the explanation service resets
-        before every request — scope records with this; the query cache and
-        the backend stay warm because they never change what a search
-        computes, only how fast.
+        The session's own explanation paths charge every search; the fused
+        service tick, which drives searches round by round, charges each
+        request when it retires.
         """
-        with self._records_lock:
-            self._records.clear()
+        with self._work_lock:
+            self._work = self._work + tally
 
     # --------------------------------------------------------- result cache
 
@@ -346,13 +311,12 @@ class ExplanationSession:
     def result_cache_store(
         self, block: BasicBlock, seed: RandomSource, explanation: Explanation
     ) -> None:
-        """Memoize a history-free result computed for ``(block, seed)``.
+        """Memoize a result computed for ``(block, seed)``.
 
         The caller asserts purity: the explanation must have been computed
-        with a fresh (call-scoped) population record from
-        ``default_rng(seed)`` — exactly what :meth:`explain` does when a
-        cache is installed and what the service's per-request record reset
-        guarantees.
+        from ``default_rng(seed)`` with no population shared with another
+        search — true of every single-block search, and of fleet positions
+        whose block occurs once in the call.
         """
         if self.result_cache is None or not cacheable_seed(seed):
             return
@@ -375,34 +339,21 @@ class ExplanationSession:
         stored explanation verbatim — including its ``num_queries``, which
         by the cache's attribution rule is the query count of the
         computation that *stored* the entry, since a hit itself queries the
-        model zero times — and a miss computes with a fresh call-scoped
-        population record (history-free, so the stored result is a pure
-        function of the fingerprint) and stores it on the way out.
+        model zero times — and a miss computes and stores it on the way out.
         """
         self._check_open()
-        if self.result_cache is not None and cacheable_seed(rng):
-            seed = int(rng)  # type: ignore[arg-type]
-            fingerprint = self._result_fingerprint(block, seed)
-            cached = self.result_cache.get(fingerprint)
-            if cached is not None:
-                self.explanations_produced += 1
-                return cached
-            record = PopulationRecord() if self.config.shared_background else None
-            explanation = _search_block(
-                self.model, block, self.config, as_rng(seed), record, cancel
+        explanation = self.result_cache_lookup(block, rng)
+        if explanation is None:
+            generator = as_rng(rng) if rng is not None else self._rng
+            explanation = search_block(
+                self.model,
+                block,
+                self.config,
+                generator,
+                cancel=cancel,
+                charge=self.charge,
             )
-            self.result_cache.put(fingerprint, explanation)
-            self.explanations_produced += 1
-            return explanation
-        generator = as_rng(rng) if rng is not None else self._rng
-        explanation = _search_block(
-            self.model,
-            block,
-            self.config,
-            generator,
-            self.coverage_record(block),
-            cancel,
-        )
+            self.result_cache_store(block, rng, explanation)
         self.explanations_produced += 1
         return explanation
 
@@ -429,22 +380,21 @@ class ExplanationSession:
         backend that is 1, so fleets stay sequential until a parallel
         backend is selected; an explicit count pins it; ``None``/``0``/``1``
         force the sequential loop.
+        Background populations are scoped to the call: repeats of a block
+        within it share one population (the first search of the block that
+        goes past the empty anchor draws it), and nothing carries over to
+        later calls.
         Sharding is seeded-deterministic and result-identical to the unsharded
-        path for a fresh run: all occurrences of one block key are routed to
-        the same shard in their original order, so population-record
-        first-fill/reuse happens exactly where the serial loop would have,
-        and every block consumes only its own spawned stream.  Per-explanation
-        ``num_queries`` matches the sequential loop too: searches measure
-        their queries through thread-scoped tallies
+        path: all occurrences of one block key are routed to the same shard
+        in their original order, so population sharing happens exactly where
+        the serial loop would have it, and every block consumes only its own
+        spawned stream.  Per-explanation ``num_queries`` matches the
+        sequential loop too on a fresh session: searches measure their
+        queries through thread-scoped tallies
         (:meth:`~repro.models.base.CostModel.query_tally`), so concurrent
         shards cannot pollute each other's counts (exact as long as distinct
         block keys do not collide in the query cache, which key-grouped
-        sharding makes the overwhelmingly common case).  Two caveats, both
-        deterministic: records are scoped to the call (a sharded call
-        neither sees nor feeds the session's cross-call record cache), and
-        parity with the serial loop is exact as long as the fleet's distinct
-        blocks fit ``max_population_records`` — under eviction pressure the
-        serial loop redraws where shard-local records reuse.
+        sharding makes the overwhelmingly common case).
 
         ``checkpoint`` names a crash-safe journal file: every completed
         explanation is journaled as it finishes, and re-running the *same*
@@ -465,9 +415,9 @@ class ExplanationSession:
         With a result cache installed and an integer ``rng`` seed, fleet
         positions whose block key is unique within the call are memoized
         under their spawned child seed: hits are returned verbatim without
-        running a search, misses compute with call-scoped records and are
-        stored.  Positions sharing a block key bypass the cache and keep
-        their within-call record sharing bit-for-bit.
+        running a search, misses compute and are stored.  Positions sharing
+        a block key bypass the cache and keep their within-call population
+        sharing bit-for-bit.
         """
         self._check_open()
         blocks = list(blocks)
@@ -482,10 +432,10 @@ class ExplanationSession:
             # Each fleet position's stream is fully determined by its spawned
             # child seed, so positions are memoized under (block, child seed).
             # Only positions whose block key is *unique in this fleet* take
-            # part: duplicate-key positions share a population record within
-            # the call (later occurrences reuse the first one's draw), so
-            # their results are not pure functions of their own seed — they
-            # bypass the cache and compute exactly as they always did.
+            # part: duplicate-key positions share a population within the
+            # call (later occurrences reuse the first one's draw), so their
+            # results are not pure functions of their own seed — they bypass
+            # the cache and compute exactly as they always did.
             seeds = spawn_seeds(int(rng), len(blocks))  # type: ignore[arg-type]
             streams = [np.random.default_rng(s) for s in seeds]
             key_counts: dict = {}
@@ -507,20 +457,8 @@ class ExplanationSession:
             if results[position] is None
         ]
         plan = self._shard_plan([block for _, block, _ in items], shards)
-        if not items:
-            pairs: List[Tuple[int, Explanation]] = []
-        elif plan is None:
-            if use_cache:
-                # Call-scoped records (the history-free contract, see
-                # ``result_cache`` in the class docstring) — the exact loop
-                # every shard runs, so cache on/off changes nothing for a
-                # fresh session and the computed results are safe to store.
-                pairs = _explain_shard(self.model, self.config, items, cancel)
-            else:
-                return [
-                    self.explain(block, rng=stream, cancel=cancel)
-                    for block, stream in zip(blocks, streams)
-                ]
+        if plan is None:
+            pairs = _explain_shard(self.model, self.config, items, cancel, self.charge)
         else:
             shard_lists = [[items[i] for i in indices] for indices in plan]
             if self.backend.shares_memory:
@@ -532,13 +470,12 @@ class ExplanationSession:
                     (self.model.inner, self.config, shard, self.model.max_entries)
                     for shard in shard_lists
                 ]
-                pairs = [
-                    pair
-                    for shard_result in self.backend.map_batch(
-                        _explain_shard_remote, payloads
-                    )
-                    for pair in shard_result
-                ]
+                pairs = []
+                for shard_pairs, spent in self.backend.map_batch(
+                    _explain_shard_remote, payloads
+                ):
+                    pairs.extend(shard_pairs)
+                    self.charge(spent)
         self.explanations_produced += len(blocks)
         for position, explanation in pairs:
             results[position] = explanation
@@ -560,9 +497,9 @@ class ExplanationSession:
         """The journaled ``explain_many`` path — see the public docstring.
 
         Sequential with ``record=None`` per position on purpose: population
-        reuse and sharding both make a position's result depend on which
-        *other* positions ran in this process, and a resumed run has not run
-        the journaled ones.  Position-independent searches are what make
+        sharing between repeats and sharding both make a position's result
+        depend on which *other* positions ran in this process, and a resumed
+        run has not run the journaled ones.  Position-independent searches are what make
         skip-and-resume provably bit-for-bit; each position still fans its
         query batches out through the session's backend, so the run keeps
         its batch-level parallelism.
@@ -595,8 +532,13 @@ class ExplanationSession:
                     continue
                 if cancel is not None:
                     cancel.check()
-                explanation = _search_block(
-                    self.model, block, self.config, stream, None, cancel
+                explanation = search_block(
+                    self.model,
+                    block,
+                    self.config,
+                    stream,
+                    cancel=cancel,
+                    charge=self.charge,
                 )
                 journal.record(position, block, explanation)
                 results[position] = explanation
@@ -613,9 +555,9 @@ class ExplanationSession:
         Blocks are grouped by content key and whole groups are dealt
         round-robin across shards in first-occurrence order; positions inside
         a shard stay ascending.  Keeping a key's occurrences together is what
-        makes sharded output bit-for-bit equal to the serial loop: the first
-        occurrence fills the population record, later ones reuse it, exactly
-        as they would have serially.
+        makes sharded output bit-for-bit equal to the serial loop: repeats of
+        a block share its population within the shard exactly as they would
+        have serially.
         """
         if shards is None:
             return None
@@ -660,7 +602,7 @@ class ExplanationSession:
         """
 
         def run(shard: List[_ShardItem]) -> List[Tuple[int, Explanation]]:
-            return _explain_shard(self.model, self.config, shard, cancel)
+            return _explain_shard(self.model, self.config, shard, cancel, self.charge)
 
         with ThreadPoolExecutor(max_workers=len(shard_lists)) as executor:
             shard_results = list(executor.map(run, shard_lists))
@@ -678,21 +620,16 @@ class ExplanationSession:
     # ----------------------------------------------------------------- stats
 
     def stats(self) -> SessionStats:
-        """Accounting since the session started (inner-model work only)."""
-        hits = self.model.hits - self._hit_base
-        misses = self.model.misses - self._miss_base
-        lookups = hits + misses
+        """Accounting since the session started (see :class:`SessionStats`)."""
+        work = self._work
+        lookups = work.hits + work.misses
         worker = self.backend.worker_stats()
-        perturb = perturb_tally().delta(self._perturb_base)
-        with self._records_lock:
-            populations = sum(1 for r in self._records.values() if r.population)
         return SessionStats(
             explanations=self.explanations_produced,
-            model_queries=self.model.query_count - self._query_base,
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_hit_rate=hits / lookups if lookups else 0.0,
-            populations_cached=populations,
+            model_queries=work.queries,
+            cache_hits=work.hits,
+            cache_misses=work.misses,
+            cache_hit_rate=work.hits / lookups if lookups else 0.0,
             backend=self.backend.describe(),
             worker_restarts=worker.get("restarts", 0),
             worker_retries=worker.get("retries", 0),
@@ -701,9 +638,8 @@ class ExplanationSession:
             result_cache=(
                 self.result_cache.stats() if self.result_cache is not None else None
             ),
-            perturbations=perturb.perturbations,
-            perturb_fallbacks=perturb.fallbacks,
-            plan_cache_entries=plan_cache_entries(),
+            perturbations=work.perturbations,
+            perturb_fallbacks=work.perturb_fallbacks,
         )
 
     # ------------------------------------------------------------- lifecycle
@@ -730,7 +666,6 @@ class ExplanationSession:
             self.backend.close()
         if self._owns_result_cache and self.result_cache is not None:
             self.result_cache.close()
-        self._records.clear()
         self._closed = True
 
     def __enter__(self) -> "ExplanationSession":

@@ -1,7 +1,7 @@
 """The explanation service: a warm, request/response serving layer.
 
 The library's one-shot API pays the full setup cost — model construction,
-cache warm-up, backend pool spin-up, background populations — on every call.
+cache warm-up, backend pool spin-up — on every call.
 This package keeps all of that *resident*: an
 :class:`~repro.service.core.ExplanationService` leases long-lived
 :class:`~repro.runtime.session.ExplanationSession` instances from a shared

@@ -18,10 +18,11 @@ finished requests retire while newly queued same-key work is absorbed
 mid-stream (see :meth:`~repro.service.scheduler.Scheduler.claim_extra`).
 
 Determinism contract: each request keeps its own seeded RNG stream and its
-own request-scoped population records, exactly as the unfused execution
-path does, so the fused service's results are bit-for-bit identical to the
-``dispatchers=1``, fusion-off oracle regardless of which requests happened
-to share a tick.  Fusion changes only which model invocation served a
+own request-scoped population records
+(:class:`~repro.runtime.session.CallRecords`), exactly as the unfused
+execution path does, so the fused service's results are bit-for-bit
+identical to the ``dispatchers=1``, fusion-off oracle regardless of which
+requests happened to share a tick.  Fusion changes only which model invocation served a
 round — arrival order can shift cache hits between requests (``num_queries``
 is substrate-dependent by design), never the explanation payload.
 
@@ -44,10 +45,9 @@ from repro.bb.block import BasicBlock
 from repro.cache.fingerprint import cacheable_seed
 from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
-from repro.explain.coverage import PopulationRecord
 from repro.explain.explanation import Explanation
 from repro.models.base import CostModel, QueryCounter, QueryTally
-from repro.runtime.session import ExplanationSession
+from repro.runtime.session import CallRecords, ExplanationSession
 from repro.utils.cancellation import CancelToken
 from repro.utils.rng import as_rng, spawn_rngs, spawn_seeds
 
@@ -143,8 +143,10 @@ class _RequestRun:
     Mirrors the unfused path exactly: a single-block request drives its
     search from ``as_rng(seed)`` (as ``session.explain`` would), a fleet
     request spawns one stream per block (as ``explain_many`` would), and
-    population records are request-scoped — same key, same fill order as
-    the serial loop after the service's per-request record reset.
+    population records are request-scoped through the same
+    :class:`~repro.runtime.session.CallRecords` the serial loop uses.
+    :attr:`spent` adds up the request's query and Γ accounting, which the
+    group charges to the session when the request retires.
 
     With a session result cache installed, cache-eligible positions —
     single blocks, and fleet positions whose block key is unique within the
@@ -172,6 +174,7 @@ class _RequestRun:
         "rounds",
         "pending",
         "queries",
+        "spent",
     )
 
     def __init__(
@@ -212,7 +215,7 @@ class _RequestRun:
             self.cacheable = [key_counts[b.key()] == 1 for b in self.blocks]
         else:
             self.streams = spawn_rngs(entry.seed, len(self.blocks))
-        self.records: Dict[Tuple, PopulationRecord] = {}
+        self.records = CallRecords(self.blocks, config.shared_background)
         self.position = 0
         self.explanations: List[Explanation] = []
         self.search: Optional[AnchorSearch] = None
@@ -221,19 +224,13 @@ class _RequestRun:
         self.pending: Optional[List[BasicBlock]] = None
         #: Inner-model evaluations charged to the current block so far.
         self.queries = 0
-
-    def _record_for(self, block: BasicBlock) -> Optional[PopulationRecord]:
-        if not self.config.shared_background:
-            return None
-        key = (block.key(), self.config.coverage_samples)
-        record = self.records.get(key)
-        if record is None:
-            record = self.records[key] = PopulationRecord()
-        return record
+        #: Everything this request measured so far, all blocks together.
+        self.spent = QueryTally(0)
 
     def charge(self, tally: QueryTally) -> None:
-        """Attribute one fused segment's query accounting to this request."""
+        """Attribute some measured work to this request's current block."""
         self.queries += tally.queries
+        self.spent = self.spent + tally
 
     def advance(self, predictions: Optional[np.ndarray]) -> bool:
         """Advance until the next fused tick is needed, or the request is done.
@@ -264,27 +261,32 @@ class _RequestRun:
                         if self.position >= len(self.blocks):
                             return False
                         continue
-                with QueryCounter(self.model) as counter:
-                    self.search = AnchorSearch(
-                        self.model,
-                        block,
-                        self.config,
-                        self.streams[self.position],
-                        coverage_record=self._record_for(block),
-                        cancel=self.entry.token,
-                    )
-                self.queries += counter.queries
+                counter = QueryCounter(self.model)
+                try:
+                    with counter:
+                        self.search = AnchorSearch(
+                            self.model,
+                            block,
+                            self.config,
+                            self.streams[self.position],
+                            coverage_record=self.records.take(block),
+                            cancel=self.entry.token,
+                        )
+                finally:
+                    self.charge(counter.tally)
                 self.rounds = self.search.search_rounds()
                 predictions = None
             anchor = None
             finished = False
-            with QueryCounter(self.model) as counter:
-                try:
+            counter = QueryCounter(self.model)
+            try:
+                with counter:
                     pending = self.rounds.send(predictions)
-                except StopIteration as stop:
-                    anchor = stop.value
-                    finished = True
-            self.queries += counter.queries
+            except StopIteration as stop:
+                anchor = stop.value
+                finished = True
+            finally:
+                self.charge(counter.tally)
             if not finished:
                 self.pending = pending
                 return True
@@ -330,23 +332,30 @@ def run_fused_group(
     work, up to ``max_fused_requests`` concurrently resident requests.
     Every entry is retired through its own ``finish``/``fail`` callback; a
     request that raises — cancellation, deadline expiry, a model error —
-    leaves the remaining members of the group untouched.
+    leaves the remaining members of the group untouched.  A retiring request
+    charges its work to the session either way.
     """
     model = session.model
     config = session.config
     pending_runs: List[_RequestRun] = []
+
+    def fail(run: _RequestRun, error: BaseException) -> None:
+        run.close()
+        session.charge(run.spent)
+        run.entry.fail(error)
 
     def step(run: _RequestRun, predictions: Optional[np.ndarray]) -> None:
         """Advance one request; park it for the next tick or retire it."""
         try:
             if run.advance(predictions):
                 pending_runs.append(run)
-            else:
-                session.explanations_produced += len(run.explanations)
-                run.entry.finish(run.explanations)
+                return
         except Exception as error:  # noqa: BLE001 - reported per request
-            run.close()
-            run.entry.fail(error)
+            fail(run, error)
+            return
+        session.charge(run.spent)
+        session.explanations_produced += len(run.explanations)
+        run.entry.finish(run.explanations)
 
     def admit(entry: FusedEntry) -> None:
         if counters is not None:
@@ -370,14 +379,15 @@ def run_fused_group(
             # segment on its own so only the failing request retires with
             # the error.
             for run in batch:
+                counter = QueryCounter(model)
                 try:
-                    with QueryCounter(model) as counter:
+                    with counter:
                         answers = model.predict_batch(run.pending)
                 except Exception as error:  # noqa: BLE001
-                    run.close()
-                    run.entry.fail(error)
+                    run.charge(counter.tally)
+                    fail(run, error)
                     continue
-                run.queries += counter.queries
+                run.charge(counter.tally)
                 run.pending = None
                 step(run, np.asarray(answers))
             continue

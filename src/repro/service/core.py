@@ -4,8 +4,8 @@
 system: requests go into an admission-controlled scheduler, a fleet of
 dispatcher threads executes them against long-lived, per-model
 :class:`~repro.runtime.session.ExplanationSession` instances (warm query
-cache, resident execution backend, LRU population records) leased from a
-shared :class:`~repro.runtime.pool.SessionPool`, and clients collect results
+cache, resident execution backend) leased from a shared
+:class:`~repro.runtime.pool.SessionPool`, and clients collect results
 with submit/poll/result semantics or the synchronous
 :meth:`ExplanationService.explain` convenience wrapper.
 
@@ -713,13 +713,6 @@ class ExplanationService:
             # warm session computing an answer nobody will read.
             ticket.token.check()
             with self._pool.leased(model_name, uarch) as session:
-                # Request isolation: population records are stateful (a
-                # pre-filled record changes how a later search consumes its
-                # stream), so each request starts from a clean record space —
-                # results are then independent of what the warm session served
-                # before, and of concurrent-submission arrival order.  The
-                # query cache and backend stay warm; they are bit-safe.
-                session.reset_population_records()
                 if len(request.blocks) == 1:
                     # Matches CometExplainer.explain(block, rng=seed) exactly:
                     # the seed drives the search directly, no stream spawning.
@@ -858,10 +851,6 @@ class ExplanationService:
             return
         try:
             with self._pool.leased(model_name, uarch) as session:
-                # Same request isolation as the unfused path: the batcher
-                # scopes population records per request, and the session's
-                # cross-request record cache stays out of fused results.
-                session.reset_population_records()
                 run_fused_group(
                     session,
                     [primary_entry],

@@ -22,14 +22,19 @@ in a session).  They live here once now:
 The constants (``FAST_CONFIG``) back the fixtures so module-level test
 parameterisation can reuse them without requesting a fixture.
 ``anchor_seed`` finds a seed whose explanation of a block ends at (or goes
-past) the empty anchor.
+past) the empty anchor; ``seed_past_empty_at`` does the same for chosen
+positions of a fleet, and ``count_population_draws`` counts the background
+populations searches draw, per block.
 """
+
+import collections
 
 import pytest
 
 from repro.bb.block import BasicBlock
 from repro.data.synthesis import BlockSynthesizer
 from repro.explain.config import ExplainerConfig
+from repro.explain.coverage import PopulationRecord
 from repro.models.analytical import AnalyticalCostModel
 from repro.runtime.session import ExplanationSession
 
@@ -93,6 +98,34 @@ def anchor_seed(block, *, empty):
         if (explanation.features == ()) == empty:
             return seed
     raise AssertionError(f"no seed below 64 gives empty={empty}")
+
+
+def count_population_draws(monkeypatch):
+    """Count, per block key, the ``PopulationRecord.ensure`` calls that grow
+    a population — one per background population a search draws."""
+    draws = collections.Counter()
+    ensure = PopulationRecord.ensure
+
+    def counting_ensure(record, sampler, size):
+        if len(record.population) < size:
+            draws[sampler.block.key()] += 1
+        return ensure(record, sampler, size)
+
+    monkeypatch.setattr(PopulationRecord, "ensure", counting_ensure)
+    return draws
+
+
+def seed_past_empty_at(blocks, positions):
+    """The first fleet seed whose explanations at ``positions`` all go past
+    the empty anchor (fresh serial session, ``FAST_CONFIG``)."""
+    for seed in range(64):
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as session:
+            explanations = session.explain_many(blocks, rng=seed)
+        if all(explanations[p].features for p in positions):
+            return seed
+    raise AssertionError(f"no seed below 64 goes past the empty anchor at {positions}")
 
 
 def explanation_fingerprint(explanation):

@@ -9,9 +9,6 @@ per perturber, process-wide, per thread (``QueryTally``), per session
 (``SessionStats``) — plus the once-per-block warning and the LRU bound.
 """
 
-import collections
-import gc
-import sys
 import threading
 import warnings
 
@@ -25,7 +22,6 @@ from repro.perturb.algorithm import (
     _FALLBACK_WARNING_MIN,
     BlockPerturber,
     perturb_tally,
-    plan_cache_entries,
     thread_perturb_tally,
 )
 from repro.perturb.config import PerturbationConfig
@@ -148,49 +144,6 @@ class TestPlanCache:
             perturber.perturb_many(1, [feature])
         assert perturber.plan_cache_size <= 4
 
-    def test_plan_cache_gauge_sees_live_perturbers(self, block):
-        perturber = BlockPerturber(block, rng=0)
-        perturber.perturb_many(1)
-        assert plan_cache_entries() >= perturber.plan_cache_size >= 1
-
-    def test_gauge_forgets_collected_perturbers(self, block):
-        perturber = BlockPerturber(block, rng=0)
-        for feature in extract_features(block)[:3]:
-            perturber.perturb_many(1, [feature])
-        held = perturber.plan_cache_size
-        before = plan_cache_entries()
-        del perturber
-        gc.collect()
-        assert held == 3
-        assert plan_cache_entries() <= before - held
-
-    def test_gauge_survives_concurrent_construction(self, block):
-        """Regression: a ``stats`` call snapshotting the live-perturber set
-        while a dispatcher thread built a perturber raised ``RuntimeError:
-        Set changed size during iteration``, which dropped the TCP
-        connection the stats op arrived on."""
-        stop = threading.Event()
-
-        def construct():
-            # Live sessions hold their perturbers, so the set the gauge walks
-            # is large; a short window of them stays alive here too.
-            alive = collections.deque(maxlen=200)
-            while not stop.is_set():
-                alive.append(BlockPerturber(block, rng=0))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the two threads densely
-        builder = threading.Thread(target=construct)
-        builder.start()
-        try:
-            for _ in range(20_000):
-                plan_cache_entries()
-        finally:
-            stop.set()
-            builder.join(timeout=30)
-            sys.setswitchinterval(interval)
-        assert not builder.is_alive()
-
 
 class TestSessionStats:
     def test_session_stats_expose_perturb_accounting(self, block):
@@ -201,7 +154,6 @@ class TestSessionStats:
             stats = session.stats()
         assert stats.perturbations > 0
         assert 0 <= stats.perturb_fallbacks <= stats.perturbations
-        assert stats.plan_cache_entries >= 0
 
     def test_reference_gamma_session_reports_perturbations(self, block):
         config = FAST_CONFIG.with_overrides(

@@ -1,5 +1,8 @@
 """Tests for :class:`ExplanationSession` (the runtime's shared-state layer)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bb.block import BasicBlock
@@ -8,13 +11,16 @@ from repro.explain.explainer import CometExplainer
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.runtime.backend import SerialBackend, ThreadBackend
-from repro.runtime.session import ExplanationSession
-from repro.utils.errors import BackendError
+from repro.runtime.session import CallRecords, ExplanationSession
+from repro.utils.cancellation import CancelToken
+from repro.utils.errors import BackendError, RequestCancelledError
 
 from tests.conftest import (
     FAST_CONFIG,
     anchor_seed,
+    count_population_draws,
     explanation_fingerprint as _fingerprint,
+    seed_past_empty_at,
 )
 
 
@@ -44,76 +50,69 @@ class TestSessionExplanations:
         assert run() == run()
 
 
-class TestSharedState:
-    def test_population_record_shared_across_explanations(self, tiny_blocks):
-        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
-            record = session.coverage_record(tiny_blocks[0])
-            assert record is session.coverage_record(tiny_blocks[0])
-            session.explain(tiny_blocks[0], rng=0)
-            assert len(record.population) == FAST_CONFIG.coverage_samples
-            session.explain(tiny_blocks[0], rng=1)
-            assert session.stats().populations_cached == 1
-
-    def test_repeated_block_does_not_redraw_population(self, tiny_blocks):
-        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
-            session.explain(tiny_blocks[0], rng=0)
-            population = list(session.coverage_record(tiny_blocks[0]).population)
-            session.explain(tiny_blocks[0], rng=1)
-            assert session.coverage_record(tiny_blocks[0]).population == population
-
-    def test_population_records_are_lru_bounded(self, tiny_blocks):
-        # Only searches that go past the empty anchor fill their record.
-        first, second = tiny_blocks[0], tiny_blocks[2]
-        with ExplanationSession(
-            AnalyticalCostModel("hsw"), FAST_CONFIG, max_population_records=1
-        ) as session:
-            session.explain(first, rng=anchor_seed(first, empty=False))
-            session.explain(second, rng=anchor_seed(second, empty=False))
-            assert session.stats().populations_cached == 1
-            # The surviving record belongs to the most recent block.
-            assert session.coverage_record(second).population
-
-    def test_empty_anchor_leaves_record_empty_and_uncounted(self, tiny_blocks):
+class TestHistoryFree:
+    def test_repeat_calls_match_a_fresh_session(self, tiny_blocks):
+        """A session keeps no population between calls: explaining a block
+        again — after an empty-anchor search of it, or after a search that
+        drew its population — answers what a fresh session answers."""
         block = tiny_blocks[1]
+        seeds = [
+            anchor_seed(block, empty=True),
+            anchor_seed(block, empty=False),
+            anchor_seed(block, empty=False),
+        ]
         with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
-            explanation = session.explain(block, rng=anchor_seed(block, empty=True))
-            assert explanation.coverage == 1.0
-            assert session.coverage_record(block).population == []
-            stats = session.stats()
-        assert stats.populations_cached == 0
-        assert "0 background populations" in stats.describe()
+            warm = [_fingerprint(session.explain(block, rng=seed)) for seed in seeds]
+        fresh = []
+        for seed in seeds:
+            with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+                fresh.append(_fingerprint(session.explain(block, rng=seed)))
+        assert warm == fresh
+        assert warm[0][3] == () and warm[1][3] != ()
 
-    def test_record_left_empty_is_drawn_by_the_next_search_needing_it(
-        self, tiny_blocks
+    def test_repeated_fleet_calls_match(self, tiny_blocks):
+        fleet = [tiny_blocks[0], tiny_blocks[1], tiny_blocks[0]]
+        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+            first = [_fingerprint(e) for e in session.explain_many(fleet, rng=5)]
+            again = [_fingerprint(e) for e in session.explain_many(fleet, rng=5)]
+        assert first == again
+
+    @pytest.mark.parametrize("shared,draws", [(True, 1), (False, 2)])
+    def test_repeats_within_a_call_share_one_draw(
+        self, tiny_blocks, monkeypatch, shared, draws
     ):
-        """After an empty-anchor explanation, a later explanation of the same
-        block that needs coverage draws the population from its own stream:
-        exactly what a fresh session computes for it."""
-        block = tiny_blocks[1]
-        empty_seed = anchor_seed(block, empty=True)
-        full_seed = anchor_seed(block, empty=False)
-        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as fresh:
-            expected = fresh.explain(block, rng=full_seed)
-        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
-            session.explain(block, rng=empty_seed)
-            got = session.explain(block, rng=full_seed)
-            record = session.coverage_record(block)
-        assert _fingerprint(got) == _fingerprint(expected)
-        assert len(record.population) == FAST_CONFIG.coverage_samples
+        repeated, other = tiny_blocks[0], tiny_blocks[1]
+        fleet = [repeated, other, repeated]
+        seed = seed_past_empty_at(fleet, [0, 2])
+        config = FAST_CONFIG.with_overrides(shared_background=shared)
+        counted = count_population_draws(monkeypatch)
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), config, backend="serial"
+        ) as session:
+            session.explain_many(fleet, rng=seed)
+        assert counted[repeated.key()] == draws
 
-    def test_invalid_population_bound_rejected(self):
-        with pytest.raises(ValueError):
-            ExplanationSession(
-                AnalyticalCostModel("hsw"), FAST_CONFIG, max_population_records=0
-            )
+    def test_call_records_share_only_repeats(self, tiny_blocks):
+        repeated, once = tiny_blocks[0], tiny_blocks[1]
+        records = CallRecords([repeated, once, repeated], shared=True)
+        first = records.take(repeated)
+        assert first is not None
+        assert records.take(once) is None
+        last = records.take(repeated)
+        assert last is first
+        # The record dies with its last user: the helper keeps no reference.
+        alive = weakref.ref(first)
+        del first, last
+        gc.collect()
+        assert alive() is None
 
-    def test_shared_background_can_be_disabled(self, tiny_blocks):
-        config = FAST_CONFIG.with_overrides(shared_background=False)
-        with ExplanationSession(AnalyticalCostModel("hsw"), config) as session:
-            assert session.coverage_record(tiny_blocks[0]) is None
-            session.explain(tiny_blocks[0], rng=0)
-            assert session.stats().populations_cached == 0
+    def test_call_records_off_shares_nothing(self, tiny_blocks):
+        records = CallRecords([tiny_blocks[0]] * 2, shared=False)
+        assert records.take(tiny_blocks[0]) is None
+        assert records.take(tiny_blocks[0]) is None
 
+
+class TestSharedState:
     def test_model_wrapped_in_cache_exactly_once(self):
         raw = AnalyticalCostModel("hsw")
         with ExplanationSession(raw, FAST_CONFIG) as session:
@@ -124,6 +123,20 @@ class TestSharedState:
             assert session.model is cached
 
 
+class _CancelAfter(CancelToken):
+    """A token that fires on its ``checks + 1``-th check, mid-search."""
+
+    def __init__(self, checks):
+        super().__init__()
+        self.left = checks
+
+    def check(self):
+        self.left -= 1
+        if self.left < 0:
+            self.cancel("cancelled mid-search")
+        super().check()
+
+
 class TestStats:
     def test_stats_track_run_accounting(self, tiny_blocks):
         with ExplanationSession(
@@ -132,11 +145,9 @@ class TestStats:
             explanations = session.explain_many(tiny_blocks[:2], rng=0)
             stats = session.stats()
         assert stats.explanations == 2
-        assert stats.model_queries > 0
+        assert stats.model_queries == sum(e.num_queries for e in explanations) > 0
         assert stats.cache_hits + stats.cache_misses >= stats.model_queries
         assert 0.0 <= stats.cache_hit_rate <= 1.0
-        # One drawn population per block whose search went past ∅.
-        assert stats.populations_cached == sum(1 for e in explanations if e.features)
         assert "serial" in stats.backend
         assert "2 explanations" in stats.describe()
 
@@ -147,6 +158,50 @@ class TestStats:
         with ExplanationSession(cached, FAST_CONFIG) as session:
             assert session.stats().model_queries == 0
             assert session.stats().cache_hits == 0
+
+    def test_idle_session_reports_no_other_sessions_work(self, tiny_blocks):
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as idle:
+            with ExplanationSession(
+                AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+            ) as busy:
+                busy.explain(tiny_blocks[0], rng=0)
+                assert busy.stats().perturbations > 0
+            stats = idle.stats()
+        assert stats.perturbations == 0
+        assert stats.model_queries == stats.cache_hits == stats.cache_misses == 0
+
+    def test_process_fleet_reports_its_workers_work(self, block_fleet):
+        """Process-shard workers ship their accounting back with their
+        results, so the fleet counts what the thread backend counts."""
+        fleet = block_fleet[:4]
+
+        def run(backend):
+            with ExplanationSession(
+                AnalyticalCostModel("hsw"), FAST_CONFIG, backend=backend, workers=2
+            ) as session:
+                explanations = session.explain_many(fleet, rng=3)
+                return explanations, session.stats()
+
+        explanations, stats = run("process")
+        _, threaded = run("thread")
+        assert stats.model_queries == sum(e.num_queries for e in explanations) > 0
+        assert stats.perturbations == threaded.perturbations > 0
+        assert stats.model_queries == threaded.model_queries
+
+    def test_cancelled_search_still_counts(self, tiny_blocks):
+        block = tiny_blocks[0]
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as session:
+            with pytest.raises(RequestCancelledError):
+                session.explain(
+                    block, rng=anchor_seed(block, empty=False), cancel=_CancelAfter(2)
+                )
+            stats = session.stats()
+        assert stats.explanations == 0
+        assert stats.model_queries > 0 and stats.perturbations > 0
 
 
 class TestLifecycle:

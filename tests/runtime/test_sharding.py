@@ -3,8 +3,8 @@
 Sharding partitions a fleet across backend workers, each shard running full
 anchor searches.  The contract: for a fresh session and a fixed seed, the
 sharded result payload is bit-for-bit the unsharded one, on every backend,
-including fleets with repeated blocks (whose population-record reuse must
-happen exactly where the serial loop would reuse).
+including fleets with repeated blocks (whose shared population must be drawn
+and reused exactly where the serial loop draws and reuses it).
 """
 
 import pytest
@@ -15,7 +15,12 @@ from repro.models.mca import PortPressureCostModel
 from repro.runtime.session import ExplanationSession
 from repro.utils.errors import BackendError
 
-from tests.conftest import FAST_CONFIG, explanation_fingerprint
+from tests.conftest import (
+    FAST_CONFIG,
+    count_population_draws,
+    explanation_fingerprint,
+    seed_past_empty_at,
+)
 
 
 def _workload(tiny_blocks):
@@ -143,8 +148,8 @@ class TestShardWorker:
 
     ``_explain_shard_remote`` normally runs inside pool workers where
     coverage cannot see it; it is a plain function, so its contract — same
-    explanations as the session path, records rebuilt per shard — is pinned
-    directly here.
+    explanations as the session path, records scoped to the shard, the
+    shard's accounting returned with its results — is pinned directly here.
     """
 
     def test_worker_matches_session_results(self, tiny_blocks):
@@ -164,24 +169,33 @@ class TestShardWorker:
             list(zip(range(len(workload)), workload, streams)),
             100_000,
         )
-        pairs = _explain_shard_remote(payload)
+        pairs, spent = _explain_shard_remote(payload)
         assert [position for position, _ in pairs] == list(range(len(workload)))
         assert [explanation_fingerprint(e) for _, e in pairs] == expected
+        assert spent.queries == sum(e.num_queries for _, e in pairs)
+        assert spent.perturbations > 0
 
-    def test_worker_honours_disabled_shared_background(self, tiny_blocks):
+    @pytest.mark.parametrize("shared,draws", [(True, 1), (False, 2)])
+    def test_worker_honours_shared_background(
+        self, tiny_blocks, monkeypatch, shared, draws
+    ):
         from repro.runtime.session import _explain_shard_remote
         from repro.utils.rng import spawn_rngs
 
-        config = FAST_CONFIG.with_overrides(shared_background=False)
-        streams = spawn_rngs(0, 2)
+        block = tiny_blocks[0]
+        seed = seed_past_empty_at([block, block], [0, 1])
+        streams = spawn_rngs(seed, 2)
         payload = (
             AnalyticalCostModel("hsw"),
-            config,
-            [(0, tiny_blocks[0], streams[0]), (1, tiny_blocks[0], streams[1])],
+            FAST_CONFIG.with_overrides(shared_background=shared),
+            [(0, block, streams[0]), (1, block, streams[1])],
             100_000,
         )
-        pairs = _explain_shard_remote(payload)
-        assert len(pairs) == 2
+        counted = count_population_draws(monkeypatch)
+        pairs, _ = _explain_shard_remote(payload)
+        assert [position for position, _ in pairs] == [0, 1]
+        assert all(explanation.features for _, explanation in pairs)
+        assert counted[block.key()] == draws
 
 
 class TestRuntimeLazyExports:

@@ -398,6 +398,30 @@ class TestRunFusedGroupUnit:
         assert snapshot.mean_occupancy > 1.0
         assert "mean occupancy" in snapshot.describe()
 
+    def test_fused_group_charges_its_session(self, fast_config, tiny_blocks):
+        """Each retiring request charges its search and segment accounting
+        to the session: the fused session counts what a direct one does."""
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), fast_config, backend="serial"
+        ) as session:
+            for seed, block in enumerate(tiny_blocks):
+                session.explain(block, rng=seed)
+            direct = session.stats()
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), fast_config, backend="serial"
+        ) as session:
+            sinks = [{} for _ in tiny_blocks]
+            entries = [
+                self._entry([block], seed, sink)
+                for (seed, block), sink in zip(enumerate(tiny_blocks), sinks)
+            ]
+            run_fused_group(session, entries)
+            fused = session.stats()
+        answered = [sink["outcome"][1][0] for sink in sinks]
+        assert fused.model_queries == sum(e.num_queries for e in answered)
+        assert fused.model_queries == direct.model_queries > 0
+        assert fused.perturbations == direct.perturbations > 0
+
     def test_segmented_failure_falls_back_per_request(
         self, fast_config, tiny_blocks
     ):
