@@ -28,11 +28,12 @@ def search_block(
     cancel: Optional[CancelToken] = None,
     charge: Optional[Callable[[QueryTally], None]] = None,
 ) -> Explanation:
-    """Run one anchor search — the single code path every driver shares.
+    """Run one anchor search — the single code path every caller shares.
 
-    The one-shot explainer, sessions, shard runners and process-shard
-    workers all call this, so a block's explanation is computed by
-    byte-identical code no matter where it executes.  ``record`` shares a
+    The one-shot explainer and ``ExplanationSession.explain`` — which every
+    session path, shard runner and process-shard worker goes through — call
+    this, so a block's explanation is computed by byte-identical code no
+    matter where it executes.  ``record`` shares a
     background population with other searches of the same block (``None``
     draws a private one).  A ``cancel`` token is checked cooperatively
     between KL-LUCB rounds; a token that never fires leaves the random

@@ -32,7 +32,7 @@ from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,14 +61,22 @@ class CallRecords:
     :class:`~repro.explain.coverage.PopulationRecord`: its first search that
     goes past the empty anchor draws the population and later repeats reuse
     it.  A block that occurs once gets ``None`` — its search draws the
-    identical population privately.  The record is dropped at the block's
-    last occurrence, so a call holds populations only for repeats still to
-    come.  Call :meth:`take` once per occurrence, in order.
+    identical population privately, so its result is a pure function of its
+    own seed and safe to memoize (:meth:`occurs_once`).  The record is
+    dropped at the block's last occurrence, so a call holds populations only
+    for repeats still to come.  Call :meth:`take` once per occurrence, in
+    order.  The shards of one call may share an instance: every occurrence
+    of a block is in one shard, so no two threads take the same block.
     """
 
     def __init__(self, blocks: Sequence[BasicBlock], shared: bool) -> None:
-        self._left = Counter(block.key() for block in blocks) if shared else Counter()
+        self._counts = Counter(block.key() for block in blocks)
+        self._left = Counter(self._counts) if shared else Counter()
         self._records: Dict[tuple, PopulationRecord] = {}
+
+    def occurs_once(self, block: BasicBlock) -> bool:
+        """Whether ``block`` occurs exactly once in the call."""
+        return self._counts[block.key()] == 1
 
     def take(self, block: BasicBlock) -> Optional[PopulationRecord]:
         """The record for the next occurrence of ``block`` (``None`` if unshared)."""
@@ -81,32 +89,24 @@ class CallRecords:
 
 
 def _explain_shard(
-    model: CostModel,
-    config: ExplainerConfig,
+    session: "ExplanationSession",
     shard: Sequence[_ShardItem],
+    records: CallRecords,
     cancel: Optional[CancelToken] = None,
-    charge: Optional[Callable[[QueryTally], None]] = None,
 ) -> List[Tuple[int, Explanation]]:
-    """Explain one shard with call-scoped population records.
+    """Explain one shard, one :meth:`ExplanationSession.explain` per block.
 
     Every fleet path — the serial loop, in-process threads and process
     workers alike — runs this exact loop, so results are byte-identical
     across backends: all occurrences of a block key are routed to one shard
     in order, so repeats share a population exactly as in the serial loop.
     """
-    records = CallRecords([block for _, block, _ in shard], config.shared_background)
     results: List[Tuple[int, Explanation]] = []
     for position, block, stream in shard:
         if cancel is not None:
             cancel.check()
-        explanation = search_block(
-            model,
-            block,
-            config,
-            stream,
-            record=records.take(block),
-            cancel=cancel,
-            charge=charge,
+        explanation = session.explain(
+            block, stream, cancel=cancel, record=records.take(block)
         )
         results.append((position, explanation))
     return results
@@ -115,14 +115,15 @@ def _explain_shard(
 def _explain_shard_remote(payload) -> Tuple[List[Tuple[int, Explanation]], QueryTally]:
     """Process-shard worker: the payload carries everything the shard needs
     (model, config, items, cache bound) because workers share no memory with
-    the session, and the shard's accounting travels back with its results.
-    Module-level so it pickles by reference."""
+    the session.  The shard runs on a serial session of its own, whose
+    accounting travels back with the results.  Module-level so it pickles by
+    reference."""
     model, config, shard, cache_entries = payload
-    if not isinstance(model, CachedCostModel):
-        model = CachedCostModel(model, max_entries=cache_entries)
-    spent: List[QueryTally] = []
-    pairs = _explain_shard(model, config, shard, charge=spent.append)
-    return pairs, sum(spent, QueryTally(0))
+    records = CallRecords([block for _, block, _ in shard], config.shared_background)
+    with ExplanationSession(
+        model, config, backend="serial", cache_entries=cache_entries
+    ) as session:
+        return _explain_shard(session, shard, records), session._work
 
 
 @dataclass(frozen=True)
@@ -278,7 +279,7 @@ class ExplanationSession:
 
         The session's own explanation paths charge every search; the fused
         service tick, which drives searches round by round, charges each
-        request when it retires.
+        piece of a request's work as it measures it.
         """
         with self._work_lock:
             self._work = self._work + tally
@@ -328,21 +329,29 @@ class ExplanationSession:
         rng: RandomSource = None,
         *,
         cancel: Optional[CancelToken] = None,
+        record: Optional[PopulationRecord] = None,
     ) -> Explanation:
         """Explain one block using the session's shared state.
 
         ``cancel`` is checked cooperatively between KL-LUCB rounds; a token
         that never fires leaves the result bit-for-bit unchanged.
 
-        With a :class:`result cache <repro.cache.ResultCache>` installed and
-        an integer ``rng`` seed, the call is memoized: a hit returns the
-        stored explanation verbatim — including its ``num_queries``, which
-        by the cache's attribution rule is the query count of the
-        computation that *stored* the entry, since a hit itself queries the
-        model zero times — and a miss computes and stores it on the way out.
+        ``record`` shares a background population with other searches of
+        the same block within one call — :meth:`explain_many` passes one to
+        each repeat of a block (see :class:`CallRecords`).  ``None`` (the
+        default) draws the population privately.
+
+        With a :class:`result cache <repro.cache.ResultCache>` installed, an
+        integer ``rng`` seed and no shared ``record``, the call is memoized:
+        a hit returns the stored explanation verbatim — including its
+        ``num_queries``, which by the cache's attribution rule is the query
+        count of the computation that *stored* the entry, since a hit itself
+        queries the model zero times — and a miss computes and stores it on
+        the way out.
         """
         self._check_open()
-        explanation = self.result_cache_lookup(block, rng)
+        memoized = record is None
+        explanation = self.result_cache_lookup(block, rng) if memoized else None
         if explanation is None:
             generator = as_rng(rng) if rng is not None else self._rng
             explanation = search_block(
@@ -350,11 +359,14 @@ class ExplanationSession:
                 block,
                 self.config,
                 generator,
+                record=record,
                 cancel=cancel,
                 charge=self.charge,
             )
-            self.result_cache_store(block, rng, explanation)
-        self.explanations_produced += 1
+            if memoized:
+                self.result_cache_store(block, rng, explanation)
+        with self._work_lock:
+            self.explanations_produced += 1
         return explanation
 
     def explain_many(
@@ -383,7 +395,9 @@ class ExplanationSession:
         Background populations are scoped to the call: repeats of a block
         within it share one population (the first search of the block that
         goes past the empty anchor draws it), and nothing carries over to
-        later calls.
+        later calls.  Every search runs through :meth:`explain`, one call
+        per computed position, on this session or, for process shards, on
+        a worker's own serial session.
         Sharding is seeded-deterministic and result-identical to the unsharded
         path: all occurrences of one block key are routed to the same shard
         in their original order, so population sharing happens exactly where
@@ -425,25 +439,20 @@ class ExplanationSession:
             return self._explain_many_checkpointed(
                 blocks, rng, checkpoint=checkpoint, shards=shards, cancel=cancel
             )
+        records = CallRecords(blocks, self.config.shared_background)
         results: List[Optional[Explanation]] = [None] * len(blocks)
         fingerprints: dict = {}
-        use_cache = self.result_cache is not None and cacheable_seed(rng)
-        if use_cache:
+        if self.result_cache is not None and cacheable_seed(rng):
             # Each fleet position's stream is fully determined by its spawned
             # child seed, so positions are memoized under (block, child seed).
-            # Only positions whose block key is *unique in this fleet* take
-            # part: duplicate-key positions share a population within the
-            # call (later occurrences reuse the first one's draw), so their
-            # results are not pure functions of their own seed — they bypass
-            # the cache and compute exactly as they always did.
+            # Only positions whose block occurs once in this fleet take part:
+            # repeats share a population within the call, so their results
+            # are not pure functions of their own seed — they bypass the
+            # cache and compute exactly as they always did.
             seeds = spawn_seeds(int(rng), len(blocks))  # type: ignore[arg-type]
             streams = [np.random.default_rng(s) for s in seeds]
-            key_counts: dict = {}
-            for block in blocks:
-                key_counts[block.key()] = key_counts.get(block.key(), 0) + 1
-            assert self.result_cache is not None
             for position, (block, seed) in enumerate(zip(blocks, seeds)):
-                if key_counts[block.key()] == 1:
+                if records.occurs_once(block):
                     fingerprint = self._result_fingerprint(block, seed)
                     fingerprints[position] = fingerprint
                     results[position] = self.result_cache.get(fingerprint)
@@ -456,27 +465,18 @@ class ExplanationSession:
             for position, (block, stream) in enumerate(zip(blocks, streams))
             if results[position] is None
         ]
+        # Cache hits count here; searches count themselves in explain().
+        with self._work_lock:
+            self.explanations_produced += len(blocks) - len(items)
         plan = self._shard_plan([block for _, block, _ in items], shards)
         if plan is None:
-            pairs = _explain_shard(self.model, self.config, items, cancel, self.charge)
+            pairs = _explain_shard(self, items, records, cancel)
         else:
             shard_lists = [[items[i] for i in indices] for indices in plan]
             if self.backend.shares_memory:
-                pairs = self._run_shards_inprocess(shard_lists, cancel=cancel)
+                pairs = self._run_shards_inprocess(shard_lists, records, cancel)
             else:
-                if cancel is not None:
-                    cancel.check()
-                payloads = [
-                    (self.model.inner, self.config, shard, self.model.max_entries)
-                    for shard in shard_lists
-                ]
-                pairs = []
-                for shard_pairs, spent in self.backend.map_batch(
-                    _explain_shard_remote, payloads
-                ):
-                    pairs.extend(shard_pairs)
-                    self.charge(spent)
-        self.explanations_produced += len(blocks)
+                pairs = self._run_shards_remote(shard_lists, cancel)
         for position, explanation in pairs:
             results[position] = explanation
             fingerprint = fingerprints.get(position)
@@ -532,17 +532,9 @@ class ExplanationSession:
                     continue
                 if cancel is not None:
                     cancel.check()
-                explanation = search_block(
-                    self.model,
-                    block,
-                    self.config,
-                    stream,
-                    cancel=cancel,
-                    charge=self.charge,
-                )
+                explanation = self.explain(block, stream, cancel=cancel)
                 journal.record(position, block, explanation)
                 results[position] = explanation
-                self.explanations_produced += 1
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------- sharding
@@ -587,6 +579,7 @@ class ExplanationSession:
     def _run_shards_inprocess(
         self,
         shard_lists: List[List[_ShardItem]],
+        records: CallRecords,
         cancel: Optional[CancelToken] = None,
     ) -> List[Tuple[int, Explanation]]:
         """Run shards on session-owned threads (sharing the query cache).
@@ -597,16 +590,45 @@ class ExplanationSession:
         shards occupy every worker and deadlock waiting for their own query
         tasks.  Shard threads are cheap next to the seconds of search work
         they carry.  The shared cache is safe (it locks internally and hits
-        never change values); population records are shard-local via
-        :func:`_explain_shard`, see there.
+        never change values); the call's records are safe too, since a
+        block's occurrences all run on one shard (see :class:`CallRecords`).
         """
 
         def run(shard: List[_ShardItem]) -> List[Tuple[int, Explanation]]:
-            return _explain_shard(self.model, self.config, shard, cancel, self.charge)
+            return _explain_shard(self, shard, records, cancel)
 
         with ThreadPoolExecutor(max_workers=len(shard_lists)) as executor:
             shard_results = list(executor.map(run, shard_lists))
         return [pair for shard_result in shard_results for pair in shard_result]
+
+    def _run_shards_remote(
+        self,
+        shard_lists: List[List[_ShardItem]],
+        cancel: Optional[CancelToken] = None,
+    ) -> List[Tuple[int, Explanation]]:
+        """Run shards on the backend's worker processes.
+
+        Each worker explains its shard on a serial session of its own (see
+        :func:`_explain_shard_remote`); its accounting and explanation count
+        are added to this session as the results come back.  ``cancel`` is
+        checked once before the shards start — the token cannot cross a
+        process boundary.
+        """
+        if cancel is not None:
+            cancel.check()
+        payloads = [
+            (self.model.inner, self.config, shard, self.model.max_entries)
+            for shard in shard_lists
+        ]
+        pairs: List[Tuple[int, Explanation]] = []
+        for shard_pairs, spent in self.backend.map_batch(
+            _explain_shard_remote, payloads
+        ):
+            pairs.extend(shard_pairs)
+            self.charge(spent)
+        with self._work_lock:
+            self.explanations_produced += len(pairs)
+        return pairs
 
     def global_explainer(self, blocks: Sequence[BasicBlock], **kwargs):
         """A :class:`~repro.globalx.global_explainer.GlobalExplainer` whose

@@ -44,9 +44,8 @@ import numpy as np
 from repro.bb.block import BasicBlock
 from repro.cache.fingerprint import cacheable_seed
 from repro.explain.anchors import AnchorSearch
-from repro.explain.config import ExplainerConfig
 from repro.explain.explanation import Explanation
-from repro.models.base import CostModel, QueryCounter, QueryTally
+from repro.models.base import QueryCounter, QueryTally
 from repro.runtime.session import CallRecords, ExplanationSession
 from repro.utils.cancellation import CancelToken
 from repro.utils.rng import as_rng, spawn_rngs, spawn_seeds
@@ -145,8 +144,9 @@ class _RequestRun:
     request spawns one stream per block (as ``explain_many`` would), and
     population records are request-scoped through the same
     :class:`~repro.runtime.session.CallRecords` the serial loop uses.
-    :attr:`spent` adds up the request's query and Γ accounting, which the
-    group charges to the session when the request retires.
+    Every piece of query and Γ accounting the request measures is charged
+    to the session as it comes in, so a request that fails mid-search has
+    already charged what it did.
 
     With a session result cache installed, cache-eligible positions —
     single blocks, and fleet positions whose block key is unique within the
@@ -174,33 +174,21 @@ class _RequestRun:
         "rounds",
         "pending",
         "queries",
-        "spent",
     )
 
-    def __init__(
-        self,
-        entry: FusedEntry,
-        model: CostModel,
-        config: ExplainerConfig,
-        session: Optional[ExplanationSession] = None,
-    ) -> None:
+    def __init__(self, entry: FusedEntry, session: ExplanationSession) -> None:
         self.entry = entry
-        self.model = model
-        self.config = config
         self.session = session
+        self.model = session.model
+        self.config = session.config
         self.blocks: List[BasicBlock] = list(entry.blocks)
+        self.records = CallRecords(self.blocks, self.config.shared_background)
         self.seeds: List[Optional[int]] = [None] * len(self.blocks)
-        self.cacheable = [False] * len(self.blocks)
-        memoized = (
-            session is not None
-            and session.result_cache is not None
-            and cacheable_seed(entry.seed)
-        )
+        memoized = session.result_cache is not None and cacheable_seed(entry.seed)
         if len(self.blocks) == 1:
             self.streams = [as_rng(entry.seed)]
             if memoized:
                 self.seeds = [int(entry.seed)]
-                self.cacheable = [True]
         elif memoized:
             # Per-position identity: each fleet position's stream is fully
             # determined by its spawned child seed (spawn_rngs builds
@@ -209,13 +197,11 @@ class _RequestRun:
             seeds = spawn_seeds(entry.seed, len(self.blocks))
             self.streams = [np.random.default_rng(s) for s in seeds]
             self.seeds = list(seeds)
-            key_counts: Dict[Tuple, int] = {}
-            for block in self.blocks:
-                key_counts[block.key()] = key_counts.get(block.key(), 0) + 1
-            self.cacheable = [key_counts[b.key()] == 1 for b in self.blocks]
         else:
             self.streams = spawn_rngs(entry.seed, len(self.blocks))
-        self.records = CallRecords(self.blocks, config.shared_background)
+        self.cacheable = [
+            memoized and self.records.occurs_once(block) for block in self.blocks
+        ]
         self.position = 0
         self.explanations: List[Explanation] = []
         self.search: Optional[AnchorSearch] = None
@@ -224,13 +210,12 @@ class _RequestRun:
         self.pending: Optional[List[BasicBlock]] = None
         #: Inner-model evaluations charged to the current block so far.
         self.queries = 0
-        #: Everything this request measured so far, all blocks together.
-        self.spent = QueryTally(0)
 
     def charge(self, tally: QueryTally) -> None:
-        """Attribute some measured work to this request's current block."""
+        """Attribute some measured work to this request's current block and
+        to the session."""
         self.queries += tally.queries
-        self.spent = self.spent + tally
+        self.session.charge(tally)
 
     def advance(self, predictions: Optional[np.ndarray]) -> bool:
         """Advance until the next fused tick is needed, or the request is done.
@@ -247,7 +232,7 @@ class _RequestRun:
                 if self.entry.token is not None:
                     self.entry.token.check()
                 block = self.blocks[self.position]
-                if self.cacheable[self.position] and self.session is not None:
+                if self.cacheable[self.position]:
                     cached = self.session.result_cache_lookup(
                         block, self.seeds[self.position]
                     )
@@ -295,10 +280,10 @@ class _RequestRun:
                 self.search, anchor, num_queries=self.queries
             )
             self.explanations.append(explanation)
-            if self.cacheable[self.position] and self.session is not None:
+            if self.cacheable[self.position]:
                 # Safe to memoize: a cacheable position ran on its own seeded
-                # stream with a request-scoped record no other position
-                # shares, so the result is a pure function of its fingerprint.
+                # stream and drew its population privately, so the result is
+                # a pure function of its fingerprint.
                 self.session.result_cache_store(
                     self.blocks[self.position], self.seeds[self.position], explanation
                 )
@@ -332,16 +317,13 @@ def run_fused_group(
     work, up to ``max_fused_requests`` concurrently resident requests.
     Every entry is retired through its own ``finish``/``fail`` callback; a
     request that raises — cancellation, deadline expiry, a model error —
-    leaves the remaining members of the group untouched.  A retiring request
-    charges its work to the session either way.
+    leaves the remaining members of the group untouched.
     """
     model = session.model
-    config = session.config
     pending_runs: List[_RequestRun] = []
 
     def fail(run: _RequestRun, error: BaseException) -> None:
         run.close()
-        session.charge(run.spent)
         run.entry.fail(error)
 
     def step(run: _RequestRun, predictions: Optional[np.ndarray]) -> None:
@@ -353,14 +335,13 @@ def run_fused_group(
         except Exception as error:  # noqa: BLE001 - reported per request
             fail(run, error)
             return
-        session.charge(run.spent)
         session.explanations_produced += len(run.explanations)
         run.entry.finish(run.explanations)
 
     def admit(entry: FusedEntry) -> None:
         if counters is not None:
             counters.record_request()
-        step(_RequestRun(entry, model, config, session=session), None)
+        step(_RequestRun(entry, session), None)
 
     for entry in entries:
         admit(entry)

@@ -23,8 +23,9 @@ The constants (``FAST_CONFIG``) back the fixtures so module-level test
 parameterisation can reuse them without requesting a fixture.
 ``anchor_seed`` finds a seed whose explanation of a block ends at (or goes
 past) the empty anchor; ``seed_past_empty_at`` does the same for chosen
-positions of a fleet, and ``count_population_draws`` counts the background
-populations searches draw, per block.
+positions of a fleet, ``count_population_draws`` counts the background
+populations searches draw, per block, and ``CancelAfter`` is a token that
+fires mid-search.
 """
 
 import collections
@@ -37,6 +38,7 @@ from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import PopulationRecord
 from repro.models.analytical import AnalyticalCostModel
 from repro.runtime.session import ExplanationSession
+from repro.utils.cancellation import CancelToken
 
 
 FAST_CONFIG = ExplainerConfig(
@@ -113,6 +115,20 @@ def count_population_draws(monkeypatch):
 
     monkeypatch.setattr(PopulationRecord, "ensure", counting_ensure)
     return draws
+
+
+class CancelAfter(CancelToken):
+    """A token that fires on its ``checks + 1``-th check, mid-search."""
+
+    def __init__(self, checks):
+        super().__init__()
+        self.left = checks
+
+    def check(self):
+        self.left -= 1
+        if self.left < 0:
+            self.cancel("cancelled mid-search")
+        super().check()
 
 
 def seed_past_empty_at(blocks, positions):

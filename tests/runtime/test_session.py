@@ -6,17 +6,19 @@ import weakref
 import pytest
 
 from repro.bb.block import BasicBlock
+from repro.cache.store import ResultCache
 from repro.explain.config import ExplainerConfig
+from repro.explain.coverage import PopulationRecord
 from repro.explain.explainer import CometExplainer
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.runtime.backend import SerialBackend, ThreadBackend
 from repro.runtime.session import CallRecords, ExplanationSession
-from repro.utils.cancellation import CancelToken
 from repro.utils.errors import BackendError, RequestCancelledError
 
 from tests.conftest import (
     FAST_CONFIG,
+    CancelAfter,
     anchor_seed,
     count_population_draws,
     explanation_fingerprint as _fingerprint,
@@ -95,6 +97,7 @@ class TestHistoryFree:
     def test_call_records_share_only_repeats(self, tiny_blocks):
         repeated, once = tiny_blocks[0], tiny_blocks[1]
         records = CallRecords([repeated, once, repeated], shared=True)
+        assert records.occurs_once(once) and not records.occurs_once(repeated)
         first = records.take(repeated)
         assert first is not None
         assert records.take(once) is None
@@ -108,8 +111,89 @@ class TestHistoryFree:
 
     def test_call_records_off_shares_nothing(self, tiny_blocks):
         records = CallRecords([tiny_blocks[0]] * 2, shared=False)
+        # A repeat still counts as one: the result-cache rule does not
+        # depend on whether repeats share a population.
+        assert not records.occurs_once(tiny_blocks[0])
         assert records.take(tiny_blocks[0]) is None
         assert records.take(tiny_blocks[0]) is None
+
+    def test_fleet_repeats_bypass_the_result_cache(self, tiny_blocks):
+        repeated, once = tiny_blocks[0], tiny_blocks[1]
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=ResultCache()
+        ) as session:
+            session.explain_many([repeated, once, repeated], rng=5)
+            stats = session.result_cache.stats()
+        assert stats.lookups == 1 and stats.memory.entries == 1
+
+    def test_explain_with_a_shared_record_is_not_memoized(self, tiny_blocks):
+        block = tiny_blocks[0]
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=ResultCache()
+        ) as session:
+            session.explain(block, rng=0, record=PopulationRecord())
+            assert session.result_cache.stats().lookups == 0
+            assert session.result_cache.stats().memory.entries == 0
+            session.explain(block, rng=0)
+            assert session.result_cache.stats().memory.entries == 1
+
+
+class TestOneSearchEntry:
+    """Every in-process search of a session runs through
+    :meth:`ExplanationSession.explain`, so instrumentation of that one
+    method (a tracer, a subclass hook) sees every explanation once."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        explain = ExplanationSession.explain
+
+        def spying(self, block, rng=None, **kwargs):
+            calls.append((block.key(), kwargs.get("record")))
+            return explain(self, block, rng, **kwargs)
+
+        monkeypatch.setattr(ExplanationSession, "explain", spying)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_fleet_searches_run_through_explain(
+        self, tiny_blocks, monkeypatch, backend
+    ):
+        repeated, once = tiny_blocks[0], tiny_blocks[1]
+        calls = self._spy(monkeypatch)
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend=backend, workers=2
+        ) as session:
+            session.explain_many([repeated, once, repeated], rng=5)
+            assert session.stats().explanations == 3
+        records = {}
+        for key, record in calls:
+            records.setdefault(key, []).append(record)
+        assert records[once.key()] == [None]
+        first, last = records[repeated.key()]
+        assert first is not None and last is first
+
+    def test_checkpointed_searches_run_through_explain(
+        self, tiny_blocks, monkeypatch, tmp_path
+    ):
+        calls = self._spy(monkeypatch)
+        fleet = [tiny_blocks[0], tiny_blocks[1], tiny_blocks[0]]
+        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+            session.explain_many(fleet, rng=5, checkpoint=tmp_path / "run.jsonl")
+            assert session.stats().explanations == 3
+        assert [key for key, _ in calls] == [block.key() for block in fleet]
+        assert all(record is None for _, record in calls)
+
+    def test_fleet_cache_hits_count_without_a_search(self, tiny_blocks, monkeypatch):
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=ResultCache()
+        ) as session:
+            first = session.explain_many(tiny_blocks, rng=5)
+            calls = self._spy(monkeypatch)
+            again = session.explain_many(tiny_blocks, rng=5)
+            assert session.stats().explanations == 2 * len(tiny_blocks)
+        assert calls == []
+        assert [_fingerprint(e) for e in again] == [_fingerprint(e) for e in first]
 
 
 class TestSharedState:
@@ -121,20 +205,6 @@ class TestSharedState:
         cached = CachedCostModel(AnalyticalCostModel("hsw"))
         with ExplanationSession(cached, FAST_CONFIG) as session:
             assert session.model is cached
-
-
-class _CancelAfter(CancelToken):
-    """A token that fires on its ``checks + 1``-th check, mid-search."""
-
-    def __init__(self, checks):
-        super().__init__()
-        self.left = checks
-
-    def check(self):
-        self.left -= 1
-        if self.left < 0:
-            self.cancel("cancelled mid-search")
-        super().check()
 
 
 class TestStats:
@@ -186,6 +256,7 @@ class TestStats:
 
         explanations, stats = run("process")
         _, threaded = run("thread")
+        assert stats.explanations == threaded.explanations == len(fleet)
         assert stats.model_queries == sum(e.num_queries for e in explanations) > 0
         assert stats.perturbations == threaded.perturbations > 0
         assert stats.model_queries == threaded.model_queries
@@ -197,7 +268,7 @@ class TestStats:
         ) as session:
             with pytest.raises(RequestCancelledError):
                 session.explain(
-                    block, rng=anchor_seed(block, empty=False), cancel=_CancelAfter(2)
+                    block, rng=anchor_seed(block, empty=False), cancel=CancelAfter(2)
                 )
             stats = session.stats()
         assert stats.explanations == 0

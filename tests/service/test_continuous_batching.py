@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.bb.block import BasicBlock
+from repro.cache.store import ResultCache
 from repro.explain.config import ExplainerConfig
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
@@ -32,6 +33,8 @@ from repro.service.batching import FusedEntry
 
 from tests.conftest import (
     FAST_CONFIG,
+    CancelAfter,
+    anchor_seed,
     explanation_dict_fingerprint,
     explanation_fingerprint,
 )
@@ -355,7 +358,7 @@ class _SegmentedFaultModel(CachedCostModel):
 
 
 class TestRunFusedGroupUnit:
-    def _entry(self, blocks, seed, sink):
+    def _entry(self, blocks, seed, sink, token=None):
         def finish(explanations):
             assert "outcome" not in sink, "retired twice"
             sink["outcome"] = ("done", explanations)
@@ -365,7 +368,7 @@ class TestRunFusedGroupUnit:
             sink["outcome"] = ("failed", error)
 
         return FusedEntry(
-            blocks=tuple(blocks), seed=seed, token=None, finish=finish, fail=fail
+            blocks=tuple(blocks), seed=seed, token=token, finish=finish, fail=fail
         )
 
     def test_fused_group_matches_session_explain(self, fast_config, tiny_blocks):
@@ -421,6 +424,38 @@ class TestRunFusedGroupUnit:
         assert fused.model_queries == sum(e.num_queries for e in answered)
         assert fused.model_queries == direct.model_queries > 0
         assert fused.perturbations == direct.perturbations > 0
+
+    def test_fleet_repeats_bypass_the_result_cache(self, tiny_blocks):
+        """Only a fleet position whose block occurs once is memoized, as in
+        ``explain_many``: repeats share a population within the request."""
+        repeated, once = tiny_blocks[0], tiny_blocks[1]
+        sink = {}
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=ResultCache()
+        ) as session:
+            run_fused_group(
+                session, [self._entry([repeated, once, repeated], 5, sink)]
+            )
+            stats = session.result_cache.stats()
+        assert sink["outcome"][0] == "done"
+        assert stats.lookups == 1 and stats.memory.entries == 1
+
+    def test_failed_request_still_charges_its_session(self, tiny_blocks):
+        """A request retired by an error mid-search has already charged the
+        work it did, exactly like a cancelled direct explain."""
+        block = tiny_blocks[0]
+        sink = {}
+        entry = self._entry(
+            [block], anchor_seed(block, empty=False), sink, token=CancelAfter(2)
+        )
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as session:
+            run_fused_group(session, [entry])
+            stats = session.stats()
+        assert sink["outcome"][0] == "failed"
+        assert stats.explanations == 0
+        assert stats.model_queries > 0 and stats.perturbations > 0
 
     def test_segmented_failure_falls_back_per_request(
         self, fast_config, tiny_blocks
