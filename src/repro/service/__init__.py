@@ -16,10 +16,13 @@ stealing, per-key fairness and admission control — so distinct (model,
 microarch) keys execute concurrently while every single request still
 produces the bit-for-bit seeded result of serial submission.
 
-The JSON-lines wire protocol (:mod:`repro.service.protocol`) is spoken over
-two transports: stdin/stdout (``repro serve``, the default) and TCP
-(:class:`~repro.service.transport.SocketServer` behind ``repro serve
---port``, driven by :class:`~repro.service.client.ServiceClient`).  Besides
+The JSON-lines wire protocol (the codec in :mod:`repro.service.protocol`) is
+one conversation (:class:`~repro.service.transport.Conversation`) spoken
+over two transports: stdin/stdout (:func:`serve_stream` behind ``repro
+serve``, the default) and TCP (:class:`~repro.service.transport.SocketServer`
+behind ``repro serve --port``, driven by
+:class:`~repro.service.client.ServiceClient`); ``repro route`` speaks it
+on stdio over a fleet (:func:`~repro.service.router.route_stream`).  Besides
 explanation requests it answers a ``stats`` op (queue depth, pool occupancy,
 per-dispatcher and failure counters), surfaced client-side as
 :meth:`ServiceClient.stats`, and a ``cancel`` op
@@ -56,11 +59,9 @@ from repro.service.core import (
 )
 from repro.service.protocol import (
     ServiceOp,
-    cancel_to_dict,
     request_from_dict,
     request_from_line,
     result_to_dict,
-    serve_stream,
     stats_to_dict,
 )
 from repro.service.router import (
@@ -77,7 +78,7 @@ from repro.service.scheduler import (
     SchedulerStats,
     stable_key_hash,
 )
-from repro.service.transport import SocketServer
+from repro.service.transport import SocketServer, serve_stream
 from repro.utils.cancellation import CancelToken
 from repro.utils.errors import (
     DeadlineExceededError,
@@ -119,7 +120,6 @@ __all__ = [
     "SessionPool",
     "SocketServer",
     "aggregate_node_stats",
-    "cancel_to_dict",
     "default_continuous_batching",
     "default_dispatchers",
     "default_max_fused",

@@ -1,7 +1,11 @@
 """The service's wire format: JSON-lines requests in, JSON-lines results out.
 
-``repro serve`` speaks this protocol over stdin/stdout so any process that
-can write JSON can drive a warm explanation service.  One request per line::
+This module is the codec only: :func:`request_from_line` and
+:func:`request_from_dict` decode requests, :func:`result_to_dict` and
+:func:`stats_to_dict` encode answers.  The conversation that uses them —
+act on each line as it is read, answer in submission order — lives with
+every transport that carries it (stdio, TCP and the fleet router) in
+:mod:`repro.service.transport`.  One request per line::
 
     {"id": "r1", "block": "add rcx, rax; mov rdx, rcx; pop rbx", "seed": 0}
     {"id": "r2", "blocks": ["div rcx", "add rax, rbx"], "model": "uica"}
@@ -21,27 +25,25 @@ Besides explanation requests the protocol carries *operations*:
 ``{"op": "stats"}`` answers with the service's accounting snapshot (queue
 depth, pool occupancy, per-dispatcher counters, failure/resilience and
 continuous-batching/fusion counters; see :func:`stats_to_dict`), and
-``{"op": "cancel", "target":
-"r1"}`` cancels the caller's still-outstanding request whose client id is
-``target`` — the cancellation *acts* the moment the op line is read (a
-queued request is withdrawn, a running one stops at its next KL-LUCB
-round), while the op's own response is answered in the same per-connection
-submission order as every other response.  Explanation requests may carry
+``{"op": "cancel", "target": "r1"}`` cancels the caller's
+still-outstanding request whose client id is ``target`` — the cancellation
+*acts* the moment the op line is read (a queued request is withdrawn, a
+running one stops at its next KL-LUCB round), while the op's own response
+is answered in the same submission order as every other response.
+Explanation requests may carry
 ``"deadline"``: a server-side budget in seconds from admission.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, TextIO, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.bb.block import BasicBlock
 from repro.reporting.export import explanation_to_dict
 from repro.service.core import (
     ExplanationRequest,
-    ExplanationService,
     RequestStatus,
     ServiceResult,
     ServiceStats,
@@ -289,148 +291,3 @@ def stats_to_dict(
             "sessions": [list(key) for key in stats.sessions],
         },
     }
-
-
-def _error_line(client_id: Optional[str], message: str) -> str:
-    return json.dumps(
-        {"id": client_id, "status": "failed", "error": message}
-    )
-
-
-def cancel_to_dict(
-    service: ExplanationService,
-    live_requests: Dict[str, str],
-    client_id: Optional[str],
-    target: str,
-) -> Dict[str, object]:
-    """Act on one cancel op and build its response payload.
-
-    ``live_requests`` maps the stream's outstanding client ids to service
-    request ids; an unknown target (never submitted, bare-text, or already
-    answered) fails in-band without touching the service.  ``cancelled``
-    reports whether the cancellation could still take effect (the target's
-    own response will show ``cancelled``/``failed`` accordingly).
-    """
-    request_id = live_requests.get(target)
-    if request_id is None:
-        return {
-            "id": client_id,
-            "status": "failed",
-            "op": "cancel",
-            "target": target,
-            "error": (
-                f"unknown cancel target {target!r} "
-                f"(never submitted, or already answered)"
-            ),
-        }
-    try:
-        effective = service.cancel(request_id)
-    except ServiceError:
-        effective = False  # finished and collected between lookup and cancel
-    return {
-        "id": client_id,
-        "status": "done",
-        "op": "cancel",
-        "target": target,
-        "cancelled": bool(effective),
-    }
-
-
-def serve_stream(
-    service: ExplanationService,
-    lines: Iterable[str],
-    out: TextIO,
-    max_pending: int = 1024,
-) -> int:
-    """Pump a request stream through ``service``; returns served-request count.
-
-    Requests are submitted as they are read — the bounded queue throttles
-    reading when the dispatchers fall behind — and responses are written in
-    submission order, flushed as soon as each one completes, so a slow later
-    request never delays an earlier answer and pipelined clients stream
-    results.  A ``stats`` op is answered in the same submission order, its
-    snapshot taken when its turn to answer comes.  Ops and undecodable
-    lines never transit the service queue, so the response backlog gets
-    its own bound: past ``max_pending`` outstanding responses the stream
-    stops reading until the backlog drains (pure backpressure — nothing is
-    dropped).  Undecodable lines produce an in-band ``failed`` response
-    and do not stop the stream.  A ``cancel`` op acts the moment its line
-    is read — that is the whole point: the target may be queued or running
-    *right now* — while its acknowledgement keeps submission order like
-    every other response.  The caller keeps ownership of ``service``
-    (and closes it).
-    """
-    #: Submission-ordered response backlog.  Entries are tagged:
-    #: ``("req", client id, request id)`` waits on the service,
-    #: ``("stats", client id, None)`` snapshots when its turn comes, and
-    #: ``("done", client id, payload)`` was answered at read time (cancel
-    #: acknowledgements).
-    pending: "deque[Tuple[str, Optional[str], object]]" = deque()
-    #: Outstanding client id → service request id (cancel targeting);
-    #: entries leave as their responses flush, so a reused client id
-    #: always targets its latest outstanding request.
-    live_requests: Dict[str, str] = {}
-    served = 0
-
-    def flush(block: bool) -> int:
-        count = 0
-        while pending:
-            kind, client_id, extra = pending[0]
-            if kind == "stats":
-                # Ops are answered but not counted: the served total must
-                # agree with the service's own `served` accounting, which
-                # counts explanation requests only.
-                payload = stats_to_dict(service.stats(), client_id)
-            elif kind == "done":
-                payload = extra  # type: ignore[assignment]
-            else:
-                request_id = str(extra)
-                if not block and not service.poll(request_id).finished:
-                    break
-                payload = result_to_dict(service.result(request_id), client_id)
-                if client_id is not None and live_requests.get(client_id) == request_id:
-                    del live_requests[client_id]
-                count += 1
-            out.write(json.dumps(payload) + "\n")
-            out.flush()
-            pending.popleft()
-        return count
-
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            client_id, request = request_from_line(line)
-        except ReproError as error:
-            out.write(
-                _error_line(getattr(error, "client_id", None), str(error)) + "\n"
-            )
-            out.flush()
-            continue
-        if isinstance(request, ServiceOp):
-            if request.op == "cancel":
-                assert request.target is not None
-                payload = cancel_to_dict(
-                    service, live_requests, client_id, request.target
-                )
-                pending.append(("done", client_id, payload))
-            else:
-                pending.append(("stats", client_id, None))
-            served += flush(block=False)
-            if len(pending) >= max_pending:
-                served += flush(block=True)
-            continue
-        try:
-            request_id = service.submit(request)
-        except ReproError as error:
-            out.write(_error_line(client_id, str(error)) + "\n")
-            out.flush()
-            continue
-        if client_id is not None:
-            live_requests[client_id] = request_id
-        pending.append(("req", client_id, request_id))
-        served += flush(block=False)
-        if len(pending) >= max_pending:
-            served += flush(block=True)
-    served += flush(block=True)
-    return served

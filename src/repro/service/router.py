@@ -22,10 +22,11 @@ Three layers:
   block keys)``, the same identity the result-cache fingerprint hashes —
   and aggregates ``stats`` fleet-wide (counters summed, result-cache tiers
   merged, per-node snapshots preserved).
-* :func:`route_stream` — the JSON-lines pump behind ``repro route``:
-  :func:`~repro.service.protocol.serve_stream` semantics (submission-order
-  responses, in-band failures, ``stats``/``cancel`` ops) over a routed
-  fleet instead of one in-process service.
+* :func:`route_stream` — the stdio front end behind ``repro route``: the
+  same :class:`~repro.service.transport.Conversation` as
+  :func:`~repro.service.transport.serve_stream` (submission-order answers,
+  in-band failures, ``stats``/``cancel`` ops), with :class:`FleetTarget`
+  as its target instead of one in-process service.
 
 Determinism contract: a node answers a routed request exactly as it would
 answer the same request submitted directly — routing chooses *where*, never
@@ -38,9 +39,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import threading
-from collections import deque
 from typing import (
     Dict,
     Iterable,
@@ -54,9 +53,10 @@ from typing import (
 
 from repro.bb.block import BasicBlock
 from repro.service.client import BlockSource, RetryPolicy, ServiceClient
-from repro.service.protocol import ServiceOp, request_from_line
+from repro.service.core import ExplanationRequest
 from repro.service.scheduler import stable_key_hash
-from repro.utils.errors import ReproError, ServiceError
+from repro.service.transport import Conversation, pump
+from repro.utils.errors import ServiceError
 
 _UNSET = object()
 
@@ -469,8 +469,51 @@ class Router:
         return aggregate_node_stats(per_node)
 
 
-def _error_line(client_id: Optional[str], message: str) -> str:
-    return json.dumps({"id": client_id, "status": "failed", "error": message})
+class FleetTarget:
+    """A conversation's target: a routed fleet (borrowed).
+
+    Submits go to each request's owning node, every result is stamped with
+    the node that served it, and ``stats`` answers for the whole fleet.
+    """
+
+    def __init__(self, router: Router) -> None:
+        self.router = router
+
+    def submit(self, request: ExplanationRequest) -> str:
+        return self.router.submit(
+            [block.text for block in request.blocks],
+            seed=request.seed,
+            model=request.model,
+            uarch=request.uarch,
+            shards=request.shards,
+            deadline=request.deadline,
+        )
+
+    def finished(self, handle: str) -> bool:
+        return self.router.poll(handle) is not None
+
+    def result(self, handle: str, client_id: Optional[str]) -> Dict[str, object]:
+        node = self.router.node_of(handle)
+        try:
+            payload = dict(self.router.result(handle))
+        except ServiceError as error:
+            payload = {"status": "failed", "error": str(error)}
+        # The node's own correlation id is router-internal; the stream's
+        # contract echoes the *caller's* id.
+        payload["id"] = client_id
+        payload["node"] = node
+        return payload
+
+    def cancel(self, handle: str) -> bool:
+        return self.router.cancel(handle)
+
+    def stats(self, client_id: Optional[str]) -> Dict[str, object]:
+        return {
+            "id": client_id,
+            "status": "done",
+            "op": "stats",
+            "stats": self.router.stats(),
+        }
 
 
 def route_stream(
@@ -481,119 +524,12 @@ def route_stream(
 ) -> int:
     """Pump a JSON-lines request stream through a routed fleet.
 
-    :func:`~repro.service.protocol.serve_stream` semantics over
-    :class:`Router`: requests are routed and submitted as they are read,
-    responses are written in submission order (each stamped with the node
-    that served it), undecodable lines and refused submissions fail in-band
-    without stopping the stream, a ``stats`` op answers with the
+    The same conversation as :func:`~repro.service.transport.serve_stream`,
+    with the fleet as its target: requests are routed and submitted as they
+    are read, every line is answered in submission order (each result
+    stamped with the node that served it), a ``stats`` op answers with the
     fleet-aggregated snapshot when its turn comes, and a ``cancel`` op acts
     on the owning node the moment its line is read.  Returns the count of
     explanation requests answered.
     """
-    #: Submission-ordered backlog: ``("req", client id, handle)`` waits on a
-    #: node, ``("stats", client id, None)`` snapshots the fleet at its turn,
-    #: ``("done", client id, payload)`` was answered at read time.
-    pending: "deque[Tuple[str, Optional[str], object]]" = deque()
-    live_requests: Dict[str, str] = {}
-    served = 0
-
-    def flush(block: bool) -> int:
-        count = 0
-        while pending:
-            kind, client_id, extra = pending[0]
-            if kind == "stats":
-                payload: Dict[str, object] = {
-                    "id": client_id,
-                    "status": "done",
-                    "op": "stats",
-                    "stats": router.stats(),
-                }
-            elif kind == "done":
-                payload = extra  # type: ignore[assignment]
-            else:
-                handle = str(extra)
-                if not block and router.poll(handle) is None:
-                    break
-                node = router.node_of(handle)
-                try:
-                    payload = dict(router.result(handle))
-                except ServiceError as error:
-                    payload = {"status": "failed", "error": str(error)}
-                # The node's own correlation id is router-internal; the
-                # stream's contract echoes the *caller's* id.
-                payload["id"] = client_id
-                payload["node"] = node
-                if client_id is not None and live_requests.get(client_id) == handle:
-                    del live_requests[client_id]
-                count += 1
-            out.write(json.dumps(payload) + "\n")
-            out.flush()
-            pending.popleft()
-        return count
-
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            client_id, request = request_from_line(line)
-        except ReproError as error:
-            out.write(
-                _error_line(getattr(error, "client_id", None), str(error)) + "\n"
-            )
-            out.flush()
-            continue
-        if isinstance(request, ServiceOp):
-            if request.op == "cancel":
-                assert request.target is not None
-                handle = live_requests.get(request.target)
-                if handle is None:
-                    payload = {
-                        "id": client_id,
-                        "status": "failed",
-                        "op": "cancel",
-                        "target": request.target,
-                        "error": (
-                            f"unknown cancel target {request.target!r} "
-                            f"(never submitted, or already answered)"
-                        ),
-                    }
-                else:
-                    try:
-                        effective = router.cancel(handle)
-                    except ServiceError:
-                        effective = False
-                    payload = {
-                        "id": client_id,
-                        "status": "done",
-                        "op": "cancel",
-                        "target": request.target,
-                        "cancelled": bool(effective),
-                    }
-                pending.append(("done", client_id, payload))
-            else:
-                pending.append(("stats", client_id, None))
-            served += flush(block=False)
-            if len(pending) >= max_pending:
-                served += flush(block=True)
-            continue
-        try:
-            handle = router.submit(
-                [block.text for block in request.blocks],
-                seed=request.seed,
-                model=request.model,
-                uarch=request.uarch,
-                shards=request.shards,
-                deadline=request.deadline,
-            )
-        except ReproError as error:
-            out.write(_error_line(client_id, str(error)) + "\n")
-            out.flush()
-            continue
-        if client_id is not None:
-            live_requests[client_id] = handle
-        pending.append(("req", client_id, handle))
-        served += flush(block=False)
-        if len(pending) >= max_pending:
-            served += flush(block=True)
-    served += flush(block=True)
-    return served
+    return pump(Conversation(FleetTarget(router)), lines, out, max_pending)

@@ -16,8 +16,8 @@ the unit of both routing and mutual exclusion:
   request and marks the key in flight until that request finishes.  Two
   requests of one key therefore never run concurrently — which is what
   keeps warm-session results bit-for-bit equal to serial submission: each
-  request runs alone on its session, resets the session's population
-  records, and drives the search from its own seed, so neither thread
+  request runs alone on its session, which keeps no population between
+  calls, and drives the search from its own seed, so neither thread
   placement nor arrival order can leak into a result.
 * **Work stealing.**  A dispatcher with no ready keys of its own claims a
   ready key from another dispatcher before sleeping.  Ready keys have no
@@ -132,8 +132,6 @@ class Scheduler:
         results).
     max_queue:
         Global bound on queued-but-unclaimed items (admission control).
-    steal:
-        Allow idle dispatchers to claim ready keys homed elsewhere.
     """
 
     def __init__(
@@ -142,7 +140,6 @@ class Scheduler:
         *,
         dispatchers: int = 1,
         max_queue: int = 64,
-        steal: bool = True,
     ) -> None:
         if dispatchers < 1:
             raise ValueError("dispatchers must be >= 1")
@@ -151,7 +148,6 @@ class Scheduler:
         self._execute = execute
         self.dispatchers = dispatchers
         self.max_queue = max_queue
-        self.steal = steal
         self._lock = threading.Lock()
         #: Dispatchers sleep here; submit/finish notify it.
         self._work = threading.Condition(self._lock)
@@ -282,7 +278,7 @@ class Scheduler:
         key: Optional[Hashable] = None
         if self._ready[me]:
             key = self._ready[me].popleft()
-        elif self.steal:
+        else:
             for offset in range(1, self.dispatchers):
                 other = (me + offset) % self.dispatchers
                 if self._ready[other]:

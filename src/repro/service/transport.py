@@ -1,10 +1,20 @@
-"""TCP front-end for the explanation service.
+"""Every front end of the explanation service: one conversation, two transports.
 
-The JSON-lines protocol (:mod:`repro.service.protocol`) is transport
-agnostic: one request object per line in, one result object per line out, in
-submission order, failures in-band.  :class:`SocketServer` binds that
-protocol to a TCP port so any process on the network — not just the child of
-a pipe — can drive one warm :class:`~repro.service.core.ExplanationService`:
+:mod:`repro.service.protocol` is the wire *format* (the codec).  This module
+holds the protocol's *conversation* and every transport that carries it:
+
+* :class:`Conversation` — one client's side of the protocol.  It decodes a
+  line, acts on it at once (submits a request, or cancels a ``cancel`` op's
+  target) and answers every line in submission order: results, failures,
+  ``stats`` snapshots and cancel acknowledgements alike.  It talks to a
+  small *target*: :class:`ServiceTarget` over one in-process
+  :class:`~repro.service.core.ExplanationService`, or
+  :class:`~repro.service.router.FleetTarget` over a routed fleet.
+* :func:`pump` — the stdio front end: one thread reads lines into a
+  conversation and writes its answers as they come due.
+  :func:`serve_stream` (``repro serve`` without ``--port``) is the pump
+  over a service.
+* :class:`SocketServer` — the TCP front end (``repro serve --port``):
 
 ```
 client sockets ──▶ per-connection reader threads ──submit──▶ service queue
@@ -12,12 +22,12 @@ client sockets ──▶ per-connection reader threads ──submit──▶ ser
       └── per-connection writer threads ◀── result(ticket) ◀─────┘
 ```
 
-* **One reader, one writer per connection.**  The reader decodes lines and
-  submits them (the service's bounded queue throttles a connection that
-  outpaces the dispatcher); the writer collects each ticket's result *in the
-  connection's submission order* and streams it back, so per-connection
-  ordering matches the stdio protocol exactly while connections interleave
-  freely through the shared dispatcher.
+* **One conversation per connection.**  The reader thread feeds lines to
+  :meth:`Conversation.read` (the service's bounded queue throttles a
+  connection that outpaces the dispatcher); the writer thread sends what
+  :meth:`Conversation.answer` returns.  A connection therefore answers in
+  exactly the order stdio does, while connections interleave freely
+  through the shared dispatchers.
 * **Connection-scoped error isolation.**  Undecodable bytes, oversized
   lines, submission failures and mid-request disconnects are handled inside
   the offending connection — in-band ``failed`` responses while the socket
@@ -27,29 +37,32 @@ client sockets ──▶ per-connection reader threads ──submit──▶ ser
   connection over the cap is answered with one in-band error line and
   closed.  ``max_line_bytes`` caps a single request line; overlong lines
   are discarded (never buffered whole) and answered in-band.
-* **Graceful drain.**  :meth:`close` stops accepting, lets every submitted
-  request finish and flush, then closes the sockets; ``drain=False`` drops
-  connections immediately but still consumes their tickets so the service
-  leaks no per-request state.  The CLI wires SIGTERM/SIGINT to this.
+* **Graceful drain.**  :meth:`SocketServer.close` stops accepting, lets
+  every submitted request finish and flush, then closes the sockets;
+  ``drain=False`` drops connections immediately but still consumes their
+  tickets so the service leaks no per-request state.  The CLI wires
+  SIGTERM/SIGINT to this.
 
-The server *borrows* the service (like :func:`~repro.service.protocol.serve_stream`);
-the caller that built the service closes it, after closing the server.
+The conversation calls the codec (:func:`request_from_line`,
+:func:`result_to_dict`, :func:`stats_to_dict`) through this module's
+globals, where the benchmark's layer tracer (``perfbench/layer_trace.py``)
+patches it.  Every front end *borrows* its service; the caller that built
+it closes it (after closing the server).
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import selectors
 import socket
 import threading
 import time
-from typing import Dict, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterable, Optional, Set, TextIO, Tuple
 
-from repro.service.core import ExplanationService
+from repro.service.core import ExplanationRequest, ExplanationService
 from repro.service.protocol import (
     ServiceOp,
-    cancel_to_dict,
     request_from_line,
     result_to_dict,
     stats_to_dict,
@@ -61,9 +74,237 @@ _EOF = object()
 _TIMEOUT = object()
 _OVERSIZED = object()
 
-#: Writer queue items are ("result", client_id, request_id) or
-#: ("error", client_id, message); this sentinel ends the writer.
-_WRITER_DONE = object()
+
+def _failure(client_id: Optional[str], message: str) -> Dict[str, object]:
+    """The in-band answer to a line that could not be served."""
+    return {"id": client_id, "status": "failed", "error": message}
+
+
+class ServiceTarget:
+    """A conversation's target: one in-process service (borrowed)."""
+
+    def __init__(self, service: ExplanationService) -> None:
+        self.service = service
+
+    def submit(self, request: ExplanationRequest) -> str:
+        return self.service.submit(request)
+
+    def finished(self, ticket: str) -> bool:
+        return self.service.poll(ticket).finished
+
+    def result(self, ticket: str, client_id: Optional[str]) -> Dict[str, object]:
+        return result_to_dict(self.service.result(ticket), client_id)
+
+    def cancel(self, ticket: str) -> bool:
+        return self.service.cancel(ticket)
+
+    def stats(self, client_id: Optional[str]) -> Dict[str, object]:
+        return stats_to_dict(self.service.stats(), client_id)
+
+
+class Conversation:
+    """One client's JSON-lines conversation with a target.
+
+    :meth:`read` decodes a line and acts on it at once: it submits a
+    request, or cancels the request a ``cancel`` op names (which may be
+    queued or running *right now*, so that cannot wait).  :meth:`answer`
+    answers every line in submission order — results, failures, ``stats``
+    snapshots (taken when their turn comes) and cancel acknowledgements
+    alike — so a slow request delays the answers after it but never
+    reorders them.
+
+    A target has five methods: ``submit(request)`` returns a ticket,
+    ``finished(ticket)`` says whether its result is ready,
+    ``result(ticket, client_id)`` and ``stats(client_id)`` build answer
+    payloads, and ``cancel(ticket)`` reports whether a cancellation can
+    still take effect.  One thread may :meth:`read` while another
+    :meth:`answer`\\ s.
+    """
+
+    def __init__(self, target) -> None:
+        self.target = target
+        #: Explanation requests answered.  Ops and failed lines are not
+        #: counted, so the total agrees with the service's own ``served``.
+        self.served = 0
+        #: Owed answers in submission order: ``(client id, ticket,
+        #: payload)``.  A ticket waits on the target; without one the
+        #: payload was built at read time (a failure or a cancel
+        #: acknowledgement), or is ``None`` for a ``stats`` op.
+        self._owed: Deque[Tuple[Optional[str], object, Optional[dict]]] = deque()
+        self._local = 0
+        #: Outstanding client id → ticket: the requests a ``cancel`` op can
+        #: name.  Entries leave as their answers go, so a reused client id
+        #: always names its latest outstanding request.
+        self._tickets: Dict[str, object] = {}
+        self._ended = False
+        self._changed = threading.Condition()
+
+    @property
+    def owed(self) -> int:
+        """Lines read but not answered yet."""
+        return len(self._owed)
+
+    @property
+    def owed_locally(self) -> int:
+        """The owed answers that wait on no ticket (failures and ops).
+
+        They never pass through the target's bounded queue, so a transport
+        that must bound a connection's memory bounds these.
+        """
+        return self._local
+
+    def read(self, line: str) -> None:
+        """Decode one line and act on it; its answer joins the queue."""
+        if not line.strip():
+            return
+        try:
+            client_id, request = request_from_line(line)
+        except ReproError as error:
+            self.fail(str(error), getattr(error, "client_id", None))
+            return
+        if isinstance(request, ServiceOp):
+            if request.op == "cancel":
+                self._owe(client_id, None, self._cancel(client_id, request.target))
+            else:
+                self._owe(client_id, None, None)
+            return
+        try:
+            ticket = self.target.submit(request)
+        except ReproError as error:
+            self.fail(str(error), client_id)
+            return
+        self._owe(client_id, ticket, None)
+
+    def fail(self, message: str, client_id: Optional[str] = None) -> None:
+        """Owe an in-band failure for a line that cannot be served."""
+        self._owe(client_id, None, _failure(client_id, message))
+
+    def end(self) -> None:
+        """No more lines will be read; wakes a blocked :meth:`answer`."""
+        with self._changed:
+            self._ended = True
+            self._changed.notify_all()
+
+    def answer(self, block: bool = True) -> Optional[str]:
+        """The answer line owed to the oldest unanswered line.
+
+        Blocks until that answer is ready — and, while nothing is owed,
+        until another line is read or :meth:`end` is called.  Returns
+        ``None`` once nothing is owed and reading has ended; with
+        ``block=False``, also when nothing is owed or the oldest request is
+        still running.
+        """
+        with self._changed:
+            while not self._owed:
+                if self._ended or not block:
+                    return None
+                self._changed.wait()
+            client_id, ticket, payload = self._owed[0]
+        if ticket is not None:
+            if not block and not self.target.finished(ticket):
+                return None
+            payload = self.target.result(ticket, client_id)
+        elif payload is None:
+            payload = self.target.stats(client_id)
+        with self._changed:
+            self._owed.popleft()
+            if ticket is None:
+                self._local -= 1
+            else:
+                self.served += 1
+                if client_id is not None and self._tickets.get(client_id) == ticket:
+                    del self._tickets[client_id]
+        return json.dumps(payload)
+
+    def _owe(
+        self, client_id: Optional[str], ticket: object, payload: Optional[dict]
+    ) -> None:
+        with self._changed:
+            if ticket is None:
+                self._local += 1
+            elif client_id is not None:
+                self._tickets[client_id] = ticket
+            self._owed.append((client_id, ticket, payload))
+            self._changed.notify_all()
+
+    def _cancel(self, client_id: Optional[str], named: str) -> Dict[str, object]:
+        """Cancel the request whose client id is ``named``, now, and build
+        the op's acknowledgement.
+
+        An unknown name (never submitted, bare-text, or already answered)
+        fails in-band without touching the target.  ``cancelled`` reports
+        whether the cancellation could still take effect (the named
+        request's own answer shows ``cancelled``/``failed`` accordingly).
+        """
+        with self._changed:
+            ticket = self._tickets.get(named)
+        if ticket is None:
+            return {
+                "id": client_id,
+                "status": "failed",
+                "op": "cancel",
+                "target": named,
+                "error": (
+                    f"unknown cancel target {named!r} "
+                    f"(never submitted, or already answered)"
+                ),
+            }
+        try:
+            effective = self.target.cancel(ticket)
+        except ServiceError:
+            effective = False  # finished and collected between lookup and cancel
+        return {
+            "id": client_id,
+            "status": "done",
+            "op": "cancel",
+            "target": named,
+            "cancelled": bool(effective),
+        }
+
+
+def pump(
+    conversation: Conversation,
+    lines: Iterable[str],
+    out: TextIO,
+    max_pending: int = 1024,
+) -> int:
+    """Run ``conversation`` over a line iterator and a text stream.
+
+    Each line is acted on as it is read, and answers are written in
+    submission order, each flushed as soon as it is due, so pipelined
+    clients stream results.  Past ``max_pending`` owed answers the pump
+    stops reading until the backlog drains (pure backpressure — nothing is
+    dropped).  Returns the count of explanation requests answered.
+    """
+
+    def write(block: bool) -> None:
+        while conversation.owed:
+            line = conversation.answer(block)
+            if line is None:
+                return
+            out.write(line + "\n")
+            out.flush()
+
+    for line in lines:
+        conversation.read(line)
+        write(block=conversation.owed >= max_pending)
+    write(block=True)
+    return conversation.served
+
+
+def serve_stream(
+    service: ExplanationService,
+    lines: Iterable[str],
+    out: TextIO,
+    max_pending: int = 1024,
+) -> int:
+    """Serve a request stream from ``service``; returns the served count.
+
+    The stdio front end of ``repro serve``: :func:`pump` over a
+    :class:`Conversation` with the service.  The caller keeps ownership of
+    ``service`` (and closes it).
+    """
+    return pump(Conversation(ServiceTarget(service)), lines, out, max_pending)
 
 
 class _LineReader:
@@ -151,26 +392,13 @@ class _LineReader:
 
 
 class _Connection:
-    """One client connection: reader + writer thread pair over one socket."""
+    """One client connection: a conversation read by one thread and
+    answered by another over one socket."""
 
     def __init__(self, server: "SocketServer", sock: socket.socket, peer) -> None:
         self.server = server
         self.sock = sock
-        self.peer = peer
-        self.closed = threading.Event()
-        self._writer_queue: "queue.Queue" = queue.Queue()
-        #: Requests submitted but not yet answered on this connection; the
-        #: idle timeout must not fire while a response is still owed.
-        self._inflight = 0
-        #: The subset answered connection-locally (errors and ops): these
-        #: bypass the service's bounded queue, so they get their own cap.
-        self._local_pending = 0
-        #: Outstanding client id → service request id on this connection —
-        #: the targets a ``cancel`` op can name.  Written by the reader at
-        #: submit time, pruned by the writer as responses flush.
-        self._requests: Dict[str, str] = {}
-        self._inflight_lock = threading.Lock()
-        self._send_lock = threading.Lock()
+        self.conversation = Conversation(ServiceTarget(server.service))
         self._send_failed = False
         name = f"repro-socket-{peer[0]}:{peer[1]}"
         self._reader = threading.Thread(
@@ -184,46 +412,27 @@ class _Connection:
         self._reader.start()
         self._writer.start()
 
-    # ------------------------------------------------------------- plumbing
-
-    def _track(self, delta: int) -> int:
-        with self._inflight_lock:
-            self._inflight += delta
-            return self._inflight
-
-    def _track_local(self, delta: int) -> int:
-        with self._inflight_lock:
-            self._inflight += delta
-            self._local_pending += delta
-            return self._local_pending
-
     def _send_line(self, payload: str) -> None:
         """Best-effort send; after the first failure the connection only
         drains (tickets must still be consumed to free service state)."""
         if self._send_failed:
             return
         try:
-            with self._send_lock:
-                self.sock.sendall(payload.encode("utf-8") + b"\n")
+            self.sock.sendall(payload.encode("utf-8") + b"\n")
         except OSError:
             self._send_failed = True
 
-    def _enqueue_error(self, client_id: Optional[str], message: str) -> None:
-        self._track_local(1)
-        self._writer_queue.put(("error", client_id, message))
-
-    # ----------------------------------------------------------------- reader
-
     def _read_loop(self) -> None:
+        conversation = self.conversation
         reader = None
         try:
             reader = _LineReader(
                 self.sock, self.server.max_line_bytes, self.server.idle_timeout
             )
             while not self.server.closing:
-                if self._track_local(0) >= self.server.max_pending_responses:
-                    # The writer owes this client more *connection-local*
-                    # responses (errors/ops) than any sane pipelining
+                if conversation.owed_locally >= self.server.max_pending_responses:
+                    # The writer owes this client more connection-local
+                    # answers (failures/ops) than any sane pipelining
                     # window.  Explanation requests are backpressured by
                     # the service queue and do not count here — a
                     # legitimately deep explanation pipeline must not be
@@ -235,105 +444,42 @@ class _Connection:
                 if item is _EOF:
                     break
                 if item is _TIMEOUT:
-                    if self._track(0) == 0:
+                    if conversation.owed == 0:
                         # Idle past the deadline with nothing owed: hang up.
                         break
                     continue
                 if item is _OVERSIZED:
-                    self._enqueue_error(
-                        None,
+                    conversation.fail(
                         f"request line exceeds {self.server.max_line_bytes} "
-                        f"bytes and was discarded",
+                        f"bytes and was discarded"
                     )
                     continue
                 try:
                     line = item.decode("utf-8")
                 except UnicodeDecodeError as error:
-                    self._enqueue_error(None, f"request line is not UTF-8: {error}")
+                    conversation.fail(f"request line is not UTF-8: {error}")
                     continue
-                if not line.strip():
-                    continue
-                try:
-                    client_id, request = request_from_line(line)
-                except ReproError as error:
-                    self._enqueue_error(getattr(error, "client_id", None), str(error))
-                    continue
-                if isinstance(request, ServiceOp):
-                    # Answered by the writer in this connection's submission
-                    # order; the stats snapshot is taken when its turn comes.
-                    # A cancel *acts* right here at read time — the target
-                    # may be queued or running now — and only its
-                    # acknowledgement waits for its turn.
-                    self._track_local(1)
-                    if request.op == "cancel":
-                        assert request.target is not None
-                        payload = cancel_to_dict(
-                            self.server.service,
-                            self._requests,
-                            client_id,
-                            request.target,
-                        )
-                        self._writer_queue.put(("done", client_id, payload))
-                    else:
-                        self._writer_queue.put(("stats", client_id, None))
-                    continue
-                try:
-                    request_id = self.server.service.submit(request)
-                except ReproError as error:
-                    self._enqueue_error(client_id, str(error))
-                    continue
-                if client_id is not None:
-                    self._requests[client_id] = request_id
-                self._track(1)
-                self._writer_queue.put(("result", client_id, request_id))
+                conversation.read(line)
         except Exception:  # noqa: BLE001 - isolation: never kill the server
             pass
         finally:
             if reader is not None:
                 reader.close()
-            self._writer_queue.put(_WRITER_DONE)
-
-    # ----------------------------------------------------------------- writer
+            conversation.end()
 
     def _write_loop(self) -> None:
         try:
+            # answer() blocks on the oldest owed answer, which is exactly
+            # what keeps responses in per-connection submission order.
             while True:
-                item = self._writer_queue.get()
-                if item is _WRITER_DONE:
+                line = self.conversation.answer()
+                if line is None:
                     break
-                kind, client_id, payload = item
-                if kind == "error":
-                    line = json.dumps(
-                        {"id": client_id, "status": "failed", "error": payload}
-                    )
-                elif kind == "stats":
-                    line = json.dumps(
-                        stats_to_dict(self.server.service.stats(), client_id)
-                    )
-                elif kind == "done":
-                    # Pre-built at read time (cancel acknowledgements).
-                    line = json.dumps(payload)
-                else:
-                    # Blocks until the dispatcher resolves this connection's
-                    # oldest outstanding ticket — which is exactly what keeps
-                    # responses in per-connection submission order.
-                    result = self.server.service.result(payload)
-                    line = json.dumps(result_to_dict(result, client_id))
-                    if (
-                        client_id is not None
-                        and self._requests.get(client_id) == payload
-                    ):
-                        del self._requests[client_id]
                 self._send_line(line)
-                if kind == "result":
-                    self._track(-1)
-                else:
-                    self._track_local(-1)
         except Exception:  # noqa: BLE001 - isolation: never kill the server
             pass
         finally:
             self._shutdown_socket()
-            self.closed.set()
             self.server._forget(self)
 
     def _shutdown_socket(self) -> None:
@@ -568,7 +714,7 @@ class SocketServer:
     def _refuse(sock: socket.socket, message: str) -> None:
         """One in-band error line, then hang up (best effort)."""
         try:
-            line = json.dumps({"id": None, "status": "failed", "error": message})
+            line = json.dumps(_failure(None, message))
             sock.sendall(line.encode("utf-8") + b"\n")
         except OSError:
             pass

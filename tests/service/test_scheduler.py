@@ -121,22 +121,6 @@ class TestStealing:
         assert stats.dispatcher_stats[1].stolen > 0
         assert sum(d.executed for d in stats.dispatcher_stats) == 12
 
-    def test_stealing_disabled_pins_keys_to_home(self):
-        recorder = _Recorder(delay=0.005)
-        scheduler = Scheduler(recorder, dispatchers=2, max_queue=64, steal=False)
-        try:
-            keys = [f"k{i}" for i in range(8)]
-            for key in keys:
-                _submit(scheduler, key, 0)
-            assert scheduler.drain(timeout=60)
-            stats = scheduler.stats()
-        finally:
-            scheduler.close()
-        assert all(d.stolen == 0 for d in stats.dispatcher_stats)
-        # Every item ran on its key's home dispatcher thread.
-        for key, _, thread_name in recorder.executed:
-            assert thread_name == f"repro-dispatcher-{scheduler.home(key)}"
-
 
 class TestFairness:
     def test_hot_key_cannot_starve_others(self):

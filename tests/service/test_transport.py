@@ -8,8 +8,10 @@ direct, in-process :class:`CometExplainer` produces, no matter how many
 clients hammer the server at once.
 """
 
+import itertools
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -20,7 +22,13 @@ from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.reporting.export import explanation_to_dict
 from repro.service import ExplanationService, ServiceClient, SocketServer
-from repro.service.transport import _EOF, _OVERSIZED, _TIMEOUT, _LineReader
+from repro.service.transport import (
+    _EOF,
+    _OVERSIZED,
+    _TIMEOUT,
+    Conversation,
+    _LineReader,
+)
 from repro.utils.errors import ServiceError
 
 from tests.conftest import FAST_CONFIG, explanation_dict_fingerprint
@@ -79,6 +87,79 @@ class TestLineReader:
         assert reader.readline() == b"partial done"
         left.close()
         right.close()
+
+
+class _InstantTarget:
+    """A conversation target whose every request is already finished."""
+
+    def __init__(self):
+        self._tickets = itertools.count()
+
+    def submit(self, request):
+        return next(self._tickets)
+
+    def finished(self, ticket):
+        return True
+
+    def result(self, ticket, client_id):
+        return {"id": client_id, "status": "done"}
+
+    def cancel(self, ticket):
+        return True
+
+    def stats(self, client_id):
+        return {"id": client_id, "status": "done", "op": "stats"}
+
+
+class TestConversation:
+    def test_reader_and_answerer_threads_lose_no_update(self):
+        """A TCP connection reads on one thread and answers on another.
+        Under a tiny switch interval, four conversations (eight threads)
+        still answer every line once, in order, and their owed, local and
+        cancel-target bookkeeping all return to zero."""
+        lines, expected = [], []
+        for index in range(200):
+            lines += [
+                json.dumps({"id": f"r{index}", "block": "div rcx"}),
+                json.dumps({"id": f"s{index}", "op": "stats"}),
+                json.dumps({"id": f"c{index}", "op": "cancel", "target": f"r{index}"}),
+                "{broken",
+            ]
+            expected += [f"r{index}", f"s{index}", f"c{index}", None]
+        conversations = [Conversation(_InstantTarget()) for _ in range(4)]
+        answered = [[] for _ in conversations]
+
+        def read(conversation):
+            for line in lines:
+                conversation.read(line)
+            conversation.end()
+
+        def answer(conversation, into):
+            while (line := conversation.answer()) is not None:
+                into.append(json.loads(line)["id"])
+
+        threads = [
+            threading.Thread(target=read, args=(conversation,))
+            for conversation in conversations
+        ] + [
+            threading.Thread(target=answer, args=(conversation, into))
+            for conversation, into in zip(conversations, answered)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        for conversation, into in zip(conversations, answered):
+            assert into == expected
+            assert (conversation.served, conversation.owed) == (200, 0)
+            assert conversation.owed_locally == 0
+            assert not conversation._tickets
 
 
 class TestSocketRoundTrip:
