@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.bb.block import BasicBlock
 from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import PopulationRecord
 from repro.explain.explanation import Explanation
-from repro.models.base import CostModel, QueryCounter, QueryTally
+from repro.models.base import NO_QUERIES, CostModel, QueryCounter, QueryTally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
 from repro.utils.cancellation import CancelToken
 from repro.utils.rng import RandomSource, as_rng
@@ -17,8 +27,13 @@ from repro.utils.rng import RandomSource, as_rng
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.runtime.session import ExplanationSession
 
+#: What a round generator takes back: the round's predictions and the
+#: accounting of the call that produced them.
+Answer = Tuple[Sequence[float], QueryTally]
+T = TypeVar("T")
 
-def search_block(
+
+def search_block_rounds(
     model: CostModel,
     block: BasicBlock,
     config: ExplainerConfig,
@@ -27,30 +42,95 @@ def search_block(
     record: Optional[PopulationRecord] = None,
     cancel: Optional[CancelToken] = None,
     charge: Optional[Callable[[QueryTally], None]] = None,
-) -> Explanation:
-    """Run one anchor search — the single code path every caller shares.
+) -> Generator[List[BasicBlock], Answer, Explanation]:
+    """One anchor search as a round generator — the single search loop.
 
-    The one-shot explainer and ``ExplanationSession.explain`` — which every
-    session path, shard runner and process-shard worker goes through — call
-    this, so a block's explanation is computed by byte-identical code no
-    matter where it executes.  ``record`` shares a
-    background population with other searches of the same block (``None``
-    draws a private one).  A ``cancel`` token is checked cooperatively
-    between KL-LUCB rounds; a token that never fires leaves the random
-    stream untouched.  ``charge`` receives the search's query and Γ
-    accounting even when the search is cancelled or fails.
+    Yields the perturbed blocks each KL-LUCB round needs and takes back
+    ``(predictions, tally)``: the round's predictions and the accounting of
+    the call that produced them.  The explanation arrives through
+    ``StopIteration.value``.  :func:`answer_rounds` drives it with one
+    ``predict_batch`` per round; the service's fused tick answers the rounds
+    of many searches with one segmented call.
+
+    ``record`` shares a background population with other searches of the
+    same block (``None`` draws a private one).  A ``cancel`` token is checked
+    cooperatively between KL-LUCB rounds; a token that never fires leaves
+    the random stream untouched.  Each resume is measured on the calling
+    thread, so the total is exact even when other searches share the
+    thread between resumes.  ``charge`` receives that total once, also when
+    the search is cancelled, fails or is closed mid-stream.
+    """
+    spent = NO_QUERIES
+    try:
+        counter = QueryCounter(model)
+        try:
+            with counter:
+                search = AnchorSearch(
+                    model, block, config, rng, coverage_record=record, cancel=cancel
+                )
+        finally:
+            spent += counter.tally
+        rounds = search.search_rounds()
+        answer = None
+        while True:
+            counter = QueryCounter(model)
+            try:
+                with counter:
+                    blocks = rounds.send(answer)
+            except StopIteration as done:
+                anchor = done.value
+                break
+            finally:
+                spent += counter.tally
+            answer, tally = yield blocks
+            spent += tally
+    finally:
+        if charge is not None:
+            charge(spent)
+    return Explanation.from_search(search, anchor, num_queries=spent.queries)
+
+
+def answer_round(
+    rounds: Generator,
+    blocks: Sequence[BasicBlock],
+    model: CostModel,
+    charge: Optional[Callable[[QueryTally], None]] = None,
+) -> Answer:
+    """Answer one round of ``rounds`` with one ``model.predict_batch``.
+
+    Returns what the generator takes back.  If the call fails, its tally
+    goes to ``charge``, the generator is closed (charging its own work) and
+    the error propagates.
     """
     counter = QueryCounter(model)
     try:
         with counter:
-            search = AnchorSearch(
-                model, block, config, rng, coverage_record=record, cancel=cancel
-            )
-            anchor = search.search()
-    finally:
+            predictions = model.predict_batch(blocks)
+    except BaseException:
         if charge is not None:
             charge(counter.tally)
-    return Explanation.from_search(search, anchor, num_queries=counter.queries)
+        rounds.close()
+        raise
+    return predictions, counter.tally
+
+
+def answer_rounds(
+    rounds: Generator[List[BasicBlock], Answer, T],
+    model: CostModel,
+    charge: Optional[Callable[[QueryTally], None]] = None,
+) -> T:
+    """Drive a round generator to completion — the one blocking driver.
+
+    Every round is answered by :func:`answer_round`, so ``charge`` receives
+    only the tally of a call that fails; the generator charges the rest.
+    """
+    answer = None
+    while True:
+        try:
+            blocks = rounds.send(answer)
+        except StopIteration as done:
+            return done.value
+        answer = answer_round(rounds, blocks, model, charge)
 
 
 class CometExplainer:
@@ -116,7 +196,9 @@ class CometExplainer:
     def explain(self, block: BasicBlock, rng: RandomSource = None) -> Explanation:
         """Explain the model's prediction for ``block``."""
         generator = as_rng(rng) if rng is not None else self._rng
-        return search_block(self.model, block, self.config, generator)
+        return answer_rounds(
+            search_block_rounds(self.model, block, self.config, generator), self.model
+        )
 
     def session(self, rng: RandomSource = None) -> "ExplanationSession":
         """An :class:`~repro.runtime.session.ExplanationSession` over this

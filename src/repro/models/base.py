@@ -20,10 +20,10 @@ import threading
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bb.block import BasicBlock
+from repro.perturb.algorithm import _thread_perturb_tally
 from repro.runtime.backend import ExecutionBackend, ThreadBackend
 from repro.uarch.microarch import MicroArchitecture, get_microarch
 from repro.utils.errors import ModelError
@@ -31,8 +31,7 @@ from repro.utils.errors import ModelError
 _MISSING = object()
 
 
-@dataclass(frozen=True)
-class QueryTally:
+class QueryTally(NamedTuple):
     """A snapshot of one thread's query accounting on one model.
 
     ``queries`` counts inner-model evaluations; ``hits``/``misses`` are the
@@ -54,25 +53,34 @@ class QueryTally:
     perturbations: int = 0
     perturb_fallbacks: int = 0
 
+    # A named tuple built positionally, not a frozen dataclass: a search
+    # builds about eight tallies per KL-LUCB round (see
+    # repro.explain.explainer.search_block_rounds), and a frozen dataclass
+    # costs about four times as much to build.
+
     def delta(self, since: "QueryTally") -> "QueryTally":
         """The accounting accrued between ``since`` and this snapshot."""
         return QueryTally(
-            queries=self.queries - since.queries,
-            hits=self.hits - since.hits,
-            misses=self.misses - since.misses,
-            perturbations=self.perturbations - since.perturbations,
-            perturb_fallbacks=self.perturb_fallbacks - since.perturb_fallbacks,
+            self.queries - since.queries,
+            self.hits - since.hits,
+            self.misses - since.misses,
+            self.perturbations - since.perturbations,
+            self.perturb_fallbacks - since.perturb_fallbacks,
         )
 
     def __add__(self, other: "QueryTally") -> "QueryTally":
         """The accounting of two pieces of work together."""
         return QueryTally(
-            queries=self.queries + other.queries,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            perturbations=self.perturbations + other.perturbations,
-            perturb_fallbacks=self.perturb_fallbacks + other.perturb_fallbacks,
+            self.queries + other.queries,
+            self.hits + other.hits,
+            self.misses + other.misses,
+            self.perturbations + other.perturbations,
+            self.perturb_fallbacks + other.perturb_fallbacks,
         )
+
+
+#: The accounting of no work (shared: tallies are immutable).
+NO_QUERIES = QueryTally(0)
 
 
 class _ThreadTallies(threading.local):
@@ -234,19 +242,16 @@ class CostModel(ABC):
 
     def query_tally(self) -> QueryTally:
         """The calling thread's accounting snapshot (see :class:`QueryTally`)."""
-        # Imported lazily: repro.perturb.algorithm imports the model layer's
-        # consumers, and the Γ counters are process-global per thread (not
-        # per model), so the model interface only reads them on snapshot.
-        from repro.perturb.algorithm import thread_perturb_tally
-
+        # The Γ counters are per thread, not per model.  They are read in
+        # place: a search takes four snapshots per KL-LUCB round.
         tallies = self._thread_tallies
-        perturb = thread_perturb_tally()
+        perturb = _thread_perturb_tally
         return QueryTally(
-            queries=tallies.queries,
-            hits=tallies.hits,
-            misses=tallies.misses,
-            perturbations=perturb.perturbations,
-            perturb_fallbacks=perturb.fallbacks,
+            tallies.queries,
+            tallies.hits,
+            tallies.misses,
+            perturb.perturbations,
+            perturb.fallbacks,
         )
 
     def predict(self, block: BasicBlock) -> float:
@@ -590,8 +595,7 @@ class QueryCounter:
 
     def __init__(self, model: CostModel) -> None:
         self.model = model
-        self.start = QueryTally(0)
-        self.tally = QueryTally(0)
+        self.start = self.tally = NO_QUERIES
         self.queries = 0
         self.hits = 0
         self.misses = 0

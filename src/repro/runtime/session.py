@@ -32,7 +32,7 @@ from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Dict, Generator, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.cache.fingerprint import cacheable_seed, result_fingerprint
 from repro.cache.store import CacheStats, ResultCache
 from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import PopulationRecord
-from repro.explain.explainer import search_block
+from repro.explain.explainer import Answer, answer_rounds, search_block_rounds
 from repro.explain.explanation import Explanation
 from repro.models.base import CachedCostModel, CostModel, QueryTally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
@@ -277,14 +277,12 @@ class ExplanationSession:
     def charge(self, tally: QueryTally) -> None:
         """Add work done for this session to its :meth:`stats`.
 
-        The session's own explanation paths charge every search; the fused
-        service tick, which drives searches round by round, charges each
-        piece of a request's work as it measures it.
+        Every search charges its total once, when it ends
+        (:func:`~repro.explain.explainer.search_block_rounds`); shard
+        threads and fused ticks charge concurrently.
         """
         with self._work_lock:
             self._work = self._work + tally
-
-    # --------------------------------------------------------- result cache
 
     def _result_fingerprint(self, block: BasicBlock, seed: int) -> str:
         return result_fingerprint(
@@ -294,34 +292,6 @@ class ExplanationSession:
             config=self.config,
             seed=int(seed),
         )
-
-    def result_cache_lookup(
-        self, block: BasicBlock, seed: RandomSource
-    ) -> Optional[Explanation]:
-        """The memoized explanation for ``(block, seed)``, or ``None``.
-
-        ``None`` when there is no cache, the seed is not an integer (live
-        generators are history-dependent and never memoized), or the entry
-        is simply absent.  Used by the fused batching tick so cache-hit
-        requests retire without consuming a KL-LUCB round.
-        """
-        if self.result_cache is None or not cacheable_seed(seed):
-            return None
-        return self.result_cache.get(self._result_fingerprint(block, int(seed)))
-
-    def result_cache_store(
-        self, block: BasicBlock, seed: RandomSource, explanation: Explanation
-    ) -> None:
-        """Memoize a result computed for ``(block, seed)``.
-
-        The caller asserts purity: the explanation must have been computed
-        from ``default_rng(seed)`` with no population shared with another
-        search — true of every single-block search, and of fleet positions
-        whose block occurs once in the call.
-        """
-        if self.result_cache is None or not cacheable_seed(seed):
-            return
-        self.result_cache.put(self._result_fingerprint(block, int(seed)), explanation)
 
     def explain(
         self,
@@ -333,6 +303,33 @@ class ExplanationSession:
     ) -> Explanation:
         """Explain one block using the session's shared state.
 
+        The blocking form of :meth:`explain_rounds`: each KL-LUCB round is
+        answered with one ``predict_batch`` on the session's model.
+        """
+        return answer_rounds(
+            self.explain_rounds(block, rng, cancel=cancel, record=record),
+            self.model,
+            self.charge,
+        )
+
+    def explain_rounds(
+        self,
+        block: BasicBlock,
+        rng: RandomSource = None,
+        *,
+        cancel: Optional[CancelToken] = None,
+        record: Optional[PopulationRecord] = None,
+    ) -> Generator[List[BasicBlock], Answer, Explanation]:
+        """Explain one block as a round generator — every session search runs
+        through here.
+
+        Yields each KL-LUCB round's perturbed blocks and takes back
+        ``(predictions, tally)`` (see
+        :func:`~repro.explain.explainer.search_block_rounds`); the
+        explanation arrives through ``StopIteration.value``.
+        :meth:`explain` answers the rounds one at a time; the service's
+        fused tick answers many requests' rounds together.
+
         ``cancel`` is checked cooperatively between KL-LUCB rounds; a token
         that never fires leaves the result bit-for-bit unchanged.
 
@@ -342,29 +339,31 @@ class ExplanationSession:
         default) draws the population privately.
 
         With a :class:`result cache <repro.cache.ResultCache>` installed, an
-        integer ``rng`` seed and no shared ``record``, the call is memoized:
-        a hit returns the stored explanation verbatim — including its
-        ``num_queries``, which by the cache's attribution rule is the query
-        count of the computation that *stored* the entry, since a hit itself
-        queries the model zero times — and a miss computes and stores it on
-        the way out.
+        integer ``rng`` seed and no shared ``record``, the search is
+        memoized: a hit returns the stored explanation verbatim without
+        yielding a round — including its ``num_queries``, which by the
+        cache's attribution rule is the query count of the computation that
+        *stored* the entry, since a hit itself queries the model zero times
+        — and a miss computes and stores it on the way out.
         """
         self._check_open()
-        memoized = record is None
-        explanation = self.result_cache_lookup(block, rng) if memoized else None
+        cache = self.result_cache if record is None and cacheable_seed(rng) else None
+        fingerprint = explanation = None
+        if cache is not None:
+            fingerprint = self._result_fingerprint(block, rng)
+            explanation = cache.get(fingerprint)
         if explanation is None:
-            generator = as_rng(rng) if rng is not None else self._rng
-            explanation = search_block(
+            explanation = yield from search_block_rounds(
                 self.model,
                 block,
                 self.config,
-                generator,
+                as_rng(rng) if rng is not None else self._rng,
                 record=record,
                 cancel=cancel,
                 charge=self.charge,
             )
-            if memoized:
-                self.result_cache_store(block, rng, explanation)
+            if cache is not None:
+                cache.put(fingerprint, explanation)
         with self._work_lock:
             self.explanations_produced += 1
         return explanation

@@ -40,7 +40,10 @@ requests run ``session.explain(block, rng=seed)`` and multi-block requests
 run ``session.explain_many(blocks, rng=seed)``, both of which are pinned
 against the one-shot API by the runtime's parity tests — under any
 dispatcher count, which the service's parity tests pin against the
-single-dispatcher oracle.
+single-dispatcher oracle.  With continuous batching on, a request's blocks
+run through ``session.explain_rounds`` with the same seeds and population
+records instead (see :mod:`repro.service.batching`), pinned against the
+unfused service by the fused parity tests.
 """
 
 from __future__ import annotations
@@ -169,7 +172,9 @@ class ExplanationRequest:
     ``model``/``uarch`` default to the service's configured model; ``shards``
     is forwarded to ``explain_many`` for multi-block requests (``"auto"``,
     the default, = one shard per backend worker — sequential on the serial
-    backend; ``None`` = force the sequential loop).
+    backend; ``None`` = force the sequential loop).  Under continuous
+    batching ``shards`` is not used: a multi-block request's blocks run one
+    after another in its fused group.
     """
 
     blocks: Tuple[BasicBlock, ...]
@@ -704,15 +709,13 @@ class ExplanationService:
                 return
             ticket.status = RequestStatus.RUNNING
         request = ticket.request
-        model_name, uarch = self._request_key(request)
         start = time.perf_counter()
-        deadline_expired = False
         try:
             # Fail fast before leasing anything: a request whose deadline
             # lapsed (or that was cancelled) while queued must not spend a
             # warm session computing an answer nobody will read.
             ticket.token.check()
-            with self._pool.leased(model_name, uarch) as session:
+            with self._pool.leased(*self._request_key(request)) as session:
                 if len(request.blocks) == 1:
                     # Matches CometExplainer.explain(block, rng=seed) exactly:
                     # the seed drives the search directly, no stream spawning.
@@ -722,45 +725,16 @@ class ExplanationService:
                         ),
                     )
                 else:
-                    explanations = tuple(
-                        session.explain_many(
-                            request.blocks,
-                            rng=request.seed,
-                            shards=request.shards,
-                            cancel=ticket.token,
-                        )
+                    explanations = session.explain_many(
+                        request.blocks,
+                        rng=request.seed,
+                        shards=request.shards,
+                        cancel=ticket.token,
                     )
-            result = ServiceResult(
-                request_id=ticket.request_id,
-                status=RequestStatus.DONE,
-                explanations=explanations,
-                error=None,
-                model=model_name,
-                uarch=uarch,
-                seconds=time.perf_counter() - start,
-            )
-        except RequestCancelledError as error:
-            result = ServiceResult(
-                request_id=ticket.request_id,
-                status=RequestStatus.CANCELLED,
-                explanations=(),
-                error=f"{type(error).__name__}: {error}",
-                model=model_name,
-                uarch=uarch,
-                seconds=time.perf_counter() - start,
-            )
         except Exception as error:  # noqa: BLE001 - reported to the client
-            deadline_expired = isinstance(error, DeadlineExceededError)
-            result = ServiceResult(
-                request_id=ticket.request_id,
-                status=RequestStatus.FAILED,
-                explanations=(),
-                error=f"{type(error).__name__}: {error}",
-                model=model_name,
-                uarch=uarch,
-                seconds=time.perf_counter() - start,
-            )
-        self._resolve(ticket, result, deadline_expired=deadline_expired)
+            self._settle(ticket, start, error=error)
+            return
+        self._settle(ticket, start, explanations)
 
     def _execute_fused(self, primary: _Ticket) -> None:
         """Run one claimed request as the seed of a fused tick group.
@@ -774,58 +748,9 @@ class ExplanationService:
         accounting (``extra_done``) exactly once when they retire.
         """
         key = self._request_key(primary.request)
-        model_name, uarch = key
         scheduler = self._scheduler
         assert scheduler is not None
-        members: List[Tuple[_Ticket, bool]] = []
-
-        def entry_for(ticket: _Ticket, absorbed: bool) -> FusedEntry:
-            start = time.perf_counter()
-
-            def settle(result: ServiceResult, *, deadline_expired: bool = False) -> None:
-                self._resolve(ticket, result, deadline_expired=deadline_expired)
-                if absorbed:
-                    scheduler.extra_done(key)
-
-            def finish(explanations: List[Explanation]) -> None:
-                settle(
-                    ServiceResult(
-                        request_id=ticket.request_id,
-                        status=RequestStatus.DONE,
-                        explanations=tuple(explanations),
-                        error=None,
-                        model=model_name,
-                        uarch=uarch,
-                        seconds=time.perf_counter() - start,
-                    )
-                )
-
-            def fail(error: BaseException) -> None:
-                cancelled = isinstance(error, RequestCancelledError)
-                settle(
-                    ServiceResult(
-                        request_id=ticket.request_id,
-                        status=(
-                            RequestStatus.CANCELLED
-                            if cancelled
-                            else RequestStatus.FAILED
-                        ),
-                        explanations=(),
-                        error=f"{type(error).__name__}: {error}",
-                        model=model_name,
-                        uarch=uarch,
-                        seconds=time.perf_counter() - start,
-                    ),
-                    deadline_expired=isinstance(error, DeadlineExceededError),
-                )
-
-            return FusedEntry(
-                blocks=ticket.request.blocks,
-                seed=ticket.request.seed,
-                token=ticket.token,
-                finish=finish,
-                fail=fail,
-            )
+        members: List[Tuple[_Ticket, FusedEntry]] = []
 
         def claim(ticket: _Ticket, absorbed: bool) -> Optional[FusedEntry]:
             """Mark a ticket RUNNING, or drop one a racing cancel resolved."""
@@ -835,8 +760,25 @@ class ExplanationService:
                         scheduler.extra_done(key)
                     return None
                 ticket.status = RequestStatus.RUNNING
-            members.append((ticket, absorbed))
-            return entry_for(ticket, absorbed)
+            start = time.perf_counter()
+
+            def settle(
+                explanations: Sequence[Explanation] = (),
+                error: Optional[BaseException] = None,
+            ) -> None:
+                self._settle(ticket, start, explanations, error)
+                if absorbed:
+                    scheduler.extra_done(key)
+
+            entry = FusedEntry(
+                blocks=ticket.request.blocks,
+                seed=ticket.request.seed,
+                token=ticket.token,
+                finish=settle,
+                fail=lambda error: settle(error=error),
+            )
+            members.append((ticket, entry))
+            return entry
 
         def absorb(limit: int) -> List[FusedEntry]:
             entries = []
@@ -850,7 +792,10 @@ class ExplanationService:
         if primary_entry is None:
             return
         try:
-            with self._pool.leased(model_name, uarch) as session:
+            # Fail fast before leasing, as the unfused path does: a lease
+            # builds the key's session and may evict a warm one.
+            primary.token.check()
+            with self._pool.leased(*key) as session:
                 run_fused_group(
                     session,
                     [primary_entry],
@@ -859,27 +804,42 @@ class ExplanationService:
                     counters=self._fusion_counters,
                 )
         except Exception as error:  # noqa: BLE001 - group-level failure
-            # Leasing or group machinery failed before the batcher could
-            # retire everyone: resolve whichever members are still open.
-            deadline_expired = isinstance(error, DeadlineExceededError)
-            for ticket, absorbed in members:
-                if ticket.done.is_set():
-                    continue
-                self._resolve(
-                    ticket,
-                    ServiceResult(
-                        request_id=ticket.request_id,
-                        status=RequestStatus.FAILED,
-                        explanations=(),
-                        error=f"{type(error).__name__}: {error}",
-                        model=model_name,
-                        uarch=uarch,
-                        seconds=0.0,
-                    ),
-                    deadline_expired=deadline_expired,
-                )
-                if absorbed:
-                    scheduler.extra_done(key)
+            # The check, the lease or the group machinery failed before the
+            # batcher could retire everyone: retire whoever is still open.
+            for ticket, entry in members:
+                if not ticket.done.is_set():
+                    entry.fail(error)
+
+    def _settle(
+        self,
+        ticket: _Ticket,
+        start: float,
+        explanations: Sequence[Explanation] = (),
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Resolve a running ticket: done with ``explanations``, or retired
+        by ``error`` — cancelled by a cancellation, failed by anything else
+        (a deadline expiry counts in ``deadline_expired``)."""
+        model_name, uarch = self._request_key(ticket.request)
+        if error is None:
+            status = RequestStatus.DONE
+        elif isinstance(error, RequestCancelledError):
+            status = RequestStatus.CANCELLED
+        else:
+            status = RequestStatus.FAILED
+        self._resolve(
+            ticket,
+            ServiceResult(
+                request_id=ticket.request_id,
+                status=status,
+                explanations=tuple(explanations),
+                error=None if error is None else f"{type(error).__name__}: {error}",
+                model=model_name,
+                uarch=uarch,
+                seconds=time.perf_counter() - start,
+            ),
+            deadline_expired=isinstance(error, DeadlineExceededError),
+        )
 
     def _resolve(
         self,

@@ -9,11 +9,12 @@ from repro.bb.block import BasicBlock
 from repro.cache.store import ResultCache
 from repro.explain.config import ExplainerConfig
 from repro.explain.coverage import PopulationRecord
-from repro.explain.explainer import CometExplainer
+from repro.explain.explainer import CometExplainer, answer_round, search_block_rounds
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.runtime.backend import SerialBackend, ThreadBackend
 from repro.runtime.session import CallRecords, ExplanationSession
+from repro.service.batching import FusedEntry, run_fused_group
 from repro.utils.errors import BackendError, RequestCancelledError
 
 from tests.conftest import (
@@ -141,19 +142,31 @@ class TestHistoryFree:
 class TestOneSearchEntry:
     """Every in-process search of a session runs through
     :meth:`ExplanationSession.explain`, so instrumentation of that one
-    method (a tracer, a subclass hook) sees every explanation once."""
+    method (a tracer, a subclass hook) sees every explanation once.  The
+    fused service tick drives :meth:`ExplanationSession.explain_rounds`,
+    the round generator ``explain`` answers, so both paths share one search
+    loop, one memoization and one charge."""
 
     @staticmethod
-    def _spy(monkeypatch):
+    def _spy(monkeypatch, method="explain"):
         calls = []
-        explain = ExplanationSession.explain
+        original = getattr(ExplanationSession, method)
 
         def spying(self, block, rng=None, **kwargs):
             calls.append((block.key(), kwargs.get("record")))
-            return explain(self, block, rng, **kwargs)
+            return original(self, block, rng, **kwargs)
 
-        monkeypatch.setattr(ExplanationSession, "explain", spying)
+        monkeypatch.setattr(ExplanationSession, method, spying)
         return calls
+
+    @staticmethod
+    def _assert_repeats_share_one_record(calls, repeated, once):
+        records = {}
+        for key, record in calls:
+            records.setdefault(key, []).append(record)
+        assert records[once.key()] == [None]
+        first, last = records[repeated.key()]
+        assert first is not None and last is first
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_fleet_searches_run_through_explain(
@@ -166,12 +179,75 @@ class TestOneSearchEntry:
         ) as session:
             session.explain_many([repeated, once, repeated], rng=5)
             assert session.stats().explanations == 3
-        records = {}
-        for key, record in calls:
-            records.setdefault(key, []).append(record)
-        assert records[once.key()] == [None]
-        first, last = records[repeated.key()]
-        assert first is not None and last is first
+        self._assert_repeats_share_one_record(calls, repeated, once)
+
+    def test_fused_searches_run_through_explain_rounds(self, tiny_blocks, monkeypatch):
+        repeated, once = tiny_blocks[0], tiny_blocks[1]
+        calls = self._spy(monkeypatch, "explain_rounds")
+        outcomes = []
+        entry = FusedEntry(
+            blocks=(repeated, once, repeated),
+            seed=5,
+            token=None,
+            finish=outcomes.append,
+            fail=outcomes.append,
+        )
+        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+            run_fused_group(session, [entry])
+            assert session.stats().explanations == 3
+        assert len(outcomes) == 1 and len(outcomes[0]) == 3
+        self._assert_repeats_share_one_record(calls, repeated, once)
+
+    def test_result_cache_hit_yields_no_round(self, tiny_blocks):
+        block = tiny_blocks[0]
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=ResultCache()
+        ) as session:
+            stored = session.explain(block, rng=5)
+            with pytest.raises(StopIteration) as done:
+                next(session.explain_rounds(block, 5))
+            assert session.stats().explanations == 2
+        assert _fingerprint(done.value.value) == _fingerprint(stored)
+
+    def test_explain_charges_its_session_once(self, tiny_blocks, monkeypatch):
+        block = tiny_blocks[0]
+        seed = anchor_seed(block, empty=False)
+        charges = []
+        charge = ExplanationSession.charge
+
+        def spying(self, tally):
+            charges.append(tally)
+            charge(self, tally)
+
+        monkeypatch.setattr(ExplanationSession, "charge", spying)
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as session:
+            explanation = session.explain(block, rng=seed)
+            stats = session.stats()
+        assert len(charges) == 1
+        assert charges[0].queries == explanation.num_queries == stats.model_queries > 0
+
+    def test_closed_search_charges_once(self, tiny_blocks):
+        """A search closed mid-stream (a retired fused request) still
+        charges the work it did, once."""
+        block = tiny_blocks[0]
+        model = CachedCostModel(AnalyticalCostModel("hsw"))
+        charges = []
+        rounds = search_block_rounds(
+            model,
+            block,
+            FAST_CONFIG,
+            anchor_seed(block, empty=False),
+            charge=charges.append,
+        )
+        answer = None
+        for _ in range(3):
+            answer = answer_round(rounds, rounds.send(answer), model)
+        assert charges == []
+        rounds.close()
+        assert len(charges) == 1
+        assert charges[0].queries > 0 and charges[0].perturbations > 0
 
     def test_checkpointed_searches_run_through_explain(
         self, tiny_blocks, monkeypatch, tmp_path

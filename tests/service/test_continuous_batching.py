@@ -30,6 +30,8 @@ from repro.service import (
     run_fused_group,
 )
 from repro.service.batching import FusedEntry
+from repro.utils.cancellation import CancelToken
+from repro.utils.errors import RequestCancelledError
 
 from tests.conftest import (
     FAST_CONFIG,
@@ -357,6 +359,18 @@ class _SegmentedFaultModel(CachedCostModel):
         raise RuntimeError("fused path poisoned")
 
 
+class _CountChecks(CancelToken):
+    """A token that never fires and counts how often it was checked."""
+
+    def __init__(self):
+        super().__init__()
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+        super().check()
+
+
 class TestRunFusedGroupUnit:
     def _entry(self, blocks, seed, sink, token=None):
         def finish(explanations):
@@ -456,6 +470,39 @@ class TestRunFusedGroupUnit:
         assert sink["outcome"][0] == "failed"
         assert stats.explanations == 0
         assert stats.model_queries > 0 and stats.perturbations > 0
+
+    def test_cancelled_fleet_counts_the_explanations_it_finished(self, tiny_blocks):
+        """A fleet request cancelled between blocks counts its finished
+        blocks, as ``explain_many`` does on the same seed."""
+        first = BasicBlock.from_text("add rcx, rax\nmov rdx, rcx\npop rbx")
+        second = tiny_blocks[1]
+        counting = _CountChecks()
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as session:
+            session.explain_many([first], rng=3, cancel=counting)
+        # Fires on the check before the second block.
+        checks = counting.checks
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as session:
+            with pytest.raises(RequestCancelledError):
+                session.explain_many(
+                    [first, second], rng=3, cancel=CancelAfter(checks)
+                )
+            unfused = session.stats().explanations
+        sink = {}
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as session:
+            run_fused_group(
+                session,
+                [self._entry([first, second], 3, sink, token=CancelAfter(checks))],
+            )
+            fused = session.stats().explanations
+        status, error = sink["outcome"]
+        assert status == "failed" and isinstance(error, RequestCancelledError)
+        assert fused == unfused == 1
 
     def test_segmented_failure_falls_back_per_request(
         self, fast_config, tiny_blocks

@@ -331,6 +331,41 @@ class TestDeadlines:
         assert stats.deadline_expired == 1
         assert "1 deadlines expired" in stats.describe()
 
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_deadline_lapsed_in_queue_builds_no_session(self, tiny_block, fused):
+        """Fail-fast happens before the lease, so the expired request's key
+        gets no session (under ``max_sessions`` pressure a build could evict
+        a warm one)."""
+        gate = threading.Event()
+        backend = require_in_process_backend("serial")
+        built = []
+
+        def factory(name, uarch):
+            built.append(uarch)
+            session = ExplanationSession(
+                _GateModel(gate), FAST_CONFIG, backend=backend
+            )
+            assert session.backend.shares_memory, "gate Event would never open"
+            return session
+
+        with ExplanationService(
+            model="gated",
+            config=FAST_CONFIG,
+            session_factory=factory,
+            dispatchers=1,
+            continuous_batching=fused,
+        ) as service:
+            blocker = service.submit(tiny_block, seed=0, uarch="hsw")
+            victim = service.submit(tiny_block, seed=1, uarch="skl", deadline=0.05)
+            time.sleep(0.1)  # the victim's budget lapses while it sits queued
+            gate.set()
+            assert service.result(blocker, timeout=30).status is RequestStatus.DONE
+            result = service.result(victim, timeout=30)
+            assert service.stats().deadline_expired == 1
+        assert result.status is RequestStatus.FAILED
+        assert "DeadlineExceededError" in result.error
+        assert built == ["hsw"]
+
     def test_deadline_expires_mid_run(self, gated_service, tiny_block):
         """A budget lapsing mid-search stops the request cooperatively at
         the next KL-LUCB round boundary."""
@@ -607,14 +642,20 @@ class TestClientResilience:
         with pytest.raises(ValueError):
             RetryPolicy(backoff=-0.1)
 
-    def test_result_timeout_raises_service_timeout_error(self, served):
-        _, server = served
-        with ServiceClient(*server.address) as client:
-            request_id = client.submit("div rcx; add rax, rbx", seed=0)
-            with pytest.raises(ServiceTimeoutError, match="did not answer"):
-                client.result(request_id, timeout=0.000001)
-            # The response stays collectable after the caller's wait expired.
-            assert client.result(request_id, timeout=60)["status"] == "done"
+    def test_result_timeout_raises_service_timeout_error(self):
+        # Memoization off: with REPRO_RESULT_CACHE set, every service in the
+        # run shares one store, and a hit could answer before the 1 µs wait.
+        with ExplanationService(
+            model="crude", config=FAST_CONFIG, result_cache=False
+        ) as service:
+            with SocketServer(service, port=0) as server:
+                with ServiceClient(*server.address) as client:
+                    request_id = client.submit("div rcx; add rax, rbx", seed=0)
+                    with pytest.raises(ServiceTimeoutError, match="did not answer"):
+                        client.result(request_id, timeout=0.000001)
+                    # The response stays collectable after the caller's wait
+                    # expired.
+                    assert client.result(request_id, timeout=60)["status"] == "done"
 
     def test_client_reconnects_and_resubmits_after_connection_loss(self, served):
         """A severed TCP connection fails in-flight waiters but the next
