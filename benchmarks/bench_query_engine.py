@@ -68,7 +68,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--min-size", type=int, default=4, help="smallest block (instructions)")
     parser.add_argument("--max-size", type=int, default=14, help="largest block (instructions)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=0, help="thread fan-out for simulator models")
     parser.add_argument(
         "--quick", action="store_true", help="tiny configuration for CI smoke runs"
     )
@@ -81,7 +80,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--matrix-workers",
         type=int,
         default=None,
-        help="worker count for the thread/process backends (default: CPU count)",
+        help="worker count for the process backend (default: CPU count)",
     )
     parser.add_argument(
         "--matrix-blocks",
@@ -151,10 +150,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def build_model(args) -> CachedCostModel:
-    model = build_cost_model(
-        args.model, args.microarch, cached=False, batch_workers=args.workers
-    )
-    return CachedCostModel(model)
+    return CachedCostModel(build_cost_model(args.model, args.microarch, cached=False))
 
 
 def explainer_config(batched: bool) -> ExplainerConfig:
@@ -225,11 +221,12 @@ def run_model_microbench(args, blocks) -> dict:
 def run_backend_matrix(args, blocks) -> dict:
     """Explanations/sec on a simulator-backed model per execution backend.
 
-    The simulator is pure Python, so the thread backend stays GIL-bound while
-    the process backend scales with cores: this is the experiment behind the
-    runtime's ProcessBackend.  Each backend explains the same seeded workload
-    through one ExplanationSession; parity of the results is a by-product
-    (and is pinned separately by tests/explain/test_batch_parity.py).
+    The simulator is pure Python, so only worker processes run it on several
+    cores at once: this is the experiment behind the runtime's
+    ProcessBackend, with the serial backend as its baseline.  Each backend
+    explains the same seeded workload through one ExplanationSession; parity
+    of the results is a by-product (and is pinned separately by
+    tests/explain/test_batch_parity.py).
     """
     workers = args.matrix_workers or os.cpu_count() or 1
     matrix = {
@@ -255,19 +252,18 @@ def run_backend_matrix(args, blocks) -> dict:
             "model_queries": stats.model_queries,
             "cache_hit_rate": round(stats.cache_hit_rate, 4),
         }
-    thread_rate = matrix["backends"]["thread"]["explanations_per_sec"]
+    serial_rate = matrix["backends"]["serial"]["explanations_per_sec"]
     process_rate = matrix["backends"]["process"]["explanations_per_sec"]
-    matrix["process_vs_thread_speedup"] = (
-        round(process_rate / thread_rate, 2) if thread_rate else None
+    matrix["process_vs_serial_speedup"] = (
+        round(process_rate / serial_rate, 2) if serial_rate else None
     )
     if matrix["cpus"] < 2:
-        # The simulator is pure Python: threads are GIL-bound, so the process
-        # backend's gain is bounded by the core count.  On one core it can
-        # only measure its own IPC overhead.
+        # The process backend's gain is bounded by the core count; on one
+        # core it can only measure its own IPC overhead.
         matrix["note"] = (
-            "single-CPU host: process fan-out has no parallelism to win; "
-            "the process/thread ratio approaches the core count on "
-            "multi-core hardware (>=2x from 2-4 cores up)"
+            "single-CPU host: process fan-out has no parallelism to win, so "
+            "process_vs_serial_speedup measures its IPC and pool start-up "
+            "overhead"
         )
     return matrix
 
@@ -763,7 +759,7 @@ def run_resilience_bench(args, blocks) -> dict:
 
 
 def stamp_host_cpus(report: dict) -> None:
-    """Stamp the host CPU count into the report and every section.
+    """Stamp the host CPU count into the report and each of its sections.
 
     Recorded numbers are only comparable on similar hardware — a
     single-CPU container shows IPC/scheduling floors where a multi-core
@@ -853,6 +849,9 @@ def main(argv=None) -> int:
         resilience = run_resilience_bench(args, blocks[: args.matrix_blocks])
         report["resilience"] = resilience
 
+    # Stamp before merging: sections kept from an earlier report keep the
+    # CPU count of the host that measured them.
+    stamp_host_cpus(report)
     output = Path(args.output)
     if selected != set(SECTIONS) and output.exists():
         # Partial run: keep the sections this invocation did not measure, so
@@ -865,7 +864,6 @@ def main(argv=None) -> int:
             previous.update(report)
             report = previous
 
-    stamp_host_cpus(report)
     output.write_text(json.dumps(report, indent=2) + "\n")
 
     print(
@@ -894,7 +892,7 @@ def main(argv=None) -> int:
                 f"  {name:>10}: {row['seconds']:7.2f}s  "
                 f"{row['explanations_per_sec']:7.3f} expl/s"
             )
-        print(f"  process vs thread: {matrix['process_vs_thread_speedup']}x")
+        print(f"  process vs serial: {matrix['process_vs_serial_speedup']}x")
     if service is not None:
         print(
             f"service — model={service['model']} {service['requests']} requests "

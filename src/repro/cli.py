@@ -374,7 +374,7 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker count for the thread/process backends (default: CPU count)",
+        help="worker count for the process backend (default: CPU count)",
     )
 
 

@@ -29,7 +29,6 @@ from repro.runtime.backend import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.runtime.checkpoint import CheckpointJournal, run_fingerprint
@@ -79,7 +78,6 @@ __all__ = [
     "PerturbationConfig",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BackendRetryPolicy",
     "resolve_backend",

@@ -151,7 +151,7 @@ class CometExplainer:
         sampling order (pass an int for reproducible explanations).
     backend:
         Execution substrate for the model's batch prediction — a short name
-        (``"serial"``/``"thread"``/``"process"``), a constructed
+        (``"serial"``/``"process"``), a constructed
         :class:`~repro.runtime.backend.ExecutionBackend`, or ``None`` to
         leave the model's current substrate untouched.  Backends only decide
         *where* deterministic predictions run, so seeded explanations are
@@ -238,11 +238,12 @@ class CometExplainer:
         :meth:`explain` would have produced one at a time.
 
         ``shards`` controls block-level parallelism (``"auto"``, the default,
-        = one shard per backend worker, hence sequential on the serial
-        backend; ``None`` forces the sequential loop) on top of the query-level
-        batching: the fleet is partitioned across the backend's workers, each
-        shard runs full anchor searches, and results merge back in input
-        order, seeded-deterministic (see
+        = one shard per backend worker; ``None`` forces the sequential loop,
+        and so does any count on a one-worker backend such as the serial
+        one) on top of the query-level batching: the fleet is partitioned
+        across the process backend's workers, each shard runs full anchor
+        searches in one worker, and results merge back in input order,
+        seeded-deterministic (see
         :meth:`~repro.runtime.session.ExplanationSession.explain_many`).
         """
         with self.session() as session:

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 from repro.bb.block import BasicBlock
 from repro.perturb.algorithm import _thread_perturb_tally
-from repro.runtime.backend import ExecutionBackend, ThreadBackend
+from repro.runtime.backend import ExecutionBackend
 from repro.uarch.microarch import MicroArchitecture, get_microarch
 from repro.utils.errors import ModelError
 
@@ -38,7 +38,8 @@ class QueryTally(NamedTuple):
     cache-lookup split (always zero for uncached models).  Snapshots are
     per-thread, so deltas taken around a piece of work measure exactly that
     work even while other threads hammer the same shared model — which is
-    what makes per-explanation ``num_queries`` exact under block sharding.
+    what makes per-explanation ``num_queries`` exact under concurrent
+    service dispatchers.
 
     ``perturbations``/``perturb_fallbacks`` mirror the same per-thread
     semantics for the Γ engine: how many perturbed blocks the calling thread
@@ -101,18 +102,12 @@ class CostModel(ABC):
     def __init__(self, microarch="hsw") -> None:
         self.microarch: MicroArchitecture = get_microarch(microarch)
         self.query_count = 0
-        # Counter updates must be exact under concurrent callers (block
-        # sharding runs shard threads against one shared model): the lock
+        # Counter updates must be exact under concurrent callers (service
+        # dispatchers and library threads may share one model): the lock
         # makes the global totals lost-update-free, and the thread-local
         # tallies give each caller an interference-free per-request view.
         self._tally_lock = threading.Lock()
         self._thread_tallies = _ThreadTallies()
-        #: Number of workers :meth:`_fanout_predict_batch` may use when no
-        #: explicit backend is installed; ``0``/``1`` keeps batch prediction
-        #: sequential.  Simulator-style models expose this knob in their
-        #: constructors as a convenience — the model then builds (and owns)
-        #: a :class:`~repro.runtime.backend.ThreadBackend` lazily.
-        self.batch_workers = 0
         self._backend: Optional[ExecutionBackend] = None
         self._owns_backend = False
 
@@ -135,15 +130,7 @@ class CostModel(ABC):
 
     @property
     def execution_backend(self) -> Optional[ExecutionBackend]:
-        """The installed backend, materialising the ``batch_workers`` one.
-
-        Returns ``None`` when prediction is (and should stay) in-process:
-        no backend was installed and ``batch_workers`` does not ask for one.
-        """
-        if self._backend is None and self.batch_workers > 1:
-            # Legacy knob: the model owns this backend and closes it.
-            self._backend = ThreadBackend(self.batch_workers)
-            self._owns_backend = True
+        """The installed backend (``None``: prediction stays in-process)."""
         return self._backend
 
     def set_backend(
@@ -187,8 +174,7 @@ class CostModel(ABC):
         """Evaluate ``_predict`` through the execution backend (in order).
 
         Useful for simulator-style models whose per-block work is substantial
-        and independent.  Without a backend (and without ``batch_workers``)
-        this is a plain sequential loop.
+        and independent.  Without a backend this is a plain sequential loop.
         """
         backend = self.execution_backend
         if backend is None or backend.workers <= 1 or len(blocks) <= 1:
@@ -232,9 +218,9 @@ class CostModel(ABC):
     def _count_queries(self, count: int) -> None:
         """Record ``count`` inner-model evaluations, exactly.
 
-        The global total is updated under the tally lock (concurrent shard
-        threads must not lose updates); the calling thread's tally needs no
-        lock because only that thread touches it.
+        The global total is updated under the tally lock (concurrent callers
+        must not lose updates); the calling thread's tally needs no lock
+        because only that thread touches it.
         """
         with self._tally_lock:
             self.query_count += count
@@ -363,7 +349,7 @@ class CachedCostModel(CostModel):
     evaluations a piece of code cost.  Global totals are exact under
     concurrent callers (lock-protected), and every counting site also feeds
     the calling thread's :meth:`~CostModel.query_tally` so per-request
-    deltas are interference-free under block sharding.
+    deltas are interference-free under concurrent callers.
     """
 
     def __init__(self, inner: CostModel, max_entries: int = 100_000) -> None:
@@ -374,8 +360,8 @@ class CachedCostModel(CostModel):
         self.name = inner.name
         self.max_entries = max_entries
         self._cache: "OrderedDict[tuple, float]" = OrderedDict()
-        # Cache bookkeeping must survive concurrent callers (block-sharded
-        # explain_many runs shard threads against one shared wrapper): the
+        # Cache bookkeeping must survive concurrent callers (library callers
+        # and service dispatchers may share one wrapper across threads): the
         # lock covers lookups, stores, LRU eviction and the hit/miss
         # counters.  It is never held while the inner model computes, so
         # misses from different threads still run concurrently.
@@ -585,10 +571,9 @@ class QueryCounter:
     """Context manager measuring how many queries a piece of code issued.
 
     The measurement is scoped to the *calling thread* (via
-    :meth:`CostModel.query_tally`), so a search running on one shard thread
-    counts exactly its own queries even while other shards hammer the same
-    shared model — this is what makes per-explanation ``num_queries``
-    identical between the sequential loop and sharded ``explain_many``.
+    :meth:`CostModel.query_tally`), so a search running on one thread
+    counts exactly its own queries even while other threads (service
+    dispatchers) hammer the same shared model.
     ``hits``/``misses`` carry the cache-lookup split for cached models, and
     :attr:`tally` the whole delta, Γ counters included.
     """

@@ -35,7 +35,6 @@ def build_cost_model(
     training_throughputs: Optional[Sequence[float]] = None,
     ithemal_config: Optional[IthemalConfig] = None,
     cached: bool = True,
-    batch_workers: int = 0,
     backend: BackendSource = None,
     workers: Optional[int] = None,
 ) -> CostModel:
@@ -48,20 +47,18 @@ def build_cost_model(
     explanation workload wants.
 
     ``backend`` selects the execution substrate batch prediction fans out on
-    (a short name — ``"serial"``/``"thread"``/``"process"`` — or a constructed
+    (a short name — ``"serial"``/``"process"`` — or a constructed
     :class:`~repro.runtime.backend.ExecutionBackend`); ``workers`` sizes it.
-    The model owns a backend built here and releases it on ``close()``.  The
-    legacy ``batch_workers`` knob is kept as a shorthand for a model-owned
-    thread backend.
+    The model owns a backend built here and releases it on ``close()``.
     """
     key = name.strip().lower()
     model: CostModel
     if key in ("crude", "analytical", "c"):
         model = AnalyticalCostModel(microarch)
     elif key == "uica":
-        model = UiCACostModel(microarch, batch_workers=batch_workers)
+        model = UiCACostModel(microarch)
     elif key in ("port-pressure", "mca", "llvm-mca"):
-        model = PortPressureCostModel(microarch, batch_workers=batch_workers)
+        model = PortPressureCostModel(microarch)
     elif key == "ithemal":
         if training_blocks is None or training_throughputs is None:
             raise ReproError(

@@ -32,14 +32,12 @@ class UiCACostModel(CostModel):
         microarch="hsw",
         config: Optional[SimulationConfig] = None,
         *,
-        batch_workers: int = 0,
         backend: Optional[ExecutionBackend] = None,
     ) -> None:
         super().__init__(microarch)
         self.config = config or self.DEFAULT_CONFIG
         self.simulator = PipelineSimulator(self.microarch, self.config)
         self.name = f"uica-{self.microarch.short_name}"
-        self.batch_workers = batch_workers
         if backend is not None:
             self.set_backend(backend)
 
@@ -48,8 +46,8 @@ class UiCACostModel(CostModel):
 
     def _predict_batch(self, blocks: Sequence[BasicBlock]) -> List[float]:
         # The simulator holds no mutable state across simulate() calls and is
-        # picklable, so a batch can fan out across threads or processes
-        # whenever an execution backend allows it.
+        # picklable, so a batch can fan out across processes whenever an
+        # execution backend allows it.
         return self._fanout_predict_batch(blocks)
 
     def analyze(self, block: BasicBlock) -> SimulationResult:

@@ -4,7 +4,7 @@ This package separates COMET's *workload* (the anchor search and its
 cost-model queries) from its *execution substrate*:
 
 * :mod:`repro.runtime.backend` — where batches of independent work run
-  (:class:`SerialBackend`, :class:`ThreadBackend`, :class:`ProcessBackend`),
+  (:class:`SerialBackend`, :class:`ProcessBackend`),
 * :mod:`repro.runtime.session` — :class:`ExplanationSession`, which owns the
   state shared across one explanation run: the cache wrapper and the
   execution backend (background populations live for one call),
@@ -24,7 +24,6 @@ from repro.runtime.backend import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     resolve_backend,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "BackendSource",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "available_backends",
     "resolve_backend",

@@ -1,23 +1,21 @@
 """The execution substrate of the explanation runtime.
 
 COMET's workload — thousands of independent cost-model queries per
-explanation — is separable from *how* those queries execute: inline, across
-threads, or across processes.  The seed implementation buried that decision
-in an ad-hoc ``ThreadPoolExecutor`` inside ``CostModel``; this module pulls
-it out into an explicit :class:`ExecutionBackend` interface so every layer
-(models, explainer, evaluation harnesses, CLI, benchmarks) selects the
-substrate the same way.
+explanation — is separable from *how* those queries execute: inline or
+across processes.  This module makes that decision an explicit
+:class:`ExecutionBackend` interface so every layer (models, explainer,
+evaluation harnesses, CLI, benchmarks) selects the substrate the same way.
 
-Three backends are provided:
+Two backends are provided:
 
 * :class:`SerialBackend` — in-process, in-order.  The default; zero overhead
   and trivially deterministic.
-* :class:`ThreadBackend` — a shared thread pool.  Useful when the model
-  releases the GIL (numpy-heavy models) or performs blocking I/O; pure-Python
-  simulators gain little because the GIL serialises them.
 * :class:`ProcessBackend` — a process pool that escapes the GIL.  The cost
   model is shipped to each worker *once* (via the pool initializer) rather
   than per task, so per-batch IPC is just the blocks out and the floats back.
+
+Threads are not a backend: the search is pure-Python Γ and KL-LUCB work, so
+under the GIL they add overhead without adding compute.
 
 All backends preserve input order, so seeded explanations are bit-for-bit
 identical across backends for deterministic models: the backend decides only
@@ -31,7 +29,7 @@ import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
@@ -121,15 +119,8 @@ class ExecutionBackend(ABC):
     support) and introspection (:attr:`workers`, :meth:`describe`).
     """
 
-    #: Short name used by the CLI/config layer (``serial``/``thread``/...).
+    #: Short name used by the CLI/config layer (``serial``/``process``).
     name: str = "backend"
-
-    #: Whether work dispatched to this backend runs in the caller's address
-    #: space.  In-process backends (serial, thread) see — and may mutate —
-    #: shared state such as a session's query cache;
-    #: the process backend ships copies to its workers, so callers that shard
-    #: stateful work must pack everything a work item needs into the item.
-    shares_memory: bool = True
 
     def __init__(self) -> None:
         self._closed = False
@@ -216,50 +207,6 @@ class SerialBackend(ExecutionBackend):
         return 1
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool execution, sharing the interpreter (and its GIL).
-
-    The pool is created lazily on first use — the refinement loop issues one
-    batch per round, so per-call pool construction would dominate small
-    batches — and released by :meth:`close` (fixing the seed implementation's
-    leak, where the pool lived until interpreter shutdown).
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__()
-        # None means "size to the machine"; explicit 0/1 means sequential
-        # (matching the legacy batch_workers convention).
-        self._workers = _default_workers() if workers is None else max(int(workers), 1)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        # Concurrent shard threads may race the lazy pool construction
-        # (block-sharded explain_many issues first batches simultaneously);
-        # without the lock each racer would build — and leak — its own pool.
-        self._pool_lock = threading.Lock()
-
-    def map_batch(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        self._check_open()
-        if len(items) <= 1 or self._workers <= 1:
-            return [fn(item) for item in items]
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self._workers)
-            pool = self._pool
-        return list(pool.map(fn, items))
-
-    def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        super().close()
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-
 # ---------------------------------------------------------------------------
 # Process backend: worker-resident model.
 #
@@ -283,9 +230,10 @@ class ProcessBackend(ExecutionBackend):
     """Process-pool execution: true parallelism for GIL-bound models.
 
     Simulator-style models (``uica``, ``port-pressure``) do substantial pure
-    Python work per block, so threads cannot run them concurrently.  This
-    backend fans batches out across worker processes; the model travels to
-    each worker once, at pool (re)construction, and stays resident.
+    Python work per block, which only separate interpreters run
+    concurrently.  This backend fans batches out across worker processes;
+    the model travels to each worker once, at pool (re)construction, and
+    stays resident.
 
     Requirements: the model must be picklable (rules out ``CallableCostModel``
     wrappers around lambdas/closures — :meth:`prepare_model` reports this with
@@ -304,7 +252,6 @@ class ProcessBackend(ExecutionBackend):
     """
 
     name = "process"
-    shares_memory = False
 
     def __init__(
         self,
@@ -320,7 +267,7 @@ class ProcessBackend(ExecutionBackend):
         self._bound_model = None
         self.retry_policy = retry if retry is not None else BackendRetryPolicy()
         # Failure-surface counters (worker_stats); guarded by a lock because
-        # concurrent shard threads may fan batches through one backend.
+        # concurrent callers may share one backend instance.
         self._stats_lock = threading.Lock()
         self._restarts = 0
         self._retries = 0
@@ -336,8 +283,8 @@ class ProcessBackend(ExecutionBackend):
             raise BackendError(
                 f"cost model {getattr(model, 'name', model)!r} is not picklable "
                 f"and cannot run on the process backend ({error}); use the "
-                f"serial or thread backend, or make the model's callable a "
-                f"module-level function"
+                f"serial backend, or make the model's callable a module-level "
+                f"function"
             ) from error
 
     def prepare_model(self, model) -> None:
@@ -470,7 +417,7 @@ class ProcessBackend(ExecutionBackend):
 
 def available_backends() -> tuple:
     """Short names accepted by :func:`resolve_backend` (and the CLI)."""
-    return ("serial", "thread", "process")
+    return ("serial", "process")
 
 
 def resolve_backend(
@@ -493,8 +440,6 @@ def resolve_backend(
     key = str(source).strip().lower()
     if key == "serial":
         return SerialBackend()
-    if key in ("thread", "threads"):
-        return ThreadBackend(workers)
     if key in ("process", "processes"):
         return ProcessBackend(workers)
     raise BackendError(

@@ -57,21 +57,19 @@ def run_fingerprint(
     uarch: str,
     config,
     seed: int,
-    shards_normalised: str,
 ) -> str:
     """The identity of one checkpointable run, as a stable hex digest.
 
     Everything that can change a result is hashed: the exact fleet (keys in
     order — position matters because each position has its own spawned
     stream), the model and microarchitecture, the explainer configuration
-    and the run seed.  ``shards_normalised`` is included descriptively;
-    sharding is result-neutral but recording it makes manifests
-    self-describing.
+    and the run seed.  Nothing else is: a checkpointed run is always
+    sequential, so ``shards`` cannot change its results and a resume with
+    another ``shards`` value keeps the journal.
     """
     hasher = hashlib.sha256()
     hasher.update(f"v{JOURNAL_VERSION}|{model_name}|{uarch}|{seed}|".encode())
     hasher.update(repr(config).encode("utf-8"))
-    hasher.update(f"|{shards_normalised}|".encode())
     for block in blocks:
         hasher.update(repr(block.key()).encode("utf-8"))
         hasher.update(b";")

@@ -20,7 +20,7 @@ block (see :class:`CallRecords`).
 
 Determinism: the backend never touches the random stream (it only decides
 where deterministic predictions execute), so seeded session runs are
-bit-for-bit identical across serial, thread and process backends, and every
+bit-for-bit identical across the serial and process backends, and every
 ``explain`` call is bit-for-bit what the session-less explainer produces for
 the same seed, whatever the session explained before.
 """
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Generator, List, Literal, Optional, Sequence, Tuple, Union
@@ -65,8 +64,7 @@ class CallRecords:
     own seed and safe to memoize (:meth:`occurs_once`).  The record is
     dropped at the block's last occurrence, so a call holds populations only
     for repeats still to come.  Call :meth:`take` once per occurrence, in
-    order.  The shards of one call may share an instance: every occurrence
-    of a block is in one shard, so no two threads take the same block.
+    order.
     """
 
     def __init__(self, blocks: Sequence[BasicBlock], shared: bool) -> None:
@@ -96,10 +94,10 @@ def _explain_shard(
 ) -> List[Tuple[int, Explanation]]:
     """Explain one shard, one :meth:`ExplanationSession.explain` per block.
 
-    Every fleet path — the serial loop, in-process threads and process
-    workers alike — runs this exact loop, so results are byte-identical
-    across backends: all occurrences of a block key are routed to one shard
-    in order, so repeats share a population exactly as in the serial loop.
+    The serial loop and every process shard run this exact loop, so results
+    are byte-identical across backends: all occurrences of a block key are
+    routed to one shard in order, so repeats share a population exactly as
+    in the serial loop.
     """
     results: List[Tuple[int, Explanation]] = []
     for position, block, stream in shard:
@@ -194,8 +192,8 @@ class ExplanationSession:
     config:
         Explanation hyperparameters (shared by every explanation of the run).
     backend:
-        Execution substrate — a short name (``"serial"``/``"thread"``/
-        ``"process"``), a constructed backend, or ``None`` for the
+        Execution substrate — a short name (``"serial"``/``"process"``),
+        a constructed backend, or ``None`` for the
         environment-controlled default.  The session owns backends it
         resolves from names and closes them; a backend *instance* passed in
         stays caller-owned.
@@ -248,8 +246,8 @@ class ExplanationSession:
         installed = self.model.execution_backend
         if backend is None and installed is not None:
             # No explicit request: a substrate the caller already configured
-            # on the model (backend=/batch_workers) beats the ambient
-            # default — borrow it and leave its ownership untouched.
+            # on the model (backend=) beats the ambient default — borrow it
+            # and leave its ownership untouched.
             self.backend = installed
             self._owns_backend = False
         else:
@@ -269,7 +267,7 @@ class ExplanationSession:
             self._owns_result_cache = True
         self.explanations_produced = 0
         self.checkpoint_skips = 0
-        # Shard threads and fused ticks charge their work concurrently.
+        # Fused ticks and library callers on other threads may charge at once.
         self._work = QueryTally(0)
         self._work_lock = threading.Lock()
         self._closed = False
@@ -278,8 +276,8 @@ class ExplanationSession:
         """Add work done for this session to its :meth:`stats`.
 
         Every search charges its total once, when it ends
-        (:func:`~repro.explain.explainer.search_block_rounds`); shard
-        threads and fused ticks charge concurrently.
+        (:func:`~repro.explain.explainer.search_block_rounds`); fused ticks
+        and library callers on other threads may charge concurrently.
         """
         with self._work_lock:
             self._work = self._work + tally
@@ -384,13 +382,13 @@ class ExplanationSession:
         shared — never which random numbers each block's search consumes.
 
         ``shards`` controls the block-level parallelism layered on top of the
-        query-level batching: the fleet is partitioned into that many shards,
-        each shard runs its full anchor searches on one backend worker, and
-        the results are merged back in input order.  ``"auto"`` (the default)
-        sizes the shard count to the backend's workers — on the serial
-        backend that is 1, so fleets stay sequential until a parallel
-        backend is selected; an explicit count pins it; ``None``/``0``/``1``
-        force the sequential loop.
+        query-level batching: on a process backend with more than one worker
+        the fleet is partitioned into that many shards, each shard runs its
+        full anchor searches in one worker process, and the results are
+        merged back in input order.  ``"auto"`` (the default) sizes the shard
+        count to the backend's workers; an explicit count pins it;
+        ``None``/``0``/``1`` force the sequential loop, and so does a backend
+        with one worker (the serial backend included), whatever the count.
         Background populations are scoped to the call: repeats of a block
         within it share one population (the first search of the block that
         goes past the empty anchor draws it), and nothing carries over to
@@ -402,12 +400,11 @@ class ExplanationSession:
         in their original order, so population sharing happens exactly where
         the serial loop would have it, and every block consumes only its own
         spawned stream.  Per-explanation ``num_queries`` matches the
-        sequential loop too on a fresh session: searches measure their
-        queries through thread-scoped tallies
-        (:meth:`~repro.models.base.CostModel.query_tally`), so concurrent
-        shards cannot pollute each other's counts (exact as long as distinct
-        block keys do not collide in the query cache, which key-grouped
-        sharding makes the overwhelmingly common case).
+        sequential loop too on a fresh session: each shard starts from a
+        cold query cache of its own, which is what the sequential loop's
+        searches see for every block key they have not met yet (exact as
+        long as distinct block keys do not collide in the query cache,
+        which key-grouped sharding makes the overwhelmingly common case).
 
         ``checkpoint`` names a crash-safe journal file: every completed
         explanation is journaled as it finishes, and re-running the *same*
@@ -421,9 +418,9 @@ class ExplanationSession:
         remaining positions compute.
 
         ``cancel`` is checked between blocks and between KL-LUCB rounds on
-        the in-process paths (serial and thread backends, and all
-        checkpointed runs); process-sharded fleets check between shards
-        only, since the token cannot cross a process boundary.
+        the sequential loop (which every checkpointed run takes);
+        process-sharded fleets check it once before the shards start, since
+        the token cannot cross a process boundary.
 
         With a result cache installed and an integer ``rng`` seed, fleet
         positions whose block key is unique within the call are memoized
@@ -436,7 +433,7 @@ class ExplanationSession:
         blocks = list(blocks)
         if checkpoint is not None:
             return self._explain_many_checkpointed(
-                blocks, rng, checkpoint=checkpoint, shards=shards, cancel=cancel
+                blocks, rng, checkpoint=checkpoint, cancel=cancel
             )
         records = CallRecords(blocks, self.config.shared_background)
         results: List[Optional[Explanation]] = [None] * len(blocks)
@@ -472,10 +469,7 @@ class ExplanationSession:
             pairs = _explain_shard(self, items, records, cancel)
         else:
             shard_lists = [[items[i] for i in indices] for indices in plan]
-            if self.backend.shares_memory:
-                pairs = self._run_shards_inprocess(shard_lists, records, cancel)
-            else:
-                pairs = self._run_shards_remote(shard_lists, cancel)
+            pairs = self._run_shards_remote(shard_lists, cancel)
         for position, explanation in pairs:
             results[position] = explanation
             fingerprint = fingerprints.get(position)
@@ -490,7 +484,6 @@ class ExplanationSession:
         rng: RandomSource,
         *,
         checkpoint: Union[str, Path],
-        shards: Union[int, str, None],
         cancel: Optional[CancelToken],
     ) -> List[Explanation]:
         """The journaled ``explain_many`` path — see the public docstring.
@@ -515,7 +508,6 @@ class ExplanationSession:
             uarch=self.model.microarch,
             config=self.config,
             seed=int(rng),
-            shards_normalised=str(shards),
         )
         streams = spawn_rngs(int(rng), len(blocks))
         results: List[Optional[Explanation]] = [None] * len(blocks)
@@ -543,9 +535,11 @@ class ExplanationSession:
     ) -> Optional[List[List[int]]]:
         """Partition fleet positions into shards (``None`` = stay sequential).
 
-        Blocks are grouped by content key and whole groups are dealt
-        round-robin across shards in first-occurrence order; positions inside
-        a shard stay ascending.  Keeping a key's occurrences together is what
+        Only a backend with more than one worker shards: the shards run in
+        its worker processes (:meth:`_run_shards_remote`).  Blocks are
+        grouped by content key and whole groups are dealt round-robin across
+        shards in first-occurrence order; positions inside a shard stay
+        ascending.  Keeping a key's occurrences together is what
         makes sharded output bit-for-bit equal to the serial loop: repeats of
         a block share its population within the shard exactly as they would
         have serially.
@@ -560,7 +554,7 @@ class ExplanationSession:
             requested = self.backend.workers
         else:
             requested = int(shards)
-        if requested <= 1 or len(blocks) <= 1:
+        if requested <= 1 or len(blocks) <= 1 or self.backend.workers <= 1:
             return None
         groups: "OrderedDict[tuple, List[int]]" = OrderedDict()
         for position, block in enumerate(blocks):
@@ -574,31 +568,6 @@ class ExplanationSession:
         for shard in plan:
             shard.sort()
         return plan
-
-    def _run_shards_inprocess(
-        self,
-        shard_lists: List[List[_ShardItem]],
-        records: CallRecords,
-        cancel: Optional[CancelToken] = None,
-    ) -> List[Tuple[int, Explanation]]:
-        """Run shards on session-owned threads (sharing the query cache).
-
-        A dedicated executor — not the backend's own pool — carries the
-        shards: a shard's searches fan their query batches out through the
-        backend, and routing both levels through one thread pool would let
-        shards occupy every worker and deadlock waiting for their own query
-        tasks.  Shard threads are cheap next to the seconds of search work
-        they carry.  The shared cache is safe (it locks internally and hits
-        never change values); the call's records are safe too, since a
-        block's occurrences all run on one shard (see :class:`CallRecords`).
-        """
-
-        def run(shard: List[_ShardItem]) -> List[Tuple[int, Explanation]]:
-            return _explain_shard(self, shard, records, cancel)
-
-        with ThreadPoolExecutor(max_workers=len(shard_lists)) as executor:
-            shard_results = list(executor.map(run, shard_lists))
-        return [pair for shard_result in shard_results for pair in shard_result]
 
     def _run_shards_remote(
         self,

@@ -171,10 +171,10 @@ class ExplanationRequest:
 
     ``model``/``uarch`` default to the service's configured model; ``shards``
     is forwarded to ``explain_many`` for multi-block requests (``"auto"``,
-    the default, = one shard per backend worker — sequential on the serial
-    backend; ``None`` = force the sequential loop).  Under continuous
-    batching ``shards`` is not used: a multi-block request's blocks run one
-    after another in its fused group.
+    the default, = one shard per process-backend worker; ``None``, or any
+    count on a one-worker backend such as the serial one, = the sequential
+    loop).  Under continuous batching ``shards`` is not used: a multi-block
+    request's blocks run one after another in its fused group.
     """
 
     blocks: Tuple[BasicBlock, ...]

@@ -342,7 +342,19 @@ class TestBackendFlags:
                 ["explain", "--block", BLOCK_INLINE, "--backend", "quantum"]
             )
 
-    def test_explain_runs_on_thread_backend(self, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [["explain", "--block", BLOCK_INLINE], ["serve"], ["dataset", "--output", "x.json"]],
+        ids=["explain", "serve", "dataset"],
+    )
+    def test_thread_backend_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(command + ["--backend", "thread"])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice" in error and "'thread'" in error
+
+    def test_explain_runs_on_process_backend(self, capsys):
         code = main(
             [
                 "explain",
@@ -359,7 +371,7 @@ class TestBackendFlags:
                 "--max-precision-samples",
                 "40",
                 "--backend",
-                "thread",
+                "process",
                 "--workers",
                 "2",
             ]
@@ -388,9 +400,9 @@ class TestBackendFlags:
         ]
         assert main(base_args) == 0
         serial = json.loads(capsys.readouterr().out)
-        assert main(base_args + ["--backend", "thread", "--workers", "2"]) == 0
-        threaded = json.loads(capsys.readouterr().out)
-        assert serial == threaded
+        assert main(base_args + ["--backend", "process", "--workers", "2"]) == 0
+        process = json.loads(capsys.readouterr().out)
+        assert serial == process
 
 
 class TestDataset:

@@ -124,10 +124,9 @@ class TestBackendParity:
     """Seeded explanations must not depend on the execution substrate.
 
     Backends decide only where deterministic predictions run, so for a fixed
-    rng the serial, thread and process backends must produce identical
-    explanations — through both ``explain`` and the ``explain_many`` fleet
-    path.  Exercised on a simulator-style model (the kind that actually fans
-    out) with the process path included.
+    rng the serial and process backends must produce identical explanations
+    — through both ``explain`` and the ``explain_many`` fleet path.
+    Exercised on a simulator-style model (the kind that actually fans out).
     """
 
     def _fleet(self, tiny_blocks, backend_name, seed):
@@ -137,10 +136,9 @@ class TestBackendParity:
         ) as session:
             return [_fingerprint(e) for e in session.explain_many(tiny_blocks, rng=seed)]
 
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
-    def test_explain_many_identical_across_backends(self, tiny_blocks, backend_name):
+    def test_explain_many_identical_across_backends(self, tiny_blocks):
         assert self._fleet(tiny_blocks[:2], "serial", 7) == self._fleet(
-            tiny_blocks[:2], backend_name, 7
+            tiny_blocks[:2], "process", 7
         )
 
     @pytest.mark.parametrize("backend_name", available_backends())

@@ -192,11 +192,10 @@ class TestGoldenExplanation:
             assert service.stats().result_cache.hits >= 1
         assert second == first  # the whole dict, num_queries included
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_golden_holds_across_backends(self, golden, backend):
+    def test_golden_holds_across_backends(self, golden):
         block = BasicBlock.from_text(GOLDEN_BLOCK)
         with ExplanationSession(
-            AnalyticalCostModel("hsw"), GOLDEN_CONFIG, backend=backend, workers=2
+            AnalyticalCostModel("hsw"), GOLDEN_CONFIG, backend="process", workers=2
         ) as session:
             explanation = session.explain(block, rng=GOLDEN_SEED)
         payload = explanation_to_dict(explanation)

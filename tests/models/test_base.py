@@ -160,10 +160,10 @@ class TestModelLifecycle:
         model.close()
 
     def test_cached_close_reaches_inner_model(self):
-        from repro.runtime.backend import ThreadBackend
+        from repro.runtime.backend import SerialBackend
 
         cached = CachedCostModel(CallableCostModel(lambda b: 1.0))
-        backend = ThreadBackend(2)
+        backend = SerialBackend()
         cached.set_backend(backend, own=True)
         cached.close()
         assert backend.closed

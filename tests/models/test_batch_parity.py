@@ -2,7 +2,7 @@
 
 The batched query engine is only sound if ``predict_batch`` is equivalent to
 the sequential ``predict_many`` path for every model behind the query
-interface; these tests pin that contract, including the thread-pool fan-out
+interface; these tests pin that contract, including the process-pool fan-out
 of the simulator-style models and the batch-aware cache wrapper.
 """
 
@@ -17,17 +17,20 @@ from repro.models.mca import PortPressureCostModel
 from repro.models.uica import UiCACostModel
 from repro.perturb.algorithm import BlockPerturber
 from repro.perturb.config import PerturbationConfig
+from repro.runtime.backend import ProcessBackend
 from repro.utils.errors import ModelError
 
 
 def _exact_models():
+    # The fanned-out models own their process backends, so ``with model:``
+    # in a test closes the pool.
     return [
         AnalyticalCostModel("hsw"),
         AnalyticalCostModel("skl"),
         UiCACostModel("hsw"),
-        UiCACostModel("hsw", batch_workers=4),
+        UiCACostModel("hsw").set_backend(ProcessBackend(2), own=True),
         PortPressureCostModel("hsw"),
-        PortPressureCostModel("hsw", batch_workers=4),
+        PortPressureCostModel("hsw").set_backend(ProcessBackend(2), own=True),
         CallableCostModel(lambda b: float(b.num_instructions), name="count"),
     ]
 
@@ -35,8 +38,9 @@ def _exact_models():
 class TestPredictBatchParity:
     @pytest.mark.parametrize("model", _exact_models(), ids=lambda m: m.describe())
     def test_exact_parity_with_predict_many(self, model, block_fleet):
-        sequential = model.predict_many(block_fleet)
-        batched = model.predict_batch(block_fleet)
+        with model:
+            sequential = model.predict_many(block_fleet)
+            batched = model.predict_batch(block_fleet)
         assert batched == sequential
 
     def test_ithemal_parity_within_float_tolerance(self, block_fleet):
@@ -99,7 +103,8 @@ class TestPerturbedBlockParity:
 
     @pytest.mark.parametrize("model", _exact_models(), ids=lambda m: m.describe())
     def test_exact_models(self, model, rows):
-        assert model.predict_batch(rows) == model.predict_many(_constructed(rows))
+        with model:
+            assert model.predict_batch(rows) == model.predict_many(_constructed(rows))
 
     def test_ithemal_within_float_tolerance(self, rows):
         model = IthemalCostModel(
@@ -146,20 +151,22 @@ class TestSegmentedParity:
                 "hsw", IthemalConfig(embedding_size=8, hidden_size=8, epochs=1)
             ),
             lambda: CallableCostModel(lambda b: float(b.num_instructions), name="count"),
-            lambda: PortPressureCostModel("hsw", batch_workers=4),
+            lambda: PortPressureCostModel("hsw").set_backend(
+                ProcessBackend(2), own=True
+            ),
         ],
-        ids=["analytical", "cached", "ithemal", "callable", "port-pressure-threaded"],
+        ids=["analytical", "cached", "ithemal", "callable", "port-pressure-process"],
     )
     def test_segmented_parity(self, factory):
         segments = self._segments()
         flat = [block for segment in segments for block in segment]
-        model = factory()
-        values, tallies, _ = model.predict_batch_segmented(segments)
+        with factory() as model:
+            values, tallies, _ = model.predict_batch_segmented(segments)
+        with factory() as reference:
+            expected = reference.predict_batch(flat)
         assert [len(v) for v in values] == [len(s) for s in segments]
         assert sum(t.queries for t in tallies) == len(flat)
-        assert [p for segment in values for p in segment] == factory().predict_batch(
-            flat
-        )
+        assert [p for segment in values for p in segment] == expected
 
 
 class TestCachedBatchPath:

@@ -1,8 +1,8 @@
 """Thread-exact query accounting: global totals and per-thread tallies.
 
-Block-sharded ``explain_many`` runs whole searches on concurrent threads
-against one shared (cached) model.  Two things must hold for its
-per-explanation ``num_queries`` to mean anything:
+Service dispatchers and library callers may run whole searches on
+concurrent threads against one shared (cached) model.  Two things must hold
+for per-explanation ``num_queries`` to mean anything:
 
 * the *global* counters (``query_count``, ``hits``, ``misses``) lose no
   updates under concurrency (the pre-fix base ``CostModel`` incremented
@@ -10,7 +10,7 @@ per-explanation ``num_queries`` to mean anything:
 * each thread can snapshot *its own* contribution
   (:meth:`CostModel.query_tally`), so a :class:`QueryCounter` wrapped
   around one search counts that search's queries only — not whatever the
-  other shards did meanwhile.
+  other threads did meanwhile.
 """
 
 import pickle

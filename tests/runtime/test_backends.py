@@ -13,7 +13,6 @@ from repro.runtime.backend import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     resolve_backend,
 )
@@ -34,7 +33,7 @@ def blocks():
     ]
 
 
-@pytest.fixture(params=["serial", "thread", "process"])
+@pytest.fixture(params=["serial", "process"])
 def backend(request):
     with resolve_backend(request.param, 2) as instance:
         yield instance
@@ -71,16 +70,9 @@ class TestLifecycle:
             backend.map_batch(_square, [1, 2])
 
     def test_context_manager_closes(self):
-        with ThreadBackend(2) as backend:
+        with ProcessBackend(2) as backend:
             backend.map_batch(_square, [1, 2, 3])
         assert backend.closed
-
-    def test_thread_pool_released_on_close(self):
-        backend = ThreadBackend(2)
-        backend.map_batch(_square, [1, 2, 3])
-        assert backend._pool is not None
-        backend.close()
-        assert backend._pool is None
 
     def test_process_pool_released_on_close(self, blocks):
         backend = ProcessBackend(2)
@@ -94,13 +86,10 @@ class TestLifecycle:
 class TestIntrospection:
     def test_worker_counts(self):
         assert SerialBackend().workers == 1
-        assert ThreadBackend(3).workers == 3
         assert ProcessBackend(2).workers == 2
 
     def test_zero_workers_means_sequential(self):
-        # Matches the legacy batch_workers=0 convention: an explicit 0 asks
-        # for no parallelism, not for the machine default.
-        assert ThreadBackend(0).workers == 1
+        # An explicit 0 asks for no parallelism, not for the machine default.
         assert ProcessBackend(0).workers == 1
 
     def test_describe_names_the_backend(self):
@@ -109,15 +98,21 @@ class TestIntrospection:
 
     def test_names(self):
         assert SerialBackend().name == "serial"
-        assert ThreadBackend(1).name == "thread"
         assert ProcessBackend(1).name == "process"
 
 
 class TestResolution:
     def test_names_resolve(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("thread", 2), ThreadBackend)
         assert isinstance(resolve_backend("process", 2), ProcessBackend)
+
+    def test_available_backends(self):
+        assert available_backends() == ("serial", "process")
+
+    @pytest.mark.parametrize("name", ["thread", "threads"])
+    def test_thread_names_rejected(self, name):
+        with pytest.raises(BackendError, match=r"\('serial', 'process'\)"):
+            resolve_backend(name, 2)
 
     def test_instance_passes_through(self):
         backend = SerialBackend()
@@ -136,16 +131,22 @@ class TestResolution:
         assert isinstance(resolve_backend(None), SerialBackend)
 
     def test_environment_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "thread")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        backend = resolve_backend(None)
-        assert isinstance(backend, ThreadBackend)
-        assert backend.workers == 3
+        with resolve_backend(None) as backend:
+            assert isinstance(backend, ProcessBackend)
+            assert backend.workers == 3
+
+    @pytest.mark.parametrize("name", ["thread", "threads"])
+    def test_thread_environment_rejected(self, monkeypatch, name):
+        monkeypatch.setenv(BACKEND_ENV_VAR, name)
+        with pytest.raises(BackendError, match=r"\('serial', 'process'\)"):
+            resolve_backend(None)
 
     def test_bad_workers_environment_rejected(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
         with pytest.raises(BackendError):
-            resolve_backend("thread")
+            resolve_backend("process")
 
 
 class TestProcessBackendModelValidation:
@@ -156,7 +157,7 @@ class TestProcessBackendModelValidation:
             backend.prepare_model(model)
         message = str(excinfo.value)
         assert "toy-lambda" in message
-        assert "serial or thread" in message
+        assert "use the serial backend" in message
 
     def test_rejection_happens_at_install_time(self):
         model = CallableCostModel(lambda b: 1.0)
@@ -168,15 +169,17 @@ class TestProcessBackendModelValidation:
 
 
 class TestModelBackendIntegration:
-    def test_batch_workers_materialises_owned_thread_backend(self):
-        model = PortPressureCostModel("hsw", batch_workers=2)
-        backend = model.execution_backend
-        assert isinstance(backend, ThreadBackend)
+    def test_owned_backend_closes_with_the_model(self):
+        backend = ProcessBackend(2)
+        model = PortPressureCostModel("hsw")
+        model.set_backend(backend, own=True)
+        assert model.execution_backend is backend
         model.close()
         assert backend.closed
+        assert model.execution_backend is None
 
     def test_injected_backend_survives_model_close(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         model = PortPressureCostModel("hsw")
         model.set_backend(backend)
         model.close()
@@ -192,7 +195,7 @@ class TestModelBackendIntegration:
 
     def test_model_pickles_without_its_backend(self, blocks):
         model = PortPressureCostModel("hsw")
-        with ThreadBackend(2) as backend:
+        with ProcessBackend(2) as backend:
             model.set_backend(backend)
             clone = pickle.loads(pickle.dumps(model))
         assert clone.execution_backend is None
@@ -222,7 +225,7 @@ class TestModelBackendIntegration:
         model = PortPressureCostModel("hsw")
         configured = SerialBackend()
         model.set_backend(configured, own=True)
-        with ThreadBackend(2) as temporary:
+        with ProcessBackend(2) as temporary:
             with model.using_backend(temporary):
                 assert model.execution_backend is temporary
                 model.predict_batch(blocks)

@@ -24,9 +24,9 @@ from repro.utils.errors import CheckpointError, ModelError
 from tests.conftest import FAST_CONFIG, explanation_fingerprint
 
 
-def _checkpointed_run(blocks, path, seed=7):
+def _checkpointed_run(blocks, path, seed=7, **options):
     with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
-        results = session.explain_many(blocks, rng=seed, checkpoint=path)
+        results = session.explain_many(blocks, rng=seed, checkpoint=path, **options)
         return results, session.stats()
 
 
@@ -38,7 +38,6 @@ class TestFingerprint:
             uarch="hsw",
             config=FAST_CONFIG,
             seed=0,
-            shards_normalised="auto",
         )
         params.update(overrides)
         return run_fingerprint(**params)
@@ -221,6 +220,21 @@ class TestSessionCheckpointing:
         ]
         assert stats.checkpoint_skips == 2
         assert stats.explanations == len(fleet) - 2
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_resume_with_other_shards_keeps_the_journal(
+        self, tmp_path, tiny_blocks, shards
+    ):
+        """Checkpointed runs are sequential whatever ``shards`` says, so a
+        resume with another value replays the journal instead of
+        discarding it."""
+        path = tmp_path / "run.jsonl"
+        first, _ = _checkpointed_run(tiny_blocks, path)
+        again, stats = _checkpointed_run(tiny_blocks, path, shards=shards)
+        assert stats.checkpoint_skips == len(tiny_blocks)
+        assert [explanation_fingerprint(e) for e in again] == [
+            explanation_fingerprint(e) for e in first
+        ]
 
     def test_different_seed_does_not_reuse_the_journal(self, tmp_path, tiny_blocks):
         path = tmp_path / "run.jsonl"

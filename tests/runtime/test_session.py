@@ -12,7 +12,7 @@ from repro.explain.coverage import PopulationRecord
 from repro.explain.explainer import CometExplainer, answer_round, search_block_rounds
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
-from repro.runtime.backend import SerialBackend, ThreadBackend
+from repro.runtime.backend import ProcessBackend
 from repro.runtime.session import CallRecords, ExplanationSession
 from repro.service.batching import FusedEntry, run_fused_group
 from repro.utils.errors import BackendError, RequestCancelledError
@@ -168,14 +168,11 @@ class TestOneSearchEntry:
         first, last = records[repeated.key()]
         assert first is not None and last is first
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_fleet_searches_run_through_explain(
-        self, tiny_blocks, monkeypatch, backend
-    ):
+    def test_fleet_searches_run_through_explain(self, tiny_blocks, monkeypatch):
         repeated, once = tiny_blocks[0], tiny_blocks[1]
         calls = self._spy(monkeypatch)
         with ExplanationSession(
-            AnalyticalCostModel("hsw"), FAST_CONFIG, backend=backend, workers=2
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
         ) as session:
             session.explain_many([repeated, once, repeated], rng=5)
             assert session.stats().explanations == 3
@@ -320,7 +317,7 @@ class TestStats:
 
     def test_process_fleet_reports_its_workers_work(self, block_fleet):
         """Process-shard workers ship their accounting back with their
-        results, so the fleet counts what the thread backend counts."""
+        results, so the fleet counts what the serial loop counts."""
         fleet = block_fleet[:4]
 
         def run(backend):
@@ -331,11 +328,11 @@ class TestStats:
                 return explanations, session.stats()
 
         explanations, stats = run("process")
-        _, threaded = run("thread")
-        assert stats.explanations == threaded.explanations == len(fleet)
+        _, serial = run("serial")
+        assert stats.explanations == serial.explanations == len(fleet)
         assert stats.model_queries == sum(e.num_queries for e in explanations) > 0
-        assert stats.perturbations == threaded.perturbations > 0
-        assert stats.model_queries == threaded.model_queries
+        assert stats.perturbations == serial.perturbations > 0
+        assert stats.model_queries == serial.model_queries
 
     def test_cancelled_search_still_counts(self, tiny_blocks):
         block = tiny_blocks[0]
@@ -374,14 +371,14 @@ class TestLifecycle:
 
     def test_session_closes_backend_it_resolved(self):
         session = ExplanationSession(
-            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="thread", workers=2
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="process", workers=2
         )
         backend = session.backend
         session.close()
         assert backend.closed
 
     def test_caller_owned_backend_left_open(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         session = ExplanationSession(
             AnalyticalCostModel("hsw"), FAST_CONFIG, backend=backend
         )
@@ -392,7 +389,7 @@ class TestLifecycle:
     def test_session_borrows_a_model_configured_backend(self):
         # A substrate the caller installed on the model beats the ambient
         # default, and must survive the session.
-        configured = ThreadBackend(2)
+        configured = ProcessBackend(2)
         model = AnalyticalCostModel("hsw")
         model.set_backend(configured, own=True)
         session = ExplanationSession(model, FAST_CONFIG)
@@ -412,7 +409,7 @@ class TestLifecycle:
 
     def test_explainer_with_named_backend_closes_it(self):
         model = CachedCostModel(AnalyticalCostModel("hsw"))
-        with CometExplainer(model, FAST_CONFIG, backend="thread", workers=2) as explainer:
+        with CometExplainer(model, FAST_CONFIG, backend="process", workers=2) as explainer:
             backend = explainer._backend
             assert model.execution_backend is backend
         assert backend.closed
@@ -440,7 +437,7 @@ class TestGlobalExplainerIntegration:
         from repro.globalx.global_explainer import GlobalExplainer
 
         model = CachedCostModel(AnalyticalCostModel("hsw"))
-        explainer = GlobalExplainer(model, tiny_blocks, backend="thread", workers=2)
+        explainer = GlobalExplainer(model, tiny_blocks, backend="process", workers=2)
         # Scoring borrowed the backend; the model's substrate is untouched
         # and nothing pooled is left behind.
         assert model.execution_backend is None

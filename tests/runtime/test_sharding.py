@@ -1,17 +1,21 @@
 """Block-sharded ``explain_many``: parity, determinism and plan semantics.
 
-Sharding partitions a fleet across backend workers, each shard running full
-anchor searches.  The contract: for a fresh session and a fixed seed, the
-sharded result payload is bit-for-bit the unsharded one, on every backend,
-including fleets with repeated blocks (whose shared population must be drawn
-and reused exactly where the serial loop draws and reuses it).
+Sharding partitions a fleet across process-backend workers, each shard
+running full anchor searches.  The contract: for a fresh session and a fixed
+seed, the sharded result payload is bit-for-bit the unsharded one, on every
+backend, including fleets with repeated blocks (whose shared population must
+be drawn and reused exactly where the serial loop draws and reuses it).  A
+backend with one worker never shards: it runs the plain loop.
 """
+
+import threading
 
 import pytest
 
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.models.mca import PortPressureCostModel
+from repro.runtime.backend import ProcessBackend
 from repro.runtime.session import ExplanationSession
 from repro.utils.errors import BackendError
 
@@ -49,8 +53,7 @@ class TestShardedParity:
         "backend,shards",
         [
             ("serial", 3),
-            ("thread", "auto"),
-            ("thread", 2),
+            ("process", 2),
             ("process", "auto"),
             ("process", 5),  # more shards than distinct-block groups
         ],
@@ -59,8 +62,8 @@ class TestShardedParity:
         assert _fleet(_workload(tiny_blocks), backend=backend, shards=shards) == baseline
 
     def test_sharded_deterministic_across_runs(self, tiny_blocks):
-        first = _fleet(_workload(tiny_blocks), backend="thread", shards="auto")
-        second = _fleet(_workload(tiny_blocks), backend="thread", shards="auto")
+        first = _fleet(_workload(tiny_blocks), backend="process", shards="auto")
+        second = _fleet(_workload(tiny_blocks), backend="process", shards="auto")
         assert first == second
 
     def test_process_sharding_on_simulator_model(self, tiny_blocks):
@@ -86,12 +89,13 @@ class TestShardedParity:
         baseline = CometExplainer(
             CachedCostModel(AnalyticalCostModel("hsw")), FAST_CONFIG
         ).explain_many(tiny_blocks, rng=3)
-        sharded = CometExplainer(
+        with CometExplainer(
             CachedCostModel(AnalyticalCostModel("hsw")),
             FAST_CONFIG,
-            backend="thread",
+            backend="process",
             workers=2,
-        ).explain_many(tiny_blocks, rng=3, shards="auto")
+        ) as explainer:
+            sharded = explainer.explain_many(tiny_blocks, rng=3, shards="auto")
         assert [explanation_fingerprint(e) for e in sharded] == [
             explanation_fingerprint(e) for e in baseline
         ]
@@ -100,7 +104,7 @@ class TestShardedParity:
 class TestShardPlan:
     def _plan(self, blocks, shards, workers=4):
         with ExplanationSession(
-            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="thread", workers=workers
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="process", workers=workers
         ) as session:
             return session._shard_plan(blocks, shards)
 
@@ -141,6 +145,56 @@ class TestShardPlan:
     def test_invalid_shards_rejected(self, tiny_blocks):
         with pytest.raises(BackendError):
             self._plan(tiny_blocks, "most")
+
+    def test_one_worker_never_shards(self, tiny_blocks):
+        assert self._plan(_workload(tiny_blocks), 3, workers=1) is None
+
+
+class TestOneWorkerBackends:
+    """An explicit shard count on a one-worker backend runs the plain loop:
+    no shard threads, no worker-side sessions, the same explanations."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self, tiny_blocks):
+        return _fleet(_workload(tiny_blocks), backend="serial", shards=None)
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_serial_backend_starts_no_thread(
+        self, tiny_blocks, baseline, monkeypatch, shards
+    ):
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        fleet = _fleet(_workload(tiny_blocks), backend="serial", shards=shards)
+        assert started == []
+        assert fleet == baseline
+
+    def test_one_worker_process_backend_keeps_the_model_backend(
+        self, tiny_blocks, baseline, monkeypatch
+    ):
+        mapped = []
+        real_map_batch = ProcessBackend.map_batch
+
+        def recording_map_batch(backend, fn, items):
+            mapped.append(fn)
+            return real_map_batch(backend, fn, items)
+
+        monkeypatch.setattr(ProcessBackend, "map_batch", recording_map_batch)
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="process", workers=1
+        ) as session:
+            fleet = [
+                explanation_fingerprint(e)
+                for e in session.explain_many(_workload(tiny_blocks), rng=11, shards=3)
+            ]
+            assert session.model.execution_backend is session.backend
+        assert mapped == []
+        assert fleet == baseline
 
 
 class TestShardWorker:
@@ -215,9 +269,7 @@ class TestRuntimeLazyExports:
 class TestShardedAccounting:
     """Per-explanation ``num_queries`` must not depend on the substrate.
 
-    Searches measure their queries through thread-scoped tallies
-    (``CostModel.query_tally``), so a shard thread counts only its own
-    cache misses — concurrent shards cannot pollute each other — and the
+    Each process shard starts from a cold query cache of its own, and the
     key-grouped partitioning keeps each block's cache history identical to
     the serial loop's.  The result: the *whole* ``num_queries`` vector of a
     fresh fleet run is equal on every backend, sharded or not, repeats
@@ -238,8 +290,7 @@ class TestShardedAccounting:
         [
             ("serial", None),
             ("serial", 3),
-            ("thread", "auto"),
-            ("thread", 2),
+            ("process", 2),
             ("process", "auto"),
             ("process", 5),
         ],
@@ -261,7 +312,7 @@ class TestShardedAccounting:
     def test_auto_sharding_is_now_the_fleet_default(self, tiny_blocks):
         """The default ``shards="auto"`` actually shards on parallel backends."""
         with ExplanationSession(
-            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="thread", workers=2
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="process", workers=2
         ) as session:
             plan = session._shard_plan(_workload(tiny_blocks), "auto")
             assert plan is not None and len(plan) == 2
@@ -272,17 +323,7 @@ class TestShardedAccounting:
 
     def test_session_counts_every_explanation(self, tiny_blocks):
         with ExplanationSession(
-            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="thread", workers=2
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="process", workers=2
         ) as session:
             session.explain_many(_workload(tiny_blocks), rng=0, shards="auto")
             assert session.explanations_produced == len(_workload(tiny_blocks))
-
-    def test_thread_sharding_keeps_shared_cache_warm(self, tiny_blocks):
-        with ExplanationSession(
-            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="thread", workers=2
-        ) as session:
-            session.explain_many(tiny_blocks, rng=0, shards="auto")
-            stats = session.stats()
-            # In-process shards share the session cache: lookups were served.
-            assert stats.cache_hits > 0
-            assert stats.model_queries > 0

@@ -19,7 +19,6 @@ from repro.runtime.backend import (
     BackendRetryPolicy,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.utils.errors import BackendError
 
@@ -85,11 +84,10 @@ class TestRetryPolicy:
 
 class TestWorkerStats:
     def test_in_process_backends_report_zeros(self):
-        for backend in (SerialBackend(), ThreadBackend(2)):
-            stats = backend.worker_stats()
-            assert stats["restarts"] == 0
-            assert stats["retries"] == 0
-            assert stats["fallbacks"] == 0
+        stats = SerialBackend().worker_stats()
+        assert stats["restarts"] == 0
+        assert stats["retries"] == 0
+        assert stats["fallbacks"] == 0
 
     def test_fresh_process_backend_reports_zeros(self):
         backend = ProcessBackend(2)

@@ -54,7 +54,7 @@ class TestServiceParity:
     ):
         workload = list(tiny_blocks) + [tiny_blocks[0]]  # include a repeat
         with ExplanationService(
-            model="crude", config=fast_config, backend="thread", workers=2
+            model="crude", config=fast_config, backend="process", workers=2
         ) as service:
             unsharded = service.explain(workload, seed=4, shards=None)
             sharded = service.explain(workload, seed=4, shards=shards)

@@ -216,8 +216,7 @@ class TestLifecycle:
             session = ExplanationSession(
                 CachedCostModel(CallableCostModel(lambda b: 1.0)),
                 fast_config,
-                backend="thread",
-                workers=2,
+                backend="serial",
             )
             sessions.append(session)
             return session
