@@ -694,9 +694,9 @@ def run_resilience_bench(args, blocks) -> dict:
     recovery run pays broken-pool detection, a pool rebuild and one full
     retry, so the ratio is the worst-case stall one worker OOM-kill
     inflicts on a batch.  Second, a checkpointed ``explain_many`` runs
-    fresh and then resumes over its own completed journal — the replay
-    ratio is what a crash-and-restart costs relative to the work the
-    journal saved.  Both recoveries are bit-for-bit (pinned by
+    fresh and then resumes over its own completed result-cache store — the
+    replay ratio is what a crash-and-restart costs relative to the work the
+    store saved.  Both recoveries are bit-for-bit (pinned by
     tests/runtime/test_supervision.py and test_checkpoint.py); this
     section records only their speed.
     """
@@ -730,14 +730,14 @@ def run_resilience_bench(args, blocks) -> dict:
 
     config = explainer_config(batched=True)
     with tempfile.TemporaryDirectory() as tmp:
-        journal = Path(tmp) / "bench.jsonl"
+        store = Path(tmp) / "bench.cache"
         with ExplanationSession(build_model(args), config) as session:
             start = time.perf_counter()
-            session.explain_many(blocks, rng=args.seed, checkpoint=journal)
+            session.explain_many(blocks, rng=args.seed, checkpoint=store)
             fresh_elapsed = time.perf_counter() - start
         with ExplanationSession(build_model(args), config) as session:
             start = time.perf_counter()
-            session.explain_many(blocks, rng=args.seed, checkpoint=journal)
+            session.explain_many(blocks, rng=args.seed, checkpoint=store)
             replay_elapsed = time.perf_counter() - start
             skips = session.stats().checkpoint_skips
 
@@ -1004,7 +1004,7 @@ def main(argv=None) -> int:
         )
         print(
             f"  checkpoint fresh: {resilience['checkpoint_fresh_seconds']:7.2f}s   "
-            f"journal replay: {resilience['checkpoint_replay_seconds']:7.2f}s  "
+            f"store replay: {resilience['checkpoint_replay_seconds']:7.2f}s  "
             f"({resilience['checkpoint_replay_speedup']:.2f}x, "
             f"{resilience['checkpoint_skips']} skips)"
         )

@@ -6,8 +6,10 @@ this package turns that purity into an operable cache: a canonical
 an in-process LRU (tier 0) over an append-only, crash-tolerant on-disk log
 (tier 1) shared safely between processes.  Sessions and the explanation
 service wire it into ``explain``/``explain_many`` and the fused batching
-tick; corrupt or torn stores are detected and refused with
-:class:`~repro.utils.errors.CacheError`, never silently served.
+tick, and checkpointed ``explain_many`` runs keep their progress in a store
+of their own; a torn record costs a recompute, and a corrupt entry or
+foreign file is refused with :class:`~repro.utils.errors.CacheError`,
+never silently served.
 """
 
 from repro.cache.fingerprint import CACHE_VERSION, cacheable_seed, result_fingerprint
@@ -17,8 +19,6 @@ from repro.cache.store import (
     CacheStats,
     ResultCache,
     TierStats,
-    merge_cache_stats,
-    merge_tier_stats,
 )
 from repro.utils.errors import CacheError
 
@@ -31,7 +31,5 @@ __all__ = [
     "STORE_MAGIC",
     "TierStats",
     "cacheable_seed",
-    "merge_cache_stats",
-    "merge_tier_stats",
     "result_fingerprint",
 ]

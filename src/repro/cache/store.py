@@ -2,8 +2,9 @@
 
 Tier 0 is a plain ``OrderedDict`` LRU holding live
 :class:`~repro.explain.explanation.Explanation` objects.  Tier 1 (optional)
-is a length-prefixed append-only log on disk, in the mould of
-:class:`~repro.runtime.checkpoint.CheckpointJournal`:
+is a length-prefixed append-only log on disk — the one durable format for
+explanations: service and session memoization and checkpointed
+``explain_many`` runs all write it.
 
 * **Write-through, fsynced appends.**  ``put`` pickles the explanation once,
   inserts it into tier 0 and appends one framed record to the log under an
@@ -11,10 +12,13 @@ is a length-prefixed append-only log on disk, in the mould of
   fsynced, so concurrent writer *processes* interleave whole records, never
   bytes.
 * **Torn-tail and corrupt-entry tolerance.**  Opening a store scans the log
-  and indexes every intact record; the first record that is short (a crash
-  landed mid-append) or fails its CRC-32 marks the *frontier* and the scan
-  stops there, exactly like journal replay stopping at the crash frontier.
-  Lost entries cost a recompute, never a wrong answer.
+  and indexes every intact record; the scan stops at the first record that
+  is incomplete (a crash landed mid-append: fewer bytes than a header, or a
+  header whose declared length runs past end of file) or fails its CRC-32.
+  A corrupt record blocks the *frontier* for good; a torn tail is cut by
+  the next append, under the exclusive lock, so entries written after a
+  crash stay reachable on every later open.  Lost entries cost a
+  recompute, never a wrong answer.
 * **Refusal over garbage.**  A file that does not start with the store magic
   is refused with :class:`~repro.utils.errors.CacheError` (it is not a cache,
   and appending to it would destroy someone's data).  A ``get`` re-validates
@@ -175,7 +179,7 @@ class ResultCache:
         # fingerprint -> (record offset, total record length)
         self._index: Dict[str, Tuple[int, int]] = {}
         self._frontier = 0
-        # Set when the scan hit a corrupt/torn record: rescans past it would
+        # Set when the scan hit a corrupt record: rescans past it would
         # re-read the same broken bytes forever, so incremental rescan stops.
         self._frontier_blocked = False
         self._handle: Optional[io.BufferedRandom] = None
@@ -239,9 +243,10 @@ class ResultCache:
         """Index records from the frontier to EOF; returns how many were added.
 
         Called on open and whenever a lookup misses but the file has grown
-        (another process appended).  Stops — permanently — at the first torn
-        or corrupt record: everything before it stays servable, everything
-        after it is unreachable, and nothing broken is ever indexed.
+        (another process appended).  Stops at an incomplete tail (the next
+        append cuts it) and — permanently — at the first corrupt record:
+        everything before it stays servable, everything after it is
+        unreachable, and nothing broken is ever indexed.
         """
         if self._handle is None or self._frontier_blocked:
             return 0
@@ -274,9 +279,8 @@ class ResultCache:
             payload_len, crc = _LEN_STRUCT.unpack(header[len(RECORD_MAGIC) + _FP_LEN :])
             total = _HEADER_LEN + payload_len
             if offset + total > end:
-                # Torn tail: the crash landed mid-append.  Not corruption
-                # — but nothing ordered after it can exist, so stop.
-                self._frontier_blocked = True
+                # Torn tail: the crash landed mid-append.  Not corruption,
+                # and the next append cuts it, so the frontier stays open.
                 break
             payload = self._handle.read(payload_len)
             if len(payload) < payload_len or zlib.crc32(payload) != crc:
@@ -349,6 +353,15 @@ class ResultCache:
             self._handle.seek(0, os.SEEK_END)
             offset = self._handle.tell()
             try:
+                if offset > self._frontier and not self._frontier_blocked:
+                    # The scan stopped short of EOF without finding
+                    # corruption, so the bytes past the frontier are a torn
+                    # record.  No writer is mid-append under this lock and
+                    # nothing past the frontier is servable: cut them, or
+                    # every later open would stop there and never reach the
+                    # record appended below.
+                    self._handle.truncate(self._frontier)
+                    offset = self._frontier
                 self._handle.write(record)
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
@@ -506,43 +519,8 @@ class ResultCache:
         self.close()
 
 
-def merge_tier_stats(left: Optional[TierStats], right: Optional[TierStats]) -> Optional[TierStats]:
-    """Sum two tier snapshots (for fleet-wide aggregation); ``None`` passes through."""
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return TierStats(
-        hits=left.hits + right.hits,
-        misses=left.misses + right.misses,
-        stores=left.stores + right.stores,
-        evictions=left.evictions + right.evictions,
-        corrupt=left.corrupt + right.corrupt,
-        entries=left.entries + right.entries,
-        bytes=left.bytes + right.bytes,
-    )
-
-
-def merge_cache_stats(left: Optional[CacheStats], right: Optional[CacheStats]) -> Optional[CacheStats]:
-    """Sum two cache snapshots across nodes (``None`` = that node has no cache)."""
-    if left is None:
-        return right
-    if right is None:
-        return left
-    merged_memory = merge_tier_stats(left.memory, right.memory)
-    assert merged_memory is not None
-    path = left.path if left.path == right.path else None
-    return CacheStats(
-        memory=merged_memory,
-        disk=merge_tier_stats(left.disk, right.disk),
-        path=path,
-    )
-
-
 __all__ = [
     "CacheStats",
     "ResultCache",
     "TierStats",
-    "merge_cache_stats",
-    "merge_tier_stats",
 ]

@@ -4,7 +4,7 @@ The CLI exposes the public API for quick, scriptable use::
 
     python -m repro predict  --model uica  --block "add rcx, rax; mov rdx, rcx"
     python -m repro explain  --model uica  --block-file block.s --json
-    python -m repro explain  --model uica  --blocks-file fleet.txt --checkpoint run.jsonl
+    python -m repro explain  --model uica  --blocks-file fleet.txt --checkpoint run.cache
     python -m repro features --block "add rcx, rax; mov rdx, rcx; pop rbx"
     python -m repro perturb  --block-file block.s --count 5 --preserve-count
     python -m repro space    --block-file block.s
@@ -99,7 +99,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return _cmd_explain_fleet(args, config)
     if args.checkpoint:
         raise ReproError(
-            "--checkpoint journals a fleet run; use it with --blocks-file"
+            "--checkpoint stores a fleet run; use it with --blocks-file"
         )
     block = _read_block(args)
     # The model owns the backend built by the registry; closing the model
@@ -117,8 +117,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_explain_fleet(args: argparse.Namespace, config: ExplainerConfig) -> int:
     """Explain a whole fleet (one block per line), optionally checkpointed.
 
-    With ``--checkpoint`` the run is crash-safe: rerunning the same command
-    after an interruption skips the journaled blocks and produces results
+    With ``--checkpoint`` the run is crash-safe: every explanation is stored
+    in a result-cache store as it finishes, and rerunning the same command
+    after an interruption skips the stored blocks and produces results
     bit-for-bit identical to an uninterrupted run.
     """
     import json as json_module
@@ -155,7 +156,7 @@ def _cmd_explain_fleet(args: argparse.Namespace, config: ExplainerConfig) -> int
     if args.checkpoint:
         print(
             f"checkpoint {args.checkpoint}: {stats.checkpoint_skips} of "
-            f"{len(blocks)} blocks recovered from the journal",
+            f"{len(blocks)} blocks recovered from the store",
             file=sys.stderr,
         )
     return 0
@@ -426,9 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--checkpoint",
-        help="journal path for a crash-safe --blocks-file run; rerunning the "
-        "same command resumes where the interrupted run stopped and yields "
-        "bit-for-bit identical results",
+        help="result-cache store for a crash-safe --blocks-file run (a file "
+        "'repro serve --result-cache' can share); rerunning the same command "
+        "resumes where the interrupted run stopped and yields bit-for-bit "
+        "identical results",
     )
     _add_backend_arguments(explain)
     explain.set_defaults(func=_cmd_explain)

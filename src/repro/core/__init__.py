@@ -31,7 +31,6 @@ from repro.runtime.backend import (
     SerialBackend,
     resolve_backend,
 )
-from repro.runtime.checkpoint import CheckpointJournal, run_fingerprint
 from repro.runtime.pool import PoolStats, SessionPool
 from repro.runtime.session import ExplanationSession, SessionStats
 from repro.service.client import RetryPolicy, ServiceClient
@@ -83,8 +82,6 @@ __all__ = [
     "resolve_backend",
     "ExplanationSession",
     "SessionStats",
-    "CheckpointJournal",
-    "run_fingerprint",
     "CheckpointError",
     "CancelToken",
     "ServiceTimeoutError",

@@ -44,7 +44,6 @@ from repro.explain.explainer import Answer, answer_rounds, search_block_rounds
 from repro.explain.explanation import Explanation
 from repro.models.base import CachedCostModel, CostModel, QueryTally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
-from repro.runtime.checkpoint import CheckpointJournal, run_fingerprint
 from repro.utils.cancellation import CancelToken
 from repro.utils.errors import BackendError, CheckpointError
 from repro.utils.rng import RandomSource, as_rng, spawn_rngs, spawn_seeds
@@ -406,16 +405,21 @@ class ExplanationSession:
         long as distinct block keys do not collide in the query cache,
         which key-grouped sharding makes the overwhelmingly common case).
 
-        ``checkpoint`` names a crash-safe journal file: every completed
-        explanation is journaled as it finishes, and re-running the *same*
-        call (same blocks, model, config, integer seed) after an
-        interruption skips the journaled positions and produces results
-        bit-for-bit identical to an uninterrupted run.  Checkpointed runs
-        require an integer ``rng`` seed (a live generator's state dies with
-        the crash) and run block-sequentially with position-independent
-        searches — each position draws its own background population — so
-        which positions were already journaled can never change what the
-        remaining positions compute.
+        ``checkpoint`` names a crash-safe :class:`~repro.cache.ResultCache`
+        store: each position is looked up under its result fingerprint
+        (block, model, uarch, config and spawned child seed) and every new
+        explanation is stored as it finishes, so re-running the call after
+        an interruption skips the stored positions and produces results
+        bit-for-bit identical to an uninterrupted run.  The file is an
+        ordinary result-cache store, shareable with
+        ``ExplanationSession(result_cache=path)`` and ``repro serve
+        --result-cache``; it keeps entries of other runs, and a resumed
+        fleet that differs at some positions recomputes only those.
+        Checkpointed runs require an integer ``rng`` seed (a live
+        generator's state dies with the crash) and run block-sequentially
+        with position-independent searches — each position draws its own
+        background population — so which positions were already stored can
+        never change what the remaining positions compute.
 
         ``cancel`` is checked between blocks and between KL-LUCB rounds on
         the sequential loop (which every checkpointed run takes);
@@ -486,47 +490,39 @@ class ExplanationSession:
         checkpoint: Union[str, Path],
         cancel: Optional[CancelToken],
     ) -> List[Explanation]:
-        """The journaled ``explain_many`` path — see the public docstring.
+        """The checkpointed ``explain_many`` path — see the public docstring.
 
         Sequential with ``record=None`` per position on purpose: population
         sharing between repeats and sharding both make a position's result
         depend on which *other* positions ran in this process, and a resumed
-        run has not run the journaled ones.  Position-independent searches are what make
-        skip-and-resume provably bit-for-bit; each position still fans its
+        run has not run the stored ones.  Position-independent searches are
+        what make each position a pure function of its fingerprint, so a
+        stored entry answers it bit-for-bit; each position still fans its
         query batches out through the session's backend, so the run keeps
         its batch-level parallelism.
         """
-        if not isinstance(rng, (int, np.integer)) or isinstance(rng, bool):
+        if not cacheable_seed(rng):
             raise CheckpointError(
                 "checkpointed explain_many requires an integer seed: resuming "
                 "a run driven by a live generator is unreproducible (its "
                 f"state advanced with the crash); got {type(rng).__name__}"
             )
-        fingerprint = run_fingerprint(
-            blocks=blocks,
-            model_name=self.model.name,
-            uarch=self.model.microarch,
-            config=self.config,
-            seed=int(rng),
-        )
-        streams = spawn_rngs(int(rng), len(blocks))
-        results: List[Optional[Explanation]] = [None] * len(blocks)
-        with CheckpointJournal(
-            checkpoint, fingerprint=fingerprint, fleet_size=len(blocks)
-        ) as journal:
-            journal.verify_entry_keys(blocks)
-            for position, explanation in journal.completed.items():
-                results[position] = explanation
-            self.checkpoint_skips += journal.skipped
-            for position, (block, stream) in enumerate(zip(blocks, streams)):
-                if results[position] is not None:
-                    continue
-                if cancel is not None:
-                    cancel.check()
-                explanation = self.explain(block, stream, cancel=cancel)
-                journal.record(position, block, explanation)
-                results[position] = explanation
-        return results  # type: ignore[return-value]
+        results: List[Explanation] = []
+        with ResultCache(checkpoint) as store:
+            for block, seed in zip(blocks, spawn_seeds(int(rng), len(blocks))):
+                fingerprint = self._result_fingerprint(block, seed)
+                explanation = store.get(fingerprint)
+                if explanation is not None:
+                    self.checkpoint_skips += 1
+                else:
+                    if cancel is not None:
+                        cancel.check()
+                    explanation = self.explain(
+                        block, np.random.default_rng(seed), cancel=cancel
+                    )
+                    store.put(fingerprint, explanation)
+                results.append(explanation)
+        return results
 
     # ------------------------------------------------------------- sharding
 

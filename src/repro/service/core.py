@@ -230,13 +230,12 @@ class ServiceStats:
     dispatcher_stats: Tuple[DispatcherStats, ...] = ()
     pool: Optional[PoolStats] = None
     #: Failure/resilience accounting: server-side deadline expirations
-    #: (queued fail-fast and mid-run alike), plus worker-supervision and
-    #: checkpoint counters aggregated over every warm session.
+    #: (queued fail-fast and mid-run alike), plus worker-supervision
+    #: counters aggregated over every warm session.
     deadline_expired: int = 0
     worker_restarts: int = 0
     worker_retries: int = 0
     worker_fallbacks: int = 0
-    checkpoint_skips: int = 0
     #: Continuous-batching counters (fused ticks, occupancy, shared hits);
     #: always present, with ``enabled=False`` when the service runs unfused.
     fusion: Optional[FusionStats] = None
@@ -922,7 +921,6 @@ class ExplanationService:
             worker_restarts=sum(s.worker_restarts for s in session_stats.values()),
             worker_retries=sum(s.worker_retries for s in session_stats.values()),
             worker_fallbacks=sum(s.worker_fallbacks for s in session_stats.values()),
-            checkpoint_skips=sum(s.checkpoint_skips for s in session_stats.values()),
             fusion=self._fusion_counters.snapshot(
                 enabled=self.continuous_batching,
                 max_fused_requests=self.max_fused_requests,

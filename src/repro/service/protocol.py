@@ -238,7 +238,6 @@ def stats_to_dict(
                 "worker_restarts": stats.worker_restarts,
                 "worker_retries": stats.worker_retries,
                 "worker_fallbacks": stats.worker_fallbacks,
-                "checkpoint_skips": stats.checkpoint_skips,
             },
             "fusion": None
             if stats.fusion is None

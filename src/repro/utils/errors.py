@@ -54,7 +54,9 @@ class BackendError(ReproError):
 
 
 class CheckpointError(ReproError):
-    """Raised when a checkpoint journal cannot be read, written or resumed."""
+    """Raised when a checkpointed ``explain_many`` run is not resumable: it
+    was not driven by an integer seed.  A checkpoint file that cannot be
+    read or written raises :class:`CacheError`, like any result-cache store."""
 
 
 class CacheError(ReproError):

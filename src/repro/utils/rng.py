@@ -40,8 +40,9 @@ def spawn_seeds(source: RandomSource, count: int) -> List[int]:
 
     This is the *identity* of each spawned stream: ``spawn_rngs`` builds its
     generators as ``default_rng(child_seed)``, so anything keyed on a child
-    seed (checkpoint entries, result-cache fingerprints) names exactly the
-    stream that position consumes.
+    seed (the result-cache fingerprints checkpointed runs and fleet
+    memoization store under) names exactly the stream that position
+    consumes.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

@@ -14,14 +14,7 @@ import pickle
 import pytest
 
 from repro.bb.block import BasicBlock
-from repro.cache import (
-    STORE_MAGIC,
-    CacheError,
-    ResultCache,
-    merge_cache_stats,
-    merge_tier_stats,
-)
-from repro.cache.store import TierStats
+from repro.cache import STORE_MAGIC, CacheError, ResultCache
 from repro.explain.explanation import Explanation
 
 
@@ -170,23 +163,6 @@ class TestCounters:
             assert stats.disk.entries == 2
             assert stats.disk.bytes == path.stat().st_size
             assert stats.disk.bytes > len(STORE_MAGIC)
-
-    def test_merge_tier_and_cache_stats(self):
-        left = TierStats(hits=1, misses=2, stores=3, entries=4, bytes=100)
-        right = TierStats(hits=10, misses=20, stores=30, entries=40, bytes=1)
-        merged = merge_tier_stats(left, right)
-        assert merged.hits == 11 and merged.misses == 22
-        assert merged.stores == 33 and merged.entries == 44
-        assert merge_tier_stats(left, None) is left
-        assert merge_tier_stats(None, right) is right
-        with ResultCache() as a, ResultCache() as b:
-            a.put(fp(0), make_explanation(0))
-            a.get(fp(0))
-            b.get(fp(1))
-            fleet = merge_cache_stats(a.stats(), b.stats())
-            assert fleet.lookups == 2
-            assert fleet.hits == 1
-        assert merge_cache_stats(None, None) is None
 
 
 class TestLifecycle:

@@ -1,27 +1,31 @@
 """Tests for crash-safe checkpointed ``explain_many`` runs.
 
-The contract under test: an interrupted-and-resumed checkpointed run is
-bit-for-bit identical to an uninterrupted one, stale journals are discarded
-rather than half-trusted, and corruption fails loudly instead of returning
-wrong explanations.
+The contract under test: a checkpoint file is a result-cache store, an
+interrupted-and-resumed checkpointed run is bit-for-bit identical to an
+uninterrupted one, and content addressing (block, model, uarch, config,
+child seed) decides which positions a stored entry answers — so damage is
+recomputed or refused, never served, and the file is shareable with every
+other result-cache user.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.cache import STORE_MAGIC, CacheError, ResultCache
+from repro.cli import main
 from repro.models.analytical import AnalyticalCostModel
-from repro.runtime.checkpoint import (
-    JOURNAL_VERSION,
-    CheckpointJournal,
-    _entry_key,
-    run_fingerprint,
-)
 from repro.runtime.session import ExplanationSession
 from repro.utils.errors import CheckpointError, ModelError
 
 from tests.conftest import FAST_CONFIG, explanation_fingerprint
+
+
+#: A line in the JSONL format checkpoints used before they became
+#: result-cache stores.
+_OLD_JOURNAL = json.dumps({"position": 0, "key": "0:ab", "payload": "gASV"}) + "\n"
 
 
 def _checkpointed_run(blocks, path, seed=7, **options):
@@ -30,132 +34,14 @@ def _checkpointed_run(blocks, path, seed=7, **options):
         return results, session.stats()
 
 
-class TestFingerprint:
-    def _base(self, tiny_blocks, **overrides):
-        params = dict(
-            blocks=tiny_blocks,
-            model_name="m",
-            uarch="hsw",
-            config=FAST_CONFIG,
-            seed=0,
-        )
-        params.update(overrides)
-        return run_fingerprint(**params)
-
-    def test_stable_for_identical_runs(self, tiny_blocks):
-        assert self._base(tiny_blocks) == self._base(tiny_blocks)
-
-    def test_changes_with_every_result_defining_input(self, tiny_blocks):
-        base = self._base(tiny_blocks)
-        assert self._base(tiny_blocks, seed=1) != base
-        assert self._base(tiny_blocks, model_name="other") != base
-        assert self._base(tiny_blocks, uarch="skl") != base
-        assert self._base(tiny_blocks, blocks=tiny_blocks[:2]) != base
-        assert self._base(tiny_blocks, blocks=list(reversed(tiny_blocks))) != base
-
-    def test_changes_with_config(self, tiny_blocks):
-        from repro.explain.config import ExplainerConfig
-
-        other = ExplainerConfig(epsilon=0.9)
-        assert self._base(tiny_blocks, config=other) != self._base(tiny_blocks)
+def _payloads(explanations):
+    return [explanation_fingerprint(e) for e in explanations]
 
 
-class TestJournalLifecycle:
-    def test_fresh_journal_writes_manifest(self, tmp_path, tiny_blocks):
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, fingerprint="f" * 64, fleet_size=3) as journal:
-            assert journal.completed == {}
-            assert journal.skipped == 0
-        manifest = json.loads((tmp_path / "run.jsonl.manifest").read_text())
-        assert manifest["version"] == JOURNAL_VERSION
-        assert manifest["fingerprint"] == "f" * 64
-        assert manifest["fleet_size"] == 3
-
-    def test_record_then_resume_recovers_entries(self, tmp_path, tiny_blocks, seeded_session):
-        path = tmp_path / "run.jsonl"
-        explanation = seeded_session.explain(tiny_blocks[0], rng=0)
-        with CheckpointJournal(path, fingerprint="f" * 64, fleet_size=3) as journal:
-            journal.record(0, tiny_blocks[0], explanation)
-        with CheckpointJournal(path, fingerprint="f" * 64, fleet_size=3) as journal:
-            assert journal.skipped == 1
-            assert set(journal.completed) == {0}
-            recovered = journal.completed[0]
-            assert explanation_fingerprint(recovered) == explanation_fingerprint(
-                explanation
-            )
-            journal.verify_entry_keys(tiny_blocks)  # matching fleet is fine
-
-    def test_torn_final_line_is_ignored(self, tmp_path, tiny_blocks, seeded_session):
-        path = tmp_path / "run.jsonl"
-        explanation = seeded_session.explain(tiny_blocks[0], rng=0)
-        with CheckpointJournal(path, fingerprint="f" * 64, fleet_size=3) as journal:
-            journal.record(0, tiny_blocks[0], explanation)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"position": 1, "key": "1:dead", "payl')  # the crash
-        with CheckpointJournal(path, fingerprint="f" * 64, fleet_size=3) as journal:
-            assert set(journal.completed) == {0}
-
-    def test_mismatched_fingerprint_discards_journal(
-        self, tmp_path, tiny_blocks, seeded_session
-    ):
-        path = tmp_path / "run.jsonl"
-        explanation = seeded_session.explain(tiny_blocks[0], rng=0)
-        with CheckpointJournal(path, fingerprint="a" * 64, fleet_size=3) as journal:
-            journal.record(0, tiny_blocks[0], explanation)
-        with CheckpointJournal(path, fingerprint="b" * 64, fleet_size=3) as journal:
-            assert journal.completed == {}
-            assert journal.skipped == 0
-        # The stale entries are gone for good, not merely hidden.
-        assert path.read_text() == ""
-
-    def test_mismatched_fleet_size_discards_journal(
-        self, tmp_path, tiny_blocks, seeded_session
-    ):
-        path = tmp_path / "run.jsonl"
-        explanation = seeded_session.explain(tiny_blocks[0], rng=0)
-        with CheckpointJournal(path, fingerprint="a" * 64, fleet_size=3) as journal:
-            journal.record(0, tiny_blocks[0], explanation)
-        with CheckpointJournal(path, fingerprint="a" * 64, fleet_size=4) as journal:
-            assert journal.completed == {}
-
-    def test_missing_manifest_discards_journal(
-        self, tmp_path, tiny_blocks, seeded_session
-    ):
-        path = tmp_path / "run.jsonl"
-        explanation = seeded_session.explain(tiny_blocks[0], rng=0)
-        with CheckpointJournal(path, fingerprint="a" * 64, fleet_size=3) as journal:
-            journal.record(0, tiny_blocks[0], explanation)
-        (tmp_path / "run.jsonl.manifest").unlink()
-        with CheckpointJournal(path, fingerprint="a" * 64, fleet_size=3) as journal:
-            assert journal.completed == {}
-
-    def test_out_of_range_position_refused(self, tmp_path, tiny_blocks, seeded_session):
-        path = tmp_path / "run.jsonl"
-        explanation = seeded_session.explain(tiny_blocks[0], rng=0)
-        with CheckpointJournal(path, fingerprint="a" * 64, fleet_size=3) as journal:
-            journal.record(0, tiny_blocks[0], explanation)
-        # Corrupt the entry's position while keeping the line valid JSON and
-        # the manifest matching — replay must refuse, not index out of range.
-        entry = json.loads(path.read_text())
-        entry["position"] = 99
-        path.write_text(json.dumps(entry) + "\n")
-        with pytest.raises(CheckpointError, match="outside the fleet"):
-            CheckpointJournal(path, fingerprint="a" * 64, fleet_size=3)
-
-    def test_entry_key_mismatch_refused(self, tmp_path, tiny_blocks, seeded_session):
-        path = tmp_path / "run.jsonl"
-        explanation = seeded_session.explain(tiny_blocks[0], rng=0)
-        with CheckpointJournal(path, fingerprint="a" * 64, fleet_size=3) as journal:
-            journal.record(0, tiny_blocks[0], explanation)
-        with CheckpointJournal(path, fingerprint="a" * 64, fleet_size=3) as journal:
-            # Same manifest, but the resuming fleet has a different block at
-            # position 0 (hand-edited or corrupted journal).
-            with pytest.raises(CheckpointError, match="different fleet"):
-                journal.verify_entry_keys([tiny_blocks[1]] + list(tiny_blocks[1:]))
-
-    def test_entry_keys_bind_position_and_content(self, tiny_blocks):
-        assert _entry_key(0, tiny_blocks[0]) != _entry_key(1, tiny_blocks[0])
-        assert _entry_key(0, tiny_blocks[0]) != _entry_key(0, tiny_blocks[1])
+def _distinct(blocks, count):
+    fleet = list(blocks[:count])
+    assert len({block.key() for block in fleet}) == count
+    return fleet
 
 
 class TestSessionCheckpointing:
@@ -164,18 +50,18 @@ class TestSessionCheckpointing:
             for bad in (np.random.default_rng(0), None, True):
                 with pytest.raises(CheckpointError, match="integer seed"):
                     session.explain_many(
-                        tiny_blocks, rng=bad, checkpoint=tmp_path / "run.jsonl"
+                        tiny_blocks, rng=bad, checkpoint=tmp_path / "run.cache"
                     )
 
     def test_numpy_integer_seed_accepted(self, tmp_path, tiny_blocks):
         with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
             results = session.explain_many(
-                tiny_blocks, rng=np.int64(7), checkpoint=tmp_path / "run.jsonl"
+                tiny_blocks, rng=np.int64(7), checkpoint=tmp_path / "run.cache"
             )
         assert len(results) == len(tiny_blocks)
 
     def test_completed_run_resumes_as_pure_replay(self, tmp_path, tiny_blocks):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.cache"
         first, first_stats = _checkpointed_run(tiny_blocks, path)
         again, again_stats = _checkpointed_run(tiny_blocks, path)
         assert [explanation_fingerprint(e) for e in again] == [
@@ -191,22 +77,22 @@ class TestSessionCheckpointing:
     ):
         """The tentpole guarantee: crash mid-run, rerun, identical output."""
         fleet = list(block_fleet[:6])
-        uninterrupted, _ = _checkpointed_run(fleet, tmp_path / "clean.jsonl")
+        uninterrupted, _ = _checkpointed_run(fleet, tmp_path / "clean.cache")
 
-        # Crash the process (well, the call) right after the journal fsyncs
+        # Crash the process (well, the call) right after the store fsyncs
         # its second entry — the exact frontier a real OOM kill leaves.
-        crashed = tmp_path / "crashed.jsonl"
-        real_record = CheckpointJournal.record
+        crashed = tmp_path / "crashed.cache"
+        real_put = ResultCache.put
         recorded = []
 
-        def crashing_record(self, position, block, explanation):
-            real_record(self, position, block, explanation)
-            recorded.append(position)
+        def crashing_put(self, fingerprint, explanation):
+            real_put(self, fingerprint, explanation)
+            recorded.append(fingerprint)
             if len(recorded) == 2:
                 raise ModelError("simulated crash mid-run")
 
         with monkeypatch.context() as patch:
-            patch.setattr(CheckpointJournal, "record", crashing_record)
+            patch.setattr(ResultCache, "put", crashing_put)
             with ExplanationSession(
                 AnalyticalCostModel("hsw"), FAST_CONFIG
             ) as session:
@@ -226,9 +112,8 @@ class TestSessionCheckpointing:
         self, tmp_path, tiny_blocks, shards
     ):
         """Checkpointed runs are sequential whatever ``shards`` says, so a
-        resume with another value replays the journal instead of
-        discarding it."""
-        path = tmp_path / "run.jsonl"
+        resume with another value is answered from the store."""
+        path = tmp_path / "run.cache"
         first, _ = _checkpointed_run(tiny_blocks, path)
         again, stats = _checkpointed_run(tiny_blocks, path, shards=shards)
         assert stats.checkpoint_skips == len(tiny_blocks)
@@ -237,16 +122,144 @@ class TestSessionCheckpointing:
         ]
 
     def test_different_seed_does_not_reuse_the_journal(self, tmp_path, tiny_blocks):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.cache"
         _checkpointed_run(tiny_blocks, path, seed=7)
         _, stats = _checkpointed_run(tiny_blocks, path, seed=8)
-        assert stats.checkpoint_skips == 0  # fingerprint mismatch → fresh run
+        assert stats.checkpoint_skips == 0  # other child seeds → other entries
 
     def test_checkpointed_matches_plain_sequential_run(self, tmp_path, tiny_blocks):
-        """Journaling must not change what gets computed, only what is kept."""
+        """Checkpointing must not change what gets computed, only what is kept."""
         with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
             plain = session.explain_many(tiny_blocks, rng=7, shards=None)
-        checkpointed, _ = _checkpointed_run(tiny_blocks, tmp_path / "run.jsonl")
+        checkpointed, _ = _checkpointed_run(tiny_blocks, tmp_path / "run.cache")
         assert [explanation_fingerprint(e) for e in checkpointed] == [
             explanation_fingerprint(e) for e in plain
         ]
+
+
+class TestCheckpointStore:
+    """A checkpoint file is a result-cache store, addressed by content."""
+
+    def test_changed_position_is_the_only_one_recomputed(
+        self, tmp_path, block_fleet
+    ):
+        fleet = _distinct(block_fleet, 5)
+        changed = list(fleet)
+        changed[2] = block_fleet[5]
+        assert block_fleet[5].key() not in {block.key() for block in fleet}
+        path = tmp_path / "run.cache"
+        _checkpointed_run(fleet, path)
+        resumed, stats = _checkpointed_run(changed, path)
+        assert stats.checkpoint_skips == len(changed) - 1
+        assert stats.explanations == 1
+        clean, _ = _checkpointed_run(changed, tmp_path / "clean.cache")
+        assert _payloads(resumed) == _payloads(clean)
+
+    def test_checkpoint_file_answers_a_result_cache_session(
+        self, tmp_path, block_fleet
+    ):
+        fleet = _distinct(block_fleet, 5)
+        path = tmp_path / "run.cache"
+        stored, _ = _checkpointed_run(fleet, path)
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=path
+        ) as session:
+            served = session.explain_many(fleet, rng=7)
+            stats = session.stats()
+        assert stats.model_queries == 0
+        assert stats.result_cache.hits == len(fleet)
+        assert _payloads(served) == _payloads(stored)
+        assert [e.num_queries for e in served] == [e.num_queries for e in stored]
+
+    def test_result_cache_file_answers_a_checkpointed_run(
+        self, tmp_path, block_fleet
+    ):
+        fleet = _distinct(block_fleet, 5)
+        path = tmp_path / "results.cache"
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=path
+        ) as session:
+            computed = session.explain_many(fleet, rng=7)
+        replayed, stats = _checkpointed_run(fleet, path)
+        assert stats.checkpoint_skips == len(fleet)
+        assert stats.explanations == 0 and stats.model_queries == 0
+        assert _payloads(replayed) == _payloads(computed)
+        assert [e.num_queries for e in replayed] == [e.num_queries for e in computed]
+
+    def test_no_manifest_is_written(self, tmp_path, tiny_blocks):
+        path = tmp_path / "run.cache"
+        _checkpointed_run(tiny_blocks, path)
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_bytes().startswith(STORE_MAGIC)
+
+    def test_old_journal_is_refused_untouched(self, tmp_path, tiny_blocks):
+        path = tmp_path / "run.jsonl"
+        path.write_text(_OLD_JOURNAL)
+        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+            with pytest.raises(CacheError, match="not a result-cache store"):
+                session.explain_many(tiny_blocks, rng=7, checkpoint=path)
+            assert session.stats().explanations == 0
+        assert path.read_text() == _OLD_JOURNAL
+
+    def test_cli_refuses_an_old_journal(self, tmp_path, capsys):
+        fleet = tmp_path / "fleet.txt"
+        fleet.write_text("add rcx, rax; mov rdx, rcx\nxor edx, edx; div rcx\n")
+        old = tmp_path / "old.jsonl"
+        old.write_text(_OLD_JOURNAL)
+        code = main(
+            ["explain", "--model", "crude", "--blocks-file", str(fleet),
+             "--checkpoint", str(old), "--seed", "3"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(old) in err and "not a result-cache store" in err
+        assert old.read_text() == _OLD_JOURNAL
+
+    def test_damaged_entry_is_recomputed_not_served(self, tmp_path, block_fleet):
+        fleet = _distinct(block_fleet, 5)
+        clean, _ = _checkpointed_run(fleet, tmp_path / "clean.cache")
+        path = tmp_path / "run.cache"
+        _checkpointed_run(fleet, path)
+        with ResultCache(path) as probe:
+            # Records are appended in fleet order: flip entry 3's payload.
+            offset, total = sorted(probe._index.values())[2]
+        with open(path, "r+b") as handle:
+            handle.seek(offset + total - 2)
+            original = handle.read(1)
+            handle.seek(offset + total - 2)
+            handle.write(bytes([original[0] ^ 0xFF]))
+        resumed, stats = _checkpointed_run(fleet, path)
+        assert stats.checkpoint_skips == 2
+        assert stats.explanations == len(fleet) - 2
+        assert _payloads(resumed) == _payloads(clean)
+
+    @pytest.mark.parametrize("kept", ["header", 10])
+    def test_run_torn_mid_write_resumes_to_completion(
+        self, tmp_path, block_fleet, monkeypatch, kept
+    ):
+        """A crash inside the third append leaves a torn record; the resume
+        cuts it, and a run after the resume is answered from the store."""
+        fleet = _distinct(block_fleet, 6)
+        clean, _ = _checkpointed_run(fleet, tmp_path / "clean.cache")
+        path = tmp_path / "run.cache"
+        real_append = ResultCache._append_record
+        appended = []
+
+        def tearing_append(self, fingerprint, fp_raw, blob):
+            real_append(self, fingerprint, fp_raw, blob)
+            appended.append(fingerprint)
+            if len(appended) == 3:
+                total = self._index[fingerprint][1]
+                keep = total - len(blob) // 2 if kept == "header" else kept
+                os.truncate(self.path, self.path.stat().st_size - total + keep)
+                raise ModelError("simulated crash mid-write")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ResultCache, "_append_record", tearing_append)
+            with pytest.raises(ModelError, match="mid-write"):
+                _checkpointed_run(fleet, path)
+        resumed, resumed_stats = _checkpointed_run(fleet, path)
+        assert resumed_stats.checkpoint_skips == 2
+        again, stats = _checkpointed_run(fleet, path)
+        assert stats.checkpoint_skips == len(fleet)
+        assert _payloads(resumed) == _payloads(again) == _payloads(clean)

@@ -215,6 +215,18 @@ class TestServeStream:
         assert decoded["stats"]["submitted"] == 1
         assert decoded["stats"]["pool"]["builds"] == 1
 
+    def test_stats_resilience_fields(self, fast_config):
+        """The service runs no checkpointed calls, so the wire carries only
+        the counters it can move."""
+        with ExplanationService(model="crude", config=fast_config) as service:
+            resilience = stats_to_dict(service.stats(), "c9")["stats"]["resilience"]
+        assert sorted(resilience) == [
+            "deadline_expired",
+            "worker_fallbacks",
+            "worker_restarts",
+            "worker_retries",
+        ]
+
 
 class TestServeCli:
     def test_serve_subcommand_reads_request_file(self, tmp_path, capsys):
