@@ -464,9 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-fused-requests",
         type=int,
-        default=None,
-        help="cap on requests resident in one fused tick group (default: "
-        "the REPRO_MAX_FUSED environment variable, or 8)",
+        default=8,
+        help="cap on requests resident in one fused tick group (default: 8)",
     )
     serve.add_argument(
         "--max-queue",

@@ -19,7 +19,7 @@ import numpy as np
 from repro.bb.block import BasicBlock
 from repro.bb.features import Feature, extract_features
 from repro.explain.config import ExplainerConfig
-from repro.explain.coverage import CoverageEstimator, PopulationRecord
+from repro.explain.coverage import CoverageEstimator
 from repro.explain.precision import PrecisionEstimator
 from repro.models.base import CostModel
 from repro.perturb.sampler import PerturbationSampler
@@ -52,7 +52,6 @@ class AnchorSearch:
         config: Optional[ExplainerConfig] = None,
         rng: RandomSource = None,
         *,
-        coverage_record: Optional[PopulationRecord] = None,
         cancel: Optional[CancelToken] = None,
     ) -> None:
         self.model = model
@@ -62,11 +61,10 @@ class AnchorSearch:
         # token that never fires leaves the random stream untouched.
         self.cancel = cancel
         self.sampler = PerturbationSampler(block, self.config.perturbation, rng)
-        # An injected record shares one background population with the
-        # repeats of this block in one call (see CallRecords); without one
-        # the search draws a private population, as the paper's setup does.
+        # Every search draws its own background population, as the paper's
+        # setup does, so the explanation depends on its seed alone.
         self.coverage_estimator = CoverageEstimator(
-            self.sampler, self.config.coverage_samples, record=coverage_record
+            self.sampler, self.config.coverage_samples
         )
         self.original_prediction = model.predict(block)
         self.tolerance = self.config.tolerance_for(self.original_prediction)

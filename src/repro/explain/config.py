@@ -46,7 +46,9 @@ class ExplainerConfig:
     batch_size / min_precision_samples / max_precision_samples:
         Sampling budget per candidate when estimating precision.
     coverage_samples:
-        Size of the shared background population used for coverage estimates.
+        Size of the background population each search draws for its
+        coverage estimates (shared by the search's beam levels, never by
+        two searches, so an explanation depends on its own seed alone).
     lucb_tolerance:
         KL-LUCB stops once the upper bound of the best challenger and the
         lower bound of the provisional winners are within this tolerance.
@@ -62,16 +64,6 @@ class ExplainerConfig:
         differ from its sequential path in the last float ulps (BLAS
         summation order), which can in principle flip an outcome that lands
         exactly on the tolerance-ball boundary.
-    shared_background:
-        When true (the default), repeats of a block within one
-        ``explain_many`` call (or one service request) share one background
-        population and its presence index: the first of them that needs
-        coverage draws it, the later ones reuse it.  When false every search
-        draws a private population.  A block that occurs once draws its own
-        either way, and nothing is shared across calls.  This knob is about
-        *state sharing*; the execution substrate is selected separately, on
-        the session or model (``backend=``), because where predictions run
-        must never change what the search computes.
     perturbation:
         Configuration of the perturbation algorithm Γ.
     """
@@ -88,7 +80,6 @@ class ExplainerConfig:
     coverage_samples: int = 400
     lucb_tolerance: float = 0.15
     batch_queries: bool = True
-    shared_background: bool = True
     perturbation: PerturbationConfig = PerturbationConfig()
 
     def __post_init__(self) -> None:

@@ -14,16 +14,17 @@ across the whole population becomes one boolean numpy row.  Coverage of a
 feature set is then the mean of the AND of its rows, instead of the seed
 implementation's per-feature re-scan of every block's instruction list.
 
-The population and its index live in a :class:`PopulationRecord`, shared by
-all beam levels of a search and, within one ``explain_many`` call or service
-request, by the repeats of the same block; no record outlives its call.  The
-empty set needs no population (its coverage is 1 by definition), so a search
-that ends at the empty anchor leaves its record empty.
+Each search owns one :class:`CoverageEstimator`, so the population and its
+index belong to that search alone: its beam levels share them, and no other
+search does — not even a repeat of the same block — so an explanation is a
+pure function of its own seed.  The empty set needs no population (its
+coverage is 1 by definition), so a search that ends at the empty anchor
+never draws one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,18 +39,21 @@ from repro.bb.features import (
 from repro.perturb.sampler import PerturbationSampler
 
 
-class PopulationRecord:
-    """A background population plus its presence index (shareable state).
+class CoverageEstimator:
+    """Empirical coverage over one search's background population.
 
-    The record is populated lazily through whichever sampler first needs it,
-    so the random stream is consumed exactly as the unshared path would
-    consume it; later users (other beam levels, repeats of the same block
-    within one call) reuse both the blocks and the index without touching
-    their own random streams.
+    The population is drawn through ``sampler`` the first time it is needed,
+    so the random stream is consumed at that point and nowhere else, and its
+    presence index is built on the first presence query; both live as long
+    as the estimator.
     """
 
-    def __init__(self) -> None:
-        self.population: List[BasicBlock] = []
+    def __init__(
+        self, sampler: PerturbationSampler, population_size: int = 400
+    ) -> None:
+        self.sampler = sampler
+        self.population_size = population_size
+        self._population: Optional[List[BasicBlock]] = None
         self._counts: Optional[np.ndarray] = None
         self._instruction_sets: List[frozenset] = []
         self._dependency_sets: List[frozenset] = []
@@ -57,32 +61,16 @@ class PopulationRecord:
 
     # ------------------------------------------------------------ population
 
-    def ensure(self, sampler: PerturbationSampler, size: int) -> List[BasicBlock]:
-        """Grow the population to ``size`` via ``sampler`` (no-op if large enough)."""
-        if len(self.population) < size:
-            self.population.extend(
-                sampler.sample_unconstrained(size - len(self.population))
-            )
-            self._invalidate_index()
-        return self.population
-
-    def _invalidate_index(self) -> None:
-        # Population growth only appends blocks, so the per-block signature
-        # lists stay valid — only the presence rows (whose length is the
-        # population size) and the counts array need recomputing.
-        self._counts = None
-        self._presence = {}
+    def population(self) -> List[BasicBlock]:
+        """The background population (drawn lazily, then cached)."""
+        if self._population is None:
+            self._population = self.sampler.sample_unconstrained(self.population_size)
+        return self._population
 
     def _build_index(self) -> None:
-        """Extract feature signatures of blocks not yet indexed (incremental).
-
-        ``ensure`` only ever *extends* the population, so index builds after
-        a growth step reuse every already-extracted signature set and touch
-        only the new tail; the per-instruction signature extraction was a
-        visible slice of warm-session profiles.
-        """
-        population = self.population
-        for block in population[len(self._instruction_sets) :]:
+        """Extract the feature signatures of every population block."""
+        population = self.population()
+        for block in population:
             # Instruction.key() is exactly the (mnemonic, formatted operands)
             # signature this index matches against, and it is memoised per
             # instance — population blocks share instruction objects with the
@@ -108,7 +96,7 @@ class PopulationRecord:
 
     # -------------------------------------------------------------- presence
 
-    def presence_row(self, feature: Feature) -> np.ndarray:
+    def _presence_row(self, feature: Feature) -> np.ndarray:
         """Boolean presence of one feature across the population (memoised)."""
         row = self._presence.get(feature)
         if row is None:
@@ -120,7 +108,8 @@ class PopulationRecord:
         return row
 
     def _compute_row(self, feature: Feature) -> np.ndarray:
-        size = len(self.population)
+        population = self.population()
+        size = len(population)
         if isinstance(feature, NumInstructionsFeature):
             return self._counts == feature.count
         if isinstance(feature, InstructionFeature):
@@ -144,40 +133,10 @@ class PopulationRecord:
             )
         # Unknown feature subtype: fall back to the generic per-block check.
         return np.fromiter(
-            (feature_present(feature, block) for block in self.population),
+            (feature_present(feature, block) for block in population),
             dtype=bool,
             count=size,
         )
-
-    def presence_matrix(self, features: Sequence[Feature]) -> np.ndarray:
-        """Stacked presence rows for a feature set (``len(features) × size``)."""
-        return np.vstack([self.presence_row(feature) for feature in features])
-
-
-class CoverageEstimator:
-    """Empirical coverage over a shared background population.
-
-    Pass a ``record`` to score against population state owned elsewhere
-    (shared by the repeats of a block within one call); by default the
-    estimator owns a private record, one population per search.
-    """
-
-    def __init__(
-        self,
-        sampler: PerturbationSampler,
-        population_size: int = 400,
-        *,
-        record: Optional[PopulationRecord] = None,
-    ) -> None:
-        self.sampler = sampler
-        self.population_size = population_size
-        self.record = record if record is not None else PopulationRecord()
-
-    # ------------------------------------------------------------ population
-
-    def population(self) -> List[BasicBlock]:
-        """The background population (drawn lazily, then cached)."""
-        return self.record.ensure(self.sampler, self.population_size)
 
     # -------------------------------------------------------------- coverage
 
@@ -194,10 +153,11 @@ class CoverageEstimator:
         population = self.population()
         if not population:
             return 0.0
-        joint = self.record.presence_row(feature_list[0])
+        joint = self._presence_row(feature_list[0])
         if len(feature_list) > 1:
             joint = np.logical_and.reduce(
-                self.record.presence_matrix(feature_list), axis=0
+                np.vstack([self._presence_row(feature) for feature in feature_list]),
+                axis=0,
             )
         return int(np.count_nonzero(joint)) / len(population)
 

@@ -17,7 +17,6 @@ from typing import (
 from repro.bb.block import BasicBlock
 from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
-from repro.explain.coverage import PopulationRecord
 from repro.explain.explanation import Explanation
 from repro.models.base import NO_QUERIES, CostModel, QueryCounter, QueryTally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
@@ -39,7 +38,6 @@ def search_block_rounds(
     config: ExplainerConfig,
     rng: RandomSource,
     *,
-    record: Optional[PopulationRecord] = None,
     cancel: Optional[CancelToken] = None,
     charge: Optional[Callable[[QueryTally], None]] = None,
 ) -> Generator[List[BasicBlock], Answer, Explanation]:
@@ -52,11 +50,11 @@ def search_block_rounds(
     ``predict_batch`` per round; the service's fused tick answers the rounds
     of many searches with one segmented call.
 
-    ``record`` shares a background population with other searches of the
-    same block (``None`` draws a private one).  A ``cancel`` token is checked
-    cooperatively between KL-LUCB rounds; a token that never fires leaves
-    the random stream untouched.  Each resume is measured on the calling
-    thread, so the total is exact even when other searches share the
+    The search draws its own background population, so the explanation is
+    a pure function of (block, model, config, seed).  A ``cancel`` token is
+    checked cooperatively between KL-LUCB rounds; a token that never fires
+    leaves the random stream untouched.  Each resume is measured on the
+    calling thread, so the total is exact even when other searches share the
     thread between resumes.  ``charge`` receives that total once, also when
     the search is cancelled, fails or is closed mid-stream.
     """
@@ -65,9 +63,7 @@ def search_block_rounds(
         counter = QueryCounter(model)
         try:
             with counter:
-                search = AnchorSearch(
-                    model, block, config, rng, coverage_record=record, cancel=cancel
-                )
+                search = AnchorSearch(model, block, config, rng, cancel=cancel)
         finally:
             spent += counter.tally
         rounds = search.search_rounds()
@@ -231,11 +227,11 @@ class CometExplainer:
         """Explain several blocks with independent random streams.
 
         The fleet path: the whole dataset is routed through one session, so
-        every block shares the query cache and the execution backend, and
-        repeats of a block within the call share its background population.
-        Per-block random streams are spawned exactly as they always were, so
-        results for distinct blocks are bit-for-bit the explanations
-        :meth:`explain` would have produced one at a time.
+        every block shares the query cache and the execution backend.
+        Per-block random streams are spawned exactly as they always were, and
+        every search draws its own background population, so each position
+        is bit-for-bit what :meth:`explain` produces for its spawned stream,
+        repeated blocks included.
 
         ``shards`` controls block-level parallelism (``"auto"``, the default,
         = one shard per backend worker; ``None`` forces the sequential loop,

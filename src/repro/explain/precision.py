@@ -88,13 +88,6 @@ def bernoulli_lower_bound(p_hat: float, n: int, beta: float, tolerance: float = 
     return value
 
 
-def _kl_bernoulli_vec(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Elementwise Bernoulli KL divergence (vector form of :func:`kl_bernoulli`)."""
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    q = np.clip(q, 1e-12, 1.0 - 1e-12)
-    return p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))
-
-
 def _bernoulli_bounds_vec(
     p_hats: np.ndarray,
     ns: np.ndarray,
@@ -153,20 +146,6 @@ def _bernoulli_bounds_vec(
         high = np.where(set_high, mid, high)
         low = np.where(set_high, low, mid)
     return np.where(n > 0, 0.5 * (low + high), np.where(upper_mask, 1.0, 0.0))
-
-
-def bernoulli_upper_bounds(
-    p_hats: np.ndarray, ns: np.ndarray, beta: float, tolerance: float = 1e-5
-) -> np.ndarray:
-    """Vectorized :func:`bernoulli_upper_bound` over arrays of arms."""
-    return _bernoulli_bounds_vec(p_hats, ns, beta, upper=True, tolerance=tolerance)
-
-
-def bernoulli_lower_bounds(
-    p_hats: np.ndarray, ns: np.ndarray, beta: float, tolerance: float = 1e-5
-) -> np.ndarray:
-    """Vectorized :func:`bernoulli_lower_bound` over arrays of arms."""
-    return _bernoulli_bounds_vec(p_hats, ns, beta, upper=False, tolerance=tolerance)
 
 
 def confidence_beta(num_arms: int, round_index: int, delta: float) -> float:

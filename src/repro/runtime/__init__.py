@@ -7,7 +7,7 @@ cost-model queries) from its *execution substrate*:
   (:class:`SerialBackend`, :class:`ProcessBackend`),
 * :mod:`repro.runtime.session` — :class:`ExplanationSession`, which owns the
   state shared across one explanation run: the cache wrapper and the
-  execution backend (background populations live for one call),
+  execution backend (background populations live for one search),
 * :mod:`repro.runtime.pool` — :class:`SessionPool`, a leased LRU pool of
   warm sessions keyed by (model, microarch), shared by the explanation
   service's dispatcher fleet and library callers alike.

@@ -14,9 +14,9 @@ makes the run the unit of ownership instead.  One session holds
 
 None of these changes what a search computes, only how fast, so a session
 is history-free: it keeps no per-block state between calls.  A block's
-background population (Eq. 6) lives for one call — shared by the beam levels
-of its search and, within one ``explain_many`` call, by the repeats of that
-block (see :class:`CallRecords`).
+background population (Eq. 6) lives for one search — shared by the beam
+levels of that search and by nothing else, repeats of the block within one
+``explain_many`` call included — so every search is position-independent.
 
 Determinism: the backend never touches the random stream (it only decides
 where deterministic predictions execute), so seeded session runs are
@@ -28,10 +28,10 @@ the same seed, whatever the session explained before.
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Generator, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Generator, List, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.bb.block import BasicBlock
 from repro.cache.fingerprint import cacheable_seed, result_fingerprint
 from repro.cache.store import CacheStats, ResultCache
 from repro.explain.config import ExplainerConfig
-from repro.explain.coverage import PopulationRecord
 from repro.explain.explainer import Answer, answer_rounds, search_block_rounds
 from repro.explain.explanation import Explanation
 from repro.models.base import CachedCostModel, CostModel, QueryTally
@@ -48,64 +47,27 @@ from repro.utils.cancellation import CancelToken
 from repro.utils.errors import BackendError, CheckpointError
 from repro.utils.rng import RandomSource, as_rng, spawn_rngs, spawn_seeds
 
-#: One unit of sharded work: (position in the fleet, block, its rng stream).
-_ShardItem = Tuple[int, BasicBlock, np.random.Generator]
-
-
-class CallRecords:
-    """Population records scoped to one call over ``blocks``.
-
-    Only a block that repeats within the call gets a shared
-    :class:`~repro.explain.coverage.PopulationRecord`: its first search that
-    goes past the empty anchor draws the population and later repeats reuse
-    it.  A block that occurs once gets ``None`` — its search draws the
-    identical population privately, so its result is a pure function of its
-    own seed and safe to memoize (:meth:`occurs_once`).  The record is
-    dropped at the block's last occurrence, so a call holds populations only
-    for repeats still to come.  Call :meth:`take` once per occurrence, in
-    order.
-    """
-
-    def __init__(self, blocks: Sequence[BasicBlock], shared: bool) -> None:
-        self._counts = Counter(block.key() for block in blocks)
-        self._left = Counter(self._counts) if shared else Counter()
-        self._records: Dict[tuple, PopulationRecord] = {}
-
-    def occurs_once(self, block: BasicBlock) -> bool:
-        """Whether ``block`` occurs exactly once in the call."""
-        return self._counts[block.key()] == 1
-
-    def take(self, block: BasicBlock) -> Optional[PopulationRecord]:
-        """The record for the next occurrence of ``block`` (``None`` if unshared)."""
-        key = block.key()
-        left = self._left.pop(key, 0)
-        if left <= 1:
-            return self._records.pop(key, None)
-        self._left[key] = left - 1
-        return self._records.setdefault(key, PopulationRecord())
+#: One unit of sharded work: (position in the fleet, block, its integer
+#: child seed or rng stream).
+_ShardItem = Tuple[int, BasicBlock, RandomSource]
 
 
 def _explain_shard(
     session: "ExplanationSession",
     shard: Sequence[_ShardItem],
-    records: CallRecords,
     cancel: Optional[CancelToken] = None,
 ) -> List[Tuple[int, Explanation]]:
     """Explain one shard, one :meth:`ExplanationSession.explain` per block.
 
-    The serial loop and every process shard run this exact loop, so results
-    are byte-identical across backends: all occurrences of a block key are
-    routed to one shard in order, so repeats share a population exactly as
-    in the serial loop.
+    The unmemoized serial loop and every process shard run this exact loop,
+    and each search depends only on its own block and stream, so results
+    are byte-identical across backends.
     """
     results: List[Tuple[int, Explanation]] = []
-    for position, block, stream in shard:
+    for position, block, rng in shard:
         if cancel is not None:
             cancel.check()
-        explanation = session.explain(
-            block, stream, cancel=cancel, record=records.take(block)
-        )
-        results.append((position, explanation))
+        results.append((position, session.explain(block, rng, cancel=cancel)))
     return results
 
 
@@ -116,11 +78,10 @@ def _explain_shard_remote(payload) -> Tuple[List[Tuple[int, Explanation]], Query
     accounting travels back with the results.  Module-level so it pickles by
     reference."""
     model, config, shard, cache_entries = payload
-    records = CallRecords([block for _, block, _ in shard], config.shared_background)
     with ExplanationSession(
         model, config, backend="serial", cache_entries=cache_entries
     ) as session:
-        return _explain_shard(session, shard, records), session._work
+        return _explain_shard(session, shard), session._work
 
 
 @dataclass(frozen=True)
@@ -214,7 +175,7 @@ class ExplanationSession:
     The session keeps no per-block state between calls: a background
     population is drawn by the search that needs it (one that continues past
     the empty anchor, whose coverage is 1 by definition) and dropped when
-    the call returns, so each call answers exactly what a fresh session
+    that search ends, so each call answers exactly what a fresh session
     would.
 
     Use as a context manager (or call :meth:`close`) so pooled workers are
@@ -296,7 +257,6 @@ class ExplanationSession:
         rng: RandomSource = None,
         *,
         cancel: Optional[CancelToken] = None,
-        record: Optional[PopulationRecord] = None,
     ) -> Explanation:
         """Explain one block using the session's shared state.
 
@@ -304,9 +264,7 @@ class ExplanationSession:
         answered with one ``predict_batch`` on the session's model.
         """
         return answer_rounds(
-            self.explain_rounds(block, rng, cancel=cancel, record=record),
-            self.model,
-            self.charge,
+            self.explain_rounds(block, rng, cancel=cancel), self.model, self.charge
         )
 
     def explain_rounds(
@@ -315,7 +273,6 @@ class ExplanationSession:
         rng: RandomSource = None,
         *,
         cancel: Optional[CancelToken] = None,
-        record: Optional[PopulationRecord] = None,
     ) -> Generator[List[BasicBlock], Answer, Explanation]:
         """Explain one block as a round generator — every session search runs
         through here.
@@ -330,21 +287,16 @@ class ExplanationSession:
         ``cancel`` is checked cooperatively between KL-LUCB rounds; a token
         that never fires leaves the result bit-for-bit unchanged.
 
-        ``record`` shares a background population with other searches of
-        the same block within one call — :meth:`explain_many` passes one to
-        each repeat of a block (see :class:`CallRecords`).  ``None`` (the
-        default) draws the population privately.
-
-        With a :class:`result cache <repro.cache.ResultCache>` installed, an
-        integer ``rng`` seed and no shared ``record``, the search is
-        memoized: a hit returns the stored explanation verbatim without
-        yielding a round — including its ``num_queries``, which by the
-        cache's attribution rule is the query count of the computation that
-        *stored* the entry, since a hit itself queries the model zero times
-        — and a miss computes and stores it on the way out.
+        With a :class:`result cache <repro.cache.ResultCache>` installed and
+        an integer ``rng`` seed, the search is memoized: a hit returns the
+        stored explanation verbatim without yielding a round — including its
+        ``num_queries``, which by the cache's attribution rule is the query
+        count of the computation that *stored* the entry, since a hit itself
+        queries the model zero times — and a miss computes and stores it on
+        the way out.
         """
         self._check_open()
-        cache = self.result_cache if record is None and cacheable_seed(rng) else None
+        cache = self.result_cache if cacheable_seed(rng) else None
         fingerprint = explanation = None
         if cache is not None:
             fingerprint = self._result_fingerprint(block, rng)
@@ -355,7 +307,6 @@ class ExplanationSession:
                 block,
                 self.config,
                 as_rng(rng) if rng is not None else self._rng,
-                record=record,
                 cancel=cancel,
                 charge=self.charge,
             )
@@ -377,8 +328,12 @@ class ExplanationSession:
         """Explain a whole dataset with independent per-block random streams.
 
         Stream spawning matches the session-less ``explain_many`` exactly, so
-        moving a fleet onto a session changes where the work runs and what is
-        shared — never which random numbers each block's search consumes.
+        moving a fleet onto a session changes where the work runs — never
+        which random numbers each block's search consumes.  Every search draws
+        its own background population, so each position is a pure function
+        of (block, model, uarch, config, spawned stream), repeats of a block
+        included, and the plain, sharded, memoized and checkpointed forms of
+        one call agree at every position.
 
         ``shards`` controls the block-level parallelism layered on top of the
         query-level batching: on a process backend with more than one worker
@@ -388,140 +343,97 @@ class ExplanationSession:
         count to the backend's workers; an explicit count pins it;
         ``None``/``0``/``1`` force the sequential loop, and so does a backend
         with one worker (the serial backend included), whatever the count.
-        Background populations are scoped to the call: repeats of a block
-        within it share one population (the first search of the block that
-        goes past the empty anchor draws it), and nothing carries over to
-        later calls.  Every search runs through :meth:`explain`, one call
-        per computed position, on this session or, for process shards, on
-        a worker's own serial session.
-        Sharding is seeded-deterministic and result-identical to the unsharded
-        path: all occurrences of one block key are routed to the same shard
-        in their original order, so population sharing happens exactly where
-        the serial loop would have it, and every block consumes only its own
-        spawned stream.  Per-explanation ``num_queries`` matches the
-        sequential loop too on a fresh session: each shard starts from a
-        cold query cache of its own, which is what the sequential loop's
-        searches see for every block key they have not met yet (exact as
-        long as distinct block keys do not collide in the query cache,
-        which key-grouped sharding makes the overwhelmingly common case).
+        Every search runs through :meth:`explain`, one call per computed
+        position, on this session or, for process shards, on a worker's own
+        serial session.  Per-explanation ``num_queries`` matches the
+        sequential loop too on a fresh session (see :meth:`_shard_plan`).
+
+        With a result cache installed and an integer ``rng`` seed, every
+        position is memoized under its spawned child seed: a hit is returned
+        verbatim without running a search, and the sequential loop stores
+        each miss the moment it finishes, so an interrupted call keeps the
+        positions it finished.  Process shards look every position up before
+        they start and store the misses when they return.
 
         ``checkpoint`` names a crash-safe :class:`~repro.cache.ResultCache`
-        store: each position is looked up under its result fingerprint
-        (block, model, uarch, config and spawned child seed) and every new
-        explanation is stored as it finishes, so re-running the call after
-        an interruption skips the stored positions and produces results
+        store that the sequential loop uses in place of the session's result
+        cache, so re-running the call after an interruption skips the stored
+        positions (counted as ``checkpoint_skips``) and produces results
         bit-for-bit identical to an uninterrupted run.  The file is an
-        ordinary result-cache store, shareable with
+        ordinary result-cache store, interchangeable with
         ``ExplanationSession(result_cache=path)`` and ``repro serve
-        --result-cache``; it keeps entries of other runs, and a resumed
-        fleet that differs at some positions recomputes only those.
-        Checkpointed runs require an integer ``rng`` seed (a live
-        generator's state dies with the crash) and run block-sequentially
-        with position-independent searches — each position draws its own
-        background population — so which positions were already stored can
-        never change what the remaining positions compute.
+        --result-cache`` for every fleet; it keeps entries of other runs,
+        and a resumed fleet that differs at some positions recomputes only
+        those.  Checkpointed runs require an integer ``rng`` seed (a live
+        generator's state dies with the crash) and run block-sequentially.
 
         ``cancel`` is checked between blocks and between KL-LUCB rounds on
         the sequential loop (which every checkpointed run takes);
         process-sharded fleets check it once before the shards start, since
         the token cannot cross a process boundary.
-
-        With a result cache installed and an integer ``rng`` seed, fleet
-        positions whose block key is unique within the call are memoized
-        under their spawned child seed: hits are returned verbatim without
-        running a search, misses compute and are stored.  Positions sharing
-        a block key bypass the cache and keep their within-call population
-        sharing bit-for-bit.
         """
         self._check_open()
         blocks = list(blocks)
         if checkpoint is not None:
-            return self._explain_many_checkpointed(
-                blocks, rng, checkpoint=checkpoint, cancel=cancel
-            )
-        records = CallRecords(blocks, self.config.shared_background)
-        results: List[Optional[Explanation]] = [None] * len(blocks)
-        fingerprints: dict = {}
+            if not cacheable_seed(rng):
+                raise CheckpointError(
+                    "checkpointed explain_many requires an integer seed: "
+                    "resuming a run driven by a live generator is "
+                    "unreproducible (its state advanced with the crash); got "
+                    f"{type(rng).__name__}"
+                )
+            with ResultCache(checkpoint) as store:
+                return self._explain_stored(
+                    blocks, spawn_seeds(int(rng), len(blocks)), store, cancel
+                )
+        rngs: Sequence[RandomSource]
+        if cacheable_seed(rng):
+            # A position's child seed names its stream (spawn_rngs builds
+            # default_rng(child_seed)), so each position is memoizable.
+            rngs = spawn_seeds(int(rng), len(blocks))  # type: ignore[arg-type]
+        else:
+            rngs = spawn_rngs(rng if rng is not None else self._rng, len(blocks))
+        items: List[_ShardItem] = list(zip(range(len(blocks)), blocks, rngs))
+        plan = self._shard_plan(blocks, shards)
+        if plan is not None:
+            return self._run_shards_remote(items, plan, cancel)
         if self.result_cache is not None and cacheable_seed(rng):
-            # Each fleet position's stream is fully determined by its spawned
-            # child seed, so positions are memoized under (block, child seed).
-            # Only positions whose block occurs once in this fleet take part:
-            # repeats share a population within the call, so their results
-            # are not pure functions of their own seed — they bypass the
-            # cache and compute exactly as they always did.
-            seeds = spawn_seeds(int(rng), len(blocks))  # type: ignore[arg-type]
-            streams = [np.random.default_rng(s) for s in seeds]
-            for position, (block, seed) in enumerate(zip(blocks, seeds)):
-                if records.occurs_once(block):
-                    fingerprint = self._result_fingerprint(block, seed)
-                    fingerprints[position] = fingerprint
-                    results[position] = self.result_cache.get(fingerprint)
-        else:
-            streams = list(
-                spawn_rngs(rng if rng is not None else self._rng, len(blocks))
-            )
-        items: List[_ShardItem] = [
-            (position, block, stream)
-            for position, (block, stream) in enumerate(zip(blocks, streams))
-            if results[position] is None
-        ]
-        # Cache hits count here; searches count themselves in explain().
-        with self._work_lock:
-            self.explanations_produced += len(blocks) - len(items)
-        plan = self._shard_plan([block for _, block, _ in items], shards)
-        if plan is None:
-            pairs = _explain_shard(self, items, records, cancel)
-        else:
-            shard_lists = [[items[i] for i in indices] for indices in plan]
-            pairs = self._run_shards_remote(shard_lists, cancel)
-        for position, explanation in pairs:
-            results[position] = explanation
-            fingerprint = fingerprints.get(position)
-            if fingerprint is not None:
-                assert self.result_cache is not None
-                self.result_cache.put(fingerprint, explanation)
-        return results  # type: ignore[return-value]
+            return self._explain_stored(blocks, rngs, self.result_cache, cancel)
+        return [explanation for _, explanation in _explain_shard(self, items, cancel)]
 
-    def _explain_many_checkpointed(
+    def _explain_stored(
         self,
         blocks: List[BasicBlock],
-        rng: RandomSource,
-        *,
-        checkpoint: Union[str, Path],
+        seeds: Sequence[int],
+        store: ResultCache,
         cancel: Optional[CancelToken],
     ) -> List[Explanation]:
-        """The checkpointed ``explain_many`` path — see the public docstring.
+        """The sequential loop over a store: the session's result cache or a
+        checkpoint file.
 
-        Sequential with ``record=None`` per position on purpose: population
-        sharing between repeats and sharding both make a position's result
-        depend on which *other* positions ran in this process, and a resumed
-        run has not run the stored ones.  Position-independent searches are
-        what make each position a pure function of its fingerprint, so a
-        stored entry answers it bit-for-bit; each position still fans its
-        query batches out through the session's backend, so the run keeps
-        its batch-level parallelism.
+        Each position is looked up under its child-seed fingerprint; a miss
+        searches from ``default_rng(seed)`` — the stream the fingerprint
+        names — and is stored the moment it finishes.  A result-cache hit
+        counts as an explanation, as in :meth:`explain_rounds`; a checkpoint
+        hit counts as a checkpoint skip.
         """
-        if not cacheable_seed(rng):
-            raise CheckpointError(
-                "checkpointed explain_many requires an integer seed: resuming "
-                "a run driven by a live generator is unreproducible (its "
-                f"state advanced with the crash); got {type(rng).__name__}"
-            )
         results: List[Explanation] = []
-        with ResultCache(checkpoint) as store:
-            for block, seed in zip(blocks, spawn_seeds(int(rng), len(blocks))):
-                fingerprint = self._result_fingerprint(block, seed)
-                explanation = store.get(fingerprint)
-                if explanation is not None:
-                    self.checkpoint_skips += 1
-                else:
-                    if cancel is not None:
-                        cancel.check()
-                    explanation = self.explain(
-                        block, np.random.default_rng(seed), cancel=cancel
-                    )
-                    store.put(fingerprint, explanation)
-                results.append(explanation)
+        for block, seed in zip(blocks, seeds):
+            fingerprint = self._result_fingerprint(block, seed)
+            explanation = store.get(fingerprint)
+            if explanation is None:
+                if cancel is not None:
+                    cancel.check()
+                explanation = self.explain(
+                    block, np.random.default_rng(seed), cancel=cancel
+                )
+                store.put(fingerprint, explanation)
+            elif store is self.result_cache:
+                with self._work_lock:
+                    self.explanations_produced += 1
+            else:
+                self.checkpoint_skips += 1
+            results.append(explanation)
         return results
 
     # ------------------------------------------------------------- sharding
@@ -535,10 +447,13 @@ class ExplanationSession:
         its worker processes (:meth:`_run_shards_remote`).  Blocks are
         grouped by content key and whole groups are dealt round-robin across
         shards in first-occurrence order; positions inside a shard stay
-        ascending.  Keeping a key's occurrences together is what
-        makes sharded output bit-for-bit equal to the serial loop: repeats of
-        a block share its population within the shard exactly as they would
-        have serially.
+        ascending.  Searches are position-independent, so any partition
+        gives the same explanations; keeping a key's occurrences together
+        keeps query-cache warmth as the serial loop has it — each shard
+        starts cold, as the serial loop is for a block key it has not met,
+        and a repeat finds what the earlier occurrences of its block cached —
+        so each shard's ``num_queries`` matches the serial loop's (exact as
+        long as distinct block keys do not collide in the query cache).
         """
         if shards is None:
             return None
@@ -567,32 +482,49 @@ class ExplanationSession:
 
     def _run_shards_remote(
         self,
-        shard_lists: List[List[_ShardItem]],
+        items: List[_ShardItem],
+        plan: List[List[int]],
         cancel: Optional[CancelToken] = None,
-    ) -> List[Tuple[int, Explanation]]:
-        """Run shards on the backend's worker processes.
+    ) -> List[Explanation]:
+        """Run the planned shards on the backend's worker processes.
 
-        Each worker explains its shard on a serial session of its own (see
-        :func:`_explain_shard_remote`); its accounting and explanation count
-        are added to this session as the results come back.  ``cancel`` is
-        checked once before the shards start — the token cannot cross a
-        process boundary.
+        Workers share no memory with the session, so its result cache is
+        consulted here: integer-seeded positions are looked up before the
+        shards start, only the misses ship, and they are stored when their
+        shards return.  Each worker explains its shard on a serial session
+        of its own (see :func:`_explain_shard_remote`); its accounting and
+        explanation count are added to this session as the results come
+        back.  ``cancel`` is checked once before the shards start — the
+        token cannot cross a process boundary.
         """
-        if cancel is not None:
-            cancel.check()
+        results: List[Optional[Explanation]] = [None] * len(items)
+        fingerprints = {}
+        if self.result_cache is not None:
+            for position, block, rng in items:
+                if cacheable_seed(rng):
+                    fingerprints[position] = self._result_fingerprint(block, rng)
+                    results[position] = self.result_cache.get(fingerprints[position])
+        with self._work_lock:
+            self.explanations_produced += sum(r is not None for r in results)
+        shards = [[items[i] for i in indices if results[i] is None] for indices in plan]
         payloads = [
             (self.model.inner, self.config, shard, self.model.max_entries)
-            for shard in shard_lists
+            for shard in shards
+            if shard
         ]
-        pairs: List[Tuple[int, Explanation]] = []
+        if payloads and cancel is not None:
+            cancel.check()
         for shard_pairs, spent in self.backend.map_batch(
             _explain_shard_remote, payloads
         ):
-            pairs.extend(shard_pairs)
             self.charge(spent)
-        with self._work_lock:
-            self.explanations_produced += len(pairs)
-        return pairs
+            with self._work_lock:
+                self.explanations_produced += len(shard_pairs)
+            for position, explanation in shard_pairs:
+                results[position] = explanation
+                if position in fingerprints:
+                    self.result_cache.put(fingerprints[position], explanation)
+        return results  # type: ignore[return-value]
 
     def global_explainer(self, blocks: Sequence[BasicBlock], **kwargs):
         """A :class:`~repro.globalx.global_explainer.GlobalExplainer` whose

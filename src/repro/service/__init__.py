@@ -45,7 +45,6 @@ from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.core import (
     DISPATCHERS_ENV_VAR,
     FUSED_ENV_VAR,
-    MAX_FUSED_ENV_VAR,
     RESULT_CACHE_ENV_VAR,
     ExplanationRequest,
     ExplanationService,
@@ -54,7 +53,6 @@ from repro.service.core import (
     ServiceStats,
     default_continuous_batching,
     default_dispatchers,
-    default_max_fused,
     default_result_cache,
 )
 from repro.service.protocol import (
@@ -100,7 +98,6 @@ __all__ = [
     "FusionCounters",
     "FusionStats",
     "HashRing",
-    "MAX_FUSED_ENV_VAR",
     "PoolStats",
     "QueueFullError",
     "RESULT_CACHE_ENV_VAR",
@@ -122,7 +119,6 @@ __all__ = [
     "aggregate_node_stats",
     "default_continuous_batching",
     "default_dispatchers",
-    "default_max_fused",
     "default_result_cache",
     "parse_nodes",
     "request_from_dict",

@@ -19,14 +19,14 @@ scatters predictions and exact per-segment query accounting back, and lets
 finished requests retire while newly queued same-key work is absorbed
 mid-stream (see :meth:`~repro.service.scheduler.Scheduler.claim_extra`).
 
-Determinism contract: each request keeps its own seeded RNG stream and its
-own request-scoped population records
-(:class:`~repro.runtime.session.CallRecords`), exactly as the unfused
-execution path does, so the fused service's results are bit-for-bit
+Determinism contract: each block of a request is searched from its own
+integer seed and draws its own background population, exactly as the
+unfused execution path does, so the fused service's results are bit-for-bit
 identical to the ``dispatchers=1``, fusion-off oracle regardless of which
-requests happened to share a tick.  Fusion changes only which model invocation served a
-round — arrival order can shift cache hits between requests (``num_queries``
-is substrate-dependent by design), never the explanation payload.
+requests happened to share a tick.  Fusion changes only which model
+invocation served a round — arrival order can shift cache hits between
+requests (``num_queries`` is substrate-dependent by design), never the
+explanation payload.
 
 Cancellation: every request's :class:`~repro.utils.cancellation.CancelToken`
 is checked at its own round boundaries (inside the search) and before
@@ -41,12 +41,10 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.bb.block import BasicBlock
 from repro.explain.explainer import Answer, answer_round
 from repro.explain.explanation import Explanation
-from repro.runtime.session import CallRecords, ExplanationSession
+from repro.runtime.session import ExplanationSession
 from repro.utils.cancellation import CancelToken
 from repro.utils.rng import spawn_seeds
 
@@ -144,22 +142,17 @@ def _request_rounds(
     Seeds each block as the unfused path does: a single-block request
     searches from its seed (as ``session.explain`` would), a fleet request
     gives each position its spawned child seed (as ``explain_many`` would).
-    A fleet position whose block occurs once in the request searches from
-    the integer child seed, so it is memoized as in ``explain_many``; a
-    repeat shares the request's population record and searches from a
-    generator, so it is not.  The token is checked before each block.
+    Every position searches from its integer seed, so it is memoized under
+    the same fingerprint as in ``explain_many``, repeats included.  The
+    token is checked before each block.
     """
     blocks = entry.blocks
-    records = CallRecords(blocks, session.config.shared_background)
     seeds = [entry.seed] if len(blocks) == 1 else spawn_seeds(entry.seed, len(blocks))
     explanations: List[Explanation] = []
     for block, seed in zip(blocks, seeds):
         if entry.token is not None:
             entry.token.check()
-        rng = seed if records.occurs_once(block) else np.random.default_rng(seed)
-        explanation = yield from session.explain_rounds(
-            block, rng, cancel=entry.token, record=records.take(block)
-        )
+        explanation = yield from session.explain_rounds(block, seed, cancel=entry.token)
         explanations.append(explanation)
     return explanations
 

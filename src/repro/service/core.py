@@ -41,8 +41,8 @@ run ``session.explain_many(blocks, rng=seed)``, both of which are pinned
 against the one-shot API by the runtime's parity tests — under any
 dispatcher count, which the service's parity tests pin against the
 single-dispatcher oracle.  With continuous batching on, a request's blocks
-run through ``session.explain_rounds`` with the same seeds and population
-records instead (see :mod:`repro.service.batching`), pinned against the
+run through ``session.explain_rounds`` with the same integer seeds instead
+(see :mod:`repro.service.batching`), pinned against the
 unfused service by the fused parity tests.
 """
 
@@ -88,9 +88,6 @@ DISPATCHERS_ENV_VAR = "REPRO_DISPATCHERS"
 #: default (``1``/``true``/``on``); CI uses it to run suites fused.
 FUSED_ENV_VAR = "REPRO_FUSED"
 
-#: Environment override for the default fused-group size bound.
-MAX_FUSED_ENV_VAR = "REPRO_MAX_FUSED"
-
 #: Environment override naming a persistent result-cache store every service
 #: opens by default (``repro serve --result-cache`` wins; CI uses it to run
 #: whole suites memoized).
@@ -131,24 +128,6 @@ def default_result_cache() -> Optional[str]:
     """The ambient result-cache path: ``REPRO_RESULT_CACHE`` or none."""
     raw = os.environ.get(RESULT_CACHE_ENV_VAR, "").strip()
     return raw or None
-
-
-def default_max_fused() -> int:
-    """The ambient fused-group size bound: ``REPRO_MAX_FUSED`` or 8."""
-    raw = os.environ.get(MAX_FUSED_ENV_VAR, "").strip()
-    if not raw:
-        return 8
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise ServiceError(
-            f"{MAX_FUSED_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from error
-    if value < 1:
-        raise ServiceError(
-            f"{MAX_FUSED_ENV_VAR} must be a positive integer, got {raw!r}"
-        )
-    return value
 
 
 class RequestStatus(Enum):
@@ -320,12 +299,11 @@ class ExplanationService:
         Fuse concurrent same-key requests into shared ``predict_batch``
         ticks (``None`` = the ``REPRO_FUSED`` environment default, normally
         off).  Fused results are bit-for-bit identical to the unfused
-        oracle — each request keeps its own seeded stream and request-scoped
-        records — fusion only changes how many requests one warm model
+        oracle — each search keeps its own seeded stream and background
+        population — fusion only changes how many requests one warm model
         invocation serves.
     max_fused_requests:
-        How many requests one fused tick group may hold at once (``None`` =
-        the ``REPRO_MAX_FUSED`` environment default, normally 8).
+        How many requests one fused tick group may hold at once.
     result_cache:
         Whole-explanation memoization shared by every session the service
         builds: a :class:`~repro.cache.ResultCache` instance (caller-owned),
@@ -363,7 +341,7 @@ class ExplanationService:
         session_factory: Optional[SessionFactory] = None,
         default_deadline: Optional[float] = None,
         continuous_batching: Optional[bool] = None,
-        max_fused_requests: Optional[int] = None,
+        max_fused_requests: int = 8,
         result_cache: Union[ResultCache, str, Path, bool, None] = None,
     ) -> None:
         if max_queue < 1:
@@ -378,8 +356,6 @@ class ExplanationService:
             raise ValueError("dispatchers must be >= 1")
         if continuous_batching is None:
             continuous_batching = default_continuous_batching()
-        if max_fused_requests is None:
-            max_fused_requests = default_max_fused()
         if max_fused_requests < 1:
             raise ValueError("max_fused_requests must be >= 1")
         self.default_model = model

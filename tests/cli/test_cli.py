@@ -264,10 +264,10 @@ class TestServeFlags:
         assert args.continuous_batching is False
 
     def test_continuous_batching_defaults_to_env(self):
-        # None defers to REPRO_FUSED / REPRO_MAX_FUSED at service construction.
+        # None defers to REPRO_FUSED at service construction.
         args = build_parser().parse_args(["serve", "--model", "crude"])
         assert args.continuous_batching is None
-        assert args.max_fused_requests is None
+        assert args.max_fused_requests == 8
 
     def test_served_batch_runs_fused(self, tmp_path, capsys):
         requests = tmp_path / "requests.jsonl"

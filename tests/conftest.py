@@ -35,8 +35,8 @@ import pytest
 from repro.bb.block import BasicBlock
 from repro.data.synthesis import BlockSynthesizer
 from repro.explain.config import ExplainerConfig
-from repro.explain.coverage import PopulationRecord
 from repro.models.analytical import AnalyticalCostModel
+from repro.perturb.sampler import PerturbationSampler
 from repro.runtime.session import ExplanationSession
 from repro.utils.cancellation import CancelToken
 
@@ -103,17 +103,19 @@ def anchor_seed(block, *, empty):
 
 
 def count_population_draws(monkeypatch):
-    """Count, per block key, the ``PopulationRecord.ensure`` calls that grow
-    a population — one per background population a search draws."""
+    """Count, per block key, the background populations searches draw.
+
+    A search draws its population with one
+    ``PerturbationSampler.sample_unconstrained`` call (precision samples go
+    through ``sample``), so this counts those calls in this process."""
     draws = collections.Counter()
-    ensure = PopulationRecord.ensure
+    sample_unconstrained = PerturbationSampler.sample_unconstrained
 
-    def counting_ensure(record, sampler, size):
-        if len(record.population) < size:
-            draws[sampler.block.key()] += 1
-        return ensure(record, sampler, size)
+    def counting(sampler, count=1):
+        draws[sampler.block.key()] += 1
+        return sample_unconstrained(sampler, count)
 
-    monkeypatch.setattr(PopulationRecord, "ensure", counting_ensure)
+    monkeypatch.setattr(PerturbationSampler, "sample_unconstrained", counting)
     return draws
 
 

@@ -25,7 +25,6 @@ class TestCoverageEstimator:
         assert estimator.coverage([]) == 1.0
         # Answered by definition: no background population is drawn.
         assert sampler.samples_drawn == 0
-        assert estimator.record.population == []
 
     def test_antitone_in_feature_sets(self, block):
         estimator = CoverageEstimator(PerturbationSampler(block, rng=1), 200)

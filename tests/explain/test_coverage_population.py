@@ -13,12 +13,17 @@ skips the draw entirely when the search ends at the empty anchor.
 import pytest
 
 from repro.explain.anchors import AnchorSearch
-from repro.explain.coverage import CoverageEstimator, PopulationRecord
+from repro.explain.coverage import CoverageEstimator
 from repro.models.analytical import AnalyticalCostModel
 from repro.runtime.session import ExplanationSession
 from repro.service import ExplanationService
 
-from tests.conftest import FAST_CONFIG, anchor_seed, explanation_fingerprint
+from tests.conftest import (
+    FAST_CONFIG,
+    anchor_seed,
+    count_population_draws,
+    explanation_fingerprint,
+)
 
 
 class EagerCoverageEstimator(CoverageEstimator):
@@ -59,27 +64,34 @@ class TestEagerReferenceParity:
         assert [e.num_queries for e in lazy] == [e.num_queries for e in eager]
 
 
-def _search(block, seed):
-    record = PopulationRecord()
-    search = AnchorSearch(
-        AnalyticalCostModel("hsw"), block, FAST_CONFIG, seed, coverage_record=record
-    )
-    return search, search.search(), record
+def _search(block, seed, monkeypatch):
+    draws = count_population_draws(monkeypatch)
+    search = AnchorSearch(AnalyticalCostModel("hsw"), block, FAST_CONFIG, seed)
+    return search, search.search(), draws[block.key()]
 
 
 class TestPopulationDraws:
-    def test_empty_anchor_draws_only_its_precision_samples(self, tiny_blocks):
+    def test_empty_anchor_draws_only_its_precision_samples(
+        self, tiny_blocks, monkeypatch
+    ):
         block = tiny_blocks[1]
-        search, anchor, record = _search(block, anchor_seed(block, empty=True))
+        search, anchor, draws = _search(
+            block, anchor_seed(block, empty=True), monkeypatch
+        )
         assert anchor.features == () and anchor.coverage == 1.0
         assert search.sampler.samples_drawn == anchor.precision_samples
-        assert record.population == []
+        assert draws == 0
 
-    def test_non_empty_anchor_fills_its_record(self, tiny_blocks):
+    def test_non_empty_anchor_draws_one_population(self, tiny_blocks, monkeypatch):
         block = tiny_blocks[0]
-        _, anchor, record = _search(block, anchor_seed(block, empty=False))
+        search, anchor, draws = _search(
+            block, anchor_seed(block, empty=False), monkeypatch
+        )
         assert anchor.features
-        assert len(record.population) == FAST_CONFIG.coverage_samples
+        assert draws == 1
+        assert len(search.coverage_estimator.population()) == (
+            FAST_CONFIG.coverage_samples
+        )
 
 
 def test_fused_service_answers_empty_anchor_like_a_direct_session(tiny_blocks):

@@ -44,6 +44,13 @@ def _distinct(blocks, count):
     return fleet
 
 
+def _with_repeats(blocks):
+    """``[a, b, a, c, a]``: every position is keyed by its own child seed,
+    so a store answers repeats exactly as it answers distinct blocks."""
+    a, b, c = _distinct(blocks, 3)
+    return [a, b, a, c, a]
+
+
 class TestSessionCheckpointing:
     def test_checkpoint_requires_integer_seed(self, tmp_path, tiny_blocks):
         with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
@@ -158,7 +165,7 @@ class TestCheckpointStore:
     def test_checkpoint_file_answers_a_result_cache_session(
         self, tmp_path, block_fleet
     ):
-        fleet = _distinct(block_fleet, 5)
+        fleet = _with_repeats(block_fleet)
         path = tmp_path / "run.cache"
         stored, _ = _checkpointed_run(fleet, path)
         with ExplanationSession(
@@ -174,7 +181,7 @@ class TestCheckpointStore:
     def test_result_cache_file_answers_a_checkpointed_run(
         self, tmp_path, block_fleet
     ):
-        fleet = _distinct(block_fleet, 5)
+        fleet = _with_repeats(block_fleet)
         path = tmp_path / "results.cache"
         with ExplanationSession(
             AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=path

@@ -1,21 +1,21 @@
 """Tests for :class:`ExplanationSession` (the runtime's shared-state layer)."""
 
-import gc
-import weakref
+import inspect
 
 import pytest
 
 from repro.bb.block import BasicBlock
 from repro.cache.store import ResultCache
 from repro.explain.config import ExplainerConfig
-from repro.explain.coverage import PopulationRecord
 from repro.explain.explainer import CometExplainer, answer_round, search_block_rounds
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.runtime.backend import ProcessBackend
-from repro.runtime.session import CallRecords, ExplanationSession
+from repro.runtime.session import ExplanationSession
+from repro.service import ExplanationService
 from repro.service.batching import FusedEntry, run_fused_group
 from repro.utils.errors import BackendError, RequestCancelledError
+from repro.utils.rng import spawn_seeds
 
 from tests.conftest import (
     FAST_CONFIG,
@@ -80,63 +80,138 @@ class TestHistoryFree:
             again = [_fingerprint(e) for e in session.explain_many(fleet, rng=5)]
         assert first == again
 
-    @pytest.mark.parametrize("shared,draws", [(True, 1), (False, 2)])
-    def test_repeats_within_a_call_share_one_draw(
-        self, tiny_blocks, monkeypatch, shared, draws
-    ):
+    def test_every_repeat_draws_its_own_population(self, tiny_blocks, monkeypatch):
         repeated, other = tiny_blocks[0], tiny_blocks[1]
         fleet = [repeated, other, repeated]
         seed = seed_past_empty_at(fleet, [0, 2])
-        config = FAST_CONFIG.with_overrides(shared_background=shared)
         counted = count_population_draws(monkeypatch)
         with ExplanationSession(
-            AnalyticalCostModel("hsw"), config, backend="serial"
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
         ) as session:
             session.explain_many(fleet, rng=seed)
-        assert counted[repeated.key()] == draws
+        assert counted[repeated.key()] == 2
 
-    def test_call_records_share_only_repeats(self, tiny_blocks):
-        repeated, once = tiny_blocks[0], tiny_blocks[1]
-        records = CallRecords([repeated, once, repeated], shared=True)
-        assert records.occurs_once(once) and not records.occurs_once(repeated)
-        first = records.take(repeated)
-        assert first is not None
-        assert records.take(once) is None
-        last = records.take(repeated)
-        assert last is first
-        # The record dies with its last user: the helper keeps no reference.
-        alive = weakref.ref(first)
-        del first, last
-        gc.collect()
-        assert alive() is None
-
-    def test_call_records_off_shares_nothing(self, tiny_blocks):
-        records = CallRecords([tiny_blocks[0]] * 2, shared=False)
-        # A repeat still counts as one: the result-cache rule does not
-        # depend on whether repeats share a population.
-        assert not records.occurs_once(tiny_blocks[0])
-        assert records.take(tiny_blocks[0]) is None
-        assert records.take(tiny_blocks[0]) is None
-
-    def test_fleet_repeats_bypass_the_result_cache(self, tiny_blocks):
+    def test_fleet_repeats_are_memoized(self, tiny_blocks):
         repeated, once = tiny_blocks[0], tiny_blocks[1]
         with ExplanationSession(
             AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=ResultCache()
         ) as session:
             session.explain_many([repeated, once, repeated], rng=5)
             stats = session.result_cache.stats()
-        assert stats.lookups == 1 and stats.memory.entries == 1
+        assert stats.lookups == 3 and stats.memory.entries == 3
 
-    def test_explain_with_a_shared_record_is_not_memoized(self, tiny_blocks):
-        block = tiny_blocks[0]
+    def test_search_entries_take_no_population_argument(self):
+        for entry in (
+            ExplanationSession.explain,
+            ExplanationSession.explain_rounds,
+            search_block_rounds,
+        ):
+            assert "record" not in inspect.signature(entry).parameters
+
+
+class TestPositionIndependence:
+    """Every search draws its own population, so each position of a fleet
+    is what ``explain(block, rng=child_seed)`` answers on every path."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self, tiny_blocks):
+        a, b, c = tiny_blocks
+        fleet = [a, b, a, c, a]
+        return fleet, seed_past_empty_at(fleet, [0, 2, 4])
+
+    @pytest.fixture(scope="class")
+    def expected(self, fleet):
+        blocks, seed = fleet
+        answers = []
+        for block, child in zip(blocks, spawn_seeds(seed, len(blocks))):
+            with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+                answers.append(_fingerprint(session.explain(block, rng=child)))
+        return answers
+
+    @staticmethod
+    def _many(
+        blocks, seed, *, backend="serial", workers=None, result_cache=None, **options
+    ):
         with ExplanationSession(
-            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=ResultCache()
+            AnalyticalCostModel("hsw"),
+            FAST_CONFIG,
+            backend=backend,
+            workers=workers,
+            result_cache=result_cache,
         ) as session:
-            session.explain(block, rng=0, record=PopulationRecord())
-            assert session.result_cache.stats().lookups == 0
-            assert session.result_cache.stats().memory.entries == 0
-            session.explain(block, rng=0)
-            assert session.result_cache.stats().memory.entries == 1
+            explanations = session.explain_many(blocks, rng=seed, **options)
+        return [_fingerprint(e) for e in explanations]
+
+    def test_plain_serial_run(self, fleet, expected):
+        assert self._many(*fleet) == expected
+
+    def test_checkpointed_run(self, fleet, expected, tmp_path):
+        assert self._many(*fleet, checkpoint=tmp_path / "run.cache") == expected
+
+    def test_result_cache_replay(self, fleet, expected):
+        cache = ResultCache()
+        assert self._many(*fleet, result_cache=cache) == expected
+        assert self._many(*fleet, result_cache=cache) == expected
+        assert cache.stats().hits == len(fleet[0])
+
+    def test_process_sharded_run(self, fleet, expected):
+        assert self._many(*fleet, backend="process", workers=2) == expected
+
+    def test_fused_fleet_request(self, fleet, expected):
+        blocks, seed = fleet
+        outcomes = []
+        entry = FusedEntry(
+            blocks=tuple(blocks),
+            seed=seed,
+            token=None,
+            finish=outcomes.append,
+            fail=outcomes.append,
+        )
+        with ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG) as session:
+            run_fused_group(session, [entry])
+        assert [_fingerprint(e) for e in outcomes[0]] == expected
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_service_fleet_request(self, fleet, expected, fused):
+        blocks, seed = fleet
+        with ExplanationService(
+            model="crude",
+            config=FAST_CONFIG,
+            continuous_batching=fused,
+            result_cache=False,
+        ) as service:
+            answered = service.explain(blocks, seed=seed)
+        assert [_fingerprint(e) for e in answered] == expected
+
+
+class TestInterruptedFleetKeepsItsWork:
+    def test_cancelled_fleet_stores_its_finished_positions(self, block_fleet):
+        fleet = list(block_fleet[:4])
+        cache = ResultCache()
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"),
+            FAST_CONFIG,
+            backend="serial",
+            result_cache=cache,
+        ) as session:
+            with pytest.raises(RequestCancelledError):
+                session.explain_many(fleet, rng=5, cancel=CancelAfter(80))
+            finished = session.stats().explanations
+        assert 0 < finished < len(fleet)
+        assert cache.stats().memory.entries == finished
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"),
+            FAST_CONFIG,
+            backend="serial",
+            result_cache=cache,
+        ) as session:
+            rerun = session.explain_many(fleet, rng=5)
+        assert cache.stats().hits == finished
+        with ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
+        ) as session:
+            clean = session.explain_many(fleet, rng=5)
+        assert [_fingerprint(e) for e in rerun] == [_fingerprint(e) for e in clean]
 
 
 class TestOneSearchEntry:
@@ -153,37 +228,32 @@ class TestOneSearchEntry:
         original = getattr(ExplanationSession, method)
 
         def spying(self, block, rng=None, **kwargs):
-            calls.append((block.key(), kwargs.get("record")))
+            calls.append((block.key(), rng))
             return original(self, block, rng, **kwargs)
 
         monkeypatch.setattr(ExplanationSession, method, spying)
         return calls
 
-    @staticmethod
-    def _assert_repeats_share_one_record(calls, repeated, once):
-        records = {}
-        for key, record in calls:
-            records.setdefault(key, []).append(record)
-        assert records[once.key()] == [None]
-        first, last = records[repeated.key()]
-        assert first is not None and last is first
-
     def test_fleet_searches_run_through_explain(self, tiny_blocks, monkeypatch):
         repeated, once = tiny_blocks[0], tiny_blocks[1]
+        fleet = [repeated, once, repeated]
         calls = self._spy(monkeypatch)
         with ExplanationSession(
             AnalyticalCostModel("hsw"), FAST_CONFIG, backend="serial"
         ) as session:
-            session.explain_many([repeated, once, repeated], rng=5)
+            session.explain_many(fleet, rng=5)
             assert session.stats().explanations == 3
-        self._assert_repeats_share_one_record(calls, repeated, once)
+        assert calls == [
+            (block.key(), seed) for block, seed in zip(fleet, spawn_seeds(5, 3))
+        ]
 
     def test_fused_searches_run_through_explain_rounds(self, tiny_blocks, monkeypatch):
         repeated, once = tiny_blocks[0], tiny_blocks[1]
+        fleet = (repeated, once, repeated)
         calls = self._spy(monkeypatch, "explain_rounds")
         outcomes = []
         entry = FusedEntry(
-            blocks=(repeated, once, repeated),
+            blocks=fleet,
             seed=5,
             token=None,
             finish=outcomes.append,
@@ -193,7 +263,11 @@ class TestOneSearchEntry:
             run_fused_group(session, [entry])
             assert session.stats().explanations == 3
         assert len(outcomes) == 1 and len(outcomes[0]) == 3
-        self._assert_repeats_share_one_record(calls, repeated, once)
+        # Every position searches from its integer child seed, repeats
+        # included, so every position is memoizable.
+        assert calls == [
+            (block.key(), seed) for block, seed in zip(fleet, spawn_seeds(5, 3))
+        ]
 
     def test_result_cache_hit_yields_no_round(self, tiny_blocks):
         block = tiny_blocks[0]
@@ -255,7 +329,6 @@ class TestOneSearchEntry:
             session.explain_many(fleet, rng=5, checkpoint=tmp_path / "run.jsonl")
             assert session.stats().explanations == 3
         assert [key for key, _ in calls] == [block.key() for block in fleet]
-        assert all(record is None for _, record in calls)
 
     def test_fleet_cache_hits_count_without_a_search(self, tiny_blocks, monkeypatch):
         with ExplanationSession(

@@ -3,8 +3,8 @@
 Sharding partitions a fleet across process-backend workers, each shard
 running full anchor searches.  The contract: for a fresh session and a fixed
 seed, the sharded result payload is bit-for-bit the unsharded one, on every
-backend, including fleets with repeated blocks (whose shared population must
-be drawn and reused exactly where the serial loop draws and reuses it).  A
+backend, including fleets with repeated blocks (every search draws its own
+population, so a position does not depend on which shard runs it).  A
 backend with one worker never shards: it runs the plain loop.
 """
 
@@ -29,7 +29,8 @@ from tests.conftest import (
 
 def _workload(tiny_blocks):
     # Repeats included on purpose: they exercise the key-grouped partitioning
-    # (all occurrences of one block must land in one shard, in order).
+    # (all occurrences of one block land in one shard, in order, so a repeat
+    # finds the query-cache entries its earlier occurrences left).
     return list(tiny_blocks) + [tiny_blocks[0], tiny_blocks[2], tiny_blocks[0]]
 
 
@@ -202,7 +203,7 @@ class TestShardWorker:
 
     ``_explain_shard_remote`` normally runs inside pool workers where
     coverage cannot see it; it is a plain function, so its contract — same
-    explanations as the session path, records scoped to the shard, the
+    explanations as the session path, one population per search, the
     shard's accounting returned with its results — is pinned directly here.
     """
 
@@ -229,10 +230,7 @@ class TestShardWorker:
         assert spent.queries == sum(e.num_queries for _, e in pairs)
         assert spent.perturbations > 0
 
-    @pytest.mark.parametrize("shared,draws", [(True, 1), (False, 2)])
-    def test_worker_honours_shared_background(
-        self, tiny_blocks, monkeypatch, shared, draws
-    ):
+    def test_worker_draws_a_population_per_repeat(self, tiny_blocks, monkeypatch):
         from repro.runtime.session import _explain_shard_remote
         from repro.utils.rng import spawn_rngs
 
@@ -241,7 +239,7 @@ class TestShardWorker:
         streams = spawn_rngs(seed, 2)
         payload = (
             AnalyticalCostModel("hsw"),
-            FAST_CONFIG.with_overrides(shared_background=shared),
+            FAST_CONFIG,
             [(0, block, streams[0]), (1, block, streams[1])],
             100_000,
         )
@@ -249,7 +247,7 @@ class TestShardWorker:
         pairs, _ = _explain_shard_remote(payload)
         assert [position for position, _ in pairs] == [0, 1]
         assert all(explanation.features for _, explanation in pairs)
-        assert counted[block.key()] == draws
+        assert counted[block.key()] == 2
 
 
 class TestRuntimeLazyExports:

@@ -439,9 +439,9 @@ class TestRunFusedGroupUnit:
         assert fused.model_queries == direct.model_queries > 0
         assert fused.perturbations == direct.perturbations > 0
 
-    def test_fleet_repeats_bypass_the_result_cache(self, tiny_blocks):
-        """Only a fleet position whose block occurs once is memoized, as in
-        ``explain_many``: repeats share a population within the request."""
+    def test_fleet_repeats_are_memoized(self, tiny_blocks):
+        """Every fleet position is memoized under its own child seed, as in
+        ``explain_many``, repeats included."""
         repeated, once = tiny_blocks[0], tiny_blocks[1]
         sink = {}
         with ExplanationSession(
@@ -452,7 +452,7 @@ class TestRunFusedGroupUnit:
             )
             stats = session.result_cache.stats()
         assert sink["outcome"][0] == "done"
-        assert stats.lookups == 1 and stats.memory.entries == 1
+        assert stats.lookups == 3 and stats.memory.entries == 3
 
     def test_failed_request_still_charges_its_session(self, tiny_blocks):
         """A request retired by an error mid-search has already charged the
@@ -540,39 +540,26 @@ class TestRunFusedGroupUnit:
 
 class TestFusionConfigSurface:
     def test_env_defaults(self, monkeypatch):
-        from repro.service import (
-            FUSED_ENV_VAR,
-            MAX_FUSED_ENV_VAR,
-            default_continuous_batching,
-            default_max_fused,
-        )
+        from repro.service import FUSED_ENV_VAR, default_continuous_batching
         from repro.utils.errors import ServiceError
 
         monkeypatch.delenv(FUSED_ENV_VAR, raising=False)
-        monkeypatch.delenv(MAX_FUSED_ENV_VAR, raising=False)
         assert default_continuous_batching() is False
-        assert default_max_fused() == 8
         monkeypatch.setenv(FUSED_ENV_VAR, "1")
-        monkeypatch.setenv(MAX_FUSED_ENV_VAR, "4")
         assert default_continuous_batching() is True
-        assert default_max_fused() == 4
         monkeypatch.setenv(FUSED_ENV_VAR, "off")
         assert default_continuous_batching() is False
         monkeypatch.setenv(FUSED_ENV_VAR, "sideways")
         with pytest.raises(ServiceError, match="boolean"):
             default_continuous_batching()
-        monkeypatch.setenv(MAX_FUSED_ENV_VAR, "0")
-        with pytest.raises(ServiceError, match="positive"):
-            default_max_fused()
 
     def test_service_env_threading(self, monkeypatch, tiny_blocks):
-        from repro.service import FUSED_ENV_VAR, MAX_FUSED_ENV_VAR
+        from repro.service import FUSED_ENV_VAR
 
         monkeypatch.setenv(FUSED_ENV_VAR, "true")
-        monkeypatch.setenv(MAX_FUSED_ENV_VAR, "3")
         with ExplanationService(model="crude", config=FAST_CONFIG) as service:
             assert service.continuous_batching is True
-            assert service.max_fused_requests == 3
+            assert service.max_fused_requests == 8
             service.explain(tiny_blocks[0], seed=0)
             assert service.stats().fusion.requests_fused == 1
 
