@@ -44,6 +44,7 @@ from repro.perturb.config import PerturbationConfig
 from repro.perturb.space import space_report
 from repro.reporting.export import explanation_to_json
 from repro.runtime.backend import available_backends
+from repro.service.batching import MAX_FUSED_REQUESTS
 from repro.uarch.microarch import available_microarchitectures
 from repro.utils.errors import ReproError
 
@@ -464,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-fused-requests",
         type=int,
-        default=8,
-        help="cap on requests resident in one fused tick group (default: 8)",
+        default=MAX_FUSED_REQUESTS,
+        help="cap on requests resident in one fused tick group "
+        f"(default: {MAX_FUSED_REQUESTS})",
     )
     serve.add_argument(
         "--max-queue",

@@ -27,11 +27,22 @@ the same seed, whatever the session explained before.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Generator, List, Literal, Optional, Sequence, Tuple, Union
+from typing import (
+    Generator,
+    Iterable,
+    Iterator,
+    List,
+    Literal,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -45,30 +56,28 @@ from repro.models.base import CachedCostModel, CostModel, QueryTally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
 from repro.utils.cancellation import CancelToken
 from repro.utils.errors import BackendError, CheckpointError
-from repro.utils.rng import RandomSource, as_rng, spawn_rngs, spawn_seeds
+from repro.utils.rng import RandomSource, as_rng, spawn_seeds
 
-#: One unit of sharded work: (position in the fleet, block, its integer
-#: child seed or rng stream).
-_ShardItem = Tuple[int, BasicBlock, RandomSource]
+#: One unit of sharded work: (position in the fleet, block, its rng stream).
+_ShardItem = Tuple[int, BasicBlock, np.random.Generator]
 
 
 def _explain_shard(
     session: "ExplanationSession",
     shard: Sequence[_ShardItem],
     cancel: Optional[CancelToken] = None,
-) -> List[Tuple[int, Explanation]]:
-    """Explain one shard, one :meth:`ExplanationSession.explain` per block.
+) -> Iterator[Tuple[int, Explanation]]:
+    """Explain one shard, one :meth:`ExplanationSession.explain` per block,
+    yielding each ``(position, explanation)`` as it finishes.
 
-    The unmemoized serial loop and every process shard run this exact loop,
-    and each search depends only on its own block and stream, so results
-    are byte-identical across backends.
+    The sequential loop and every process shard run this exact loop, and
+    each search depends only on its own block and stream, so results are
+    byte-identical across backends.
     """
-    results: List[Tuple[int, Explanation]] = []
     for position, block, rng in shard:
         if cancel is not None:
             cancel.check()
-        results.append((position, session.explain(block, rng, cancel=cancel)))
-    return results
+        yield position, session.explain(block, rng, cancel=cancel)
 
 
 def _explain_shard_remote(payload) -> Tuple[List[Tuple[int, Explanation]], QueryTally]:
@@ -76,12 +85,18 @@ def _explain_shard_remote(payload) -> Tuple[List[Tuple[int, Explanation]], Query
     (model, config, items, cache bound) because workers share no memory with
     the session.  The shard runs on a serial session of its own, whose
     accounting travels back with the results.  Module-level so it pickles by
-    reference."""
+    reference.
+
+    The shard searches a copy of the model: when the backend degrades to
+    in-process execution, the payload's model is the session's live one, and
+    the shard session installing its serial backend on it would displace —
+    or, for a model-owned backend, close — the backend the session runs on.
+    """
     model, config, shard, cache_entries = payload
     with ExplanationSession(
-        model, config, backend="serial", cache_entries=cache_entries
+        copy.copy(model), config, backend="serial", cache_entries=cache_entries
     ) as session:
-        return _explain_shard(session, shard), session._work
+        return list(_explain_shard(session, shard)), session._work
 
 
 @dataclass(frozen=True)
@@ -349,11 +364,12 @@ class ExplanationSession:
         sequential loop too on a fresh session (see :meth:`_shard_plan`).
 
         With a result cache installed and an integer ``rng`` seed, every
-        position is memoized under its spawned child seed: a hit is returned
-        verbatim without running a search, and the sequential loop stores
-        each miss the moment it finishes, so an interrupted call keeps the
-        positions it finished.  Process shards look every position up before
-        they start and store the misses when they return.
+        position is memoized under its spawned child seed: all positions are
+        looked up first, hits are returned verbatim without running a
+        search, and only the misses are run (and sharded).  The sequential
+        loop stores each miss the moment it finishes, so an interrupted call
+        keeps the positions it finished; process shards store theirs when
+        they return.
 
         ``checkpoint`` names a crash-safe :class:`~repro.cache.ResultCache`
         store that the sequential loop uses in place of the session's result
@@ -374,67 +390,74 @@ class ExplanationSession:
         """
         self._check_open()
         blocks = list(blocks)
-        if checkpoint is not None:
-            if not cacheable_seed(rng):
-                raise CheckpointError(
-                    "checkpointed explain_many requires an integer seed: "
-                    "resuming a run driven by a live generator is "
-                    "unreproducible (its state advanced with the crash); got "
-                    f"{type(rng).__name__}"
-                )
-            with ResultCache(checkpoint) as store:
-                return self._explain_stored(
-                    blocks, spawn_seeds(int(rng), len(blocks)), store, cancel
-                )
-        rngs: Sequence[RandomSource]
-        if cacheable_seed(rng):
-            # A position's child seed names its stream (spawn_rngs builds
-            # default_rng(child_seed)), so each position is memoizable.
-            rngs = spawn_seeds(int(rng), len(blocks))  # type: ignore[arg-type]
-        else:
-            rngs = spawn_rngs(rng if rng is not None else self._rng, len(blocks))
-        items: List[_ShardItem] = list(zip(range(len(blocks)), blocks, rngs))
-        plan = self._shard_plan(blocks, shards)
-        if plan is not None:
-            return self._run_shards_remote(items, plan, cancel)
-        if self.result_cache is not None and cacheable_seed(rng):
-            return self._explain_stored(blocks, rngs, self.result_cache, cancel)
-        return [explanation for _, explanation in _explain_shard(self, items, cancel)]
+        if checkpoint is None:
+            store = self.result_cache if cacheable_seed(rng) else None
+            return self._explain_fleet(
+                blocks, rng if rng is not None else self._rng, shards, store, cancel
+            )
+        if not cacheable_seed(rng):
+            raise CheckpointError(
+                "checkpointed explain_many requires an integer seed: resuming "
+                "a run driven by a live generator is unreproducible (its "
+                f"state advanced with the crash); got {type(rng).__name__}"
+            )
+        with ResultCache(checkpoint) as store:
+            return self._explain_fleet(blocks, rng, None, store, cancel)
 
-    def _explain_stored(
+    def _explain_fleet(
         self,
         blocks: List[BasicBlock],
-        seeds: Sequence[int],
-        store: ResultCache,
+        rng: RandomSource,
+        shards: Union[int, str, None],
+        store: Optional[ResultCache],
         cancel: Optional[CancelToken],
     ) -> List[Explanation]:
-        """The sequential loop over a store: the session's result cache or a
-        checkpoint file.
+        """The ``explain_many`` loop, over an optional store: the session's
+        result cache or a checkpoint file (integer ``rng`` only).
 
-        Each position is looked up under its child-seed fingerprint; a miss
-        searches from ``default_rng(seed)`` — the stream the fingerprint
-        names — and is stored the moment it finishes.  A result-cache hit
-        counts as an explanation, as in :meth:`explain_rounds`; a checkpoint
-        hit counts as a checkpoint skip.
+        Every position is looked up under its child-seed fingerprint before
+        anything runs — a result-cache hit counts as an explanation, as in
+        :meth:`explain_rounds`, a checkpoint hit as a checkpoint skip — and
+        only the misses are planned into shards.  Each miss searches from
+        ``default_rng(child_seed)``, the stream its fingerprint names, and is
+        stored as it comes back: the moment it finishes on the sequential
+        loop, so an interrupted call keeps the positions it finished, or when
+        its shard returns.
         """
-        results: List[Explanation] = []
-        for block, seed in zip(blocks, seeds):
-            fingerprint = self._result_fingerprint(block, seed)
-            explanation = store.get(fingerprint)
-            if explanation is None:
-                if cancel is not None:
-                    cancel.check()
-                explanation = self.explain(
-                    block, np.random.default_rng(seed), cancel=cancel
-                )
-                store.put(fingerprint, explanation)
-            elif store is self.result_cache:
-                with self._work_lock:
-                    self.explanations_produced += 1
-            else:
-                self.checkpoint_skips += 1
-            results.append(explanation)
-        return results
+        seeds = spawn_seeds(rng, len(blocks))
+        results: List[Optional[Explanation]] = [None] * len(blocks)
+        fingerprints: List[str] = []
+        if store is not None:
+            fingerprints = [
+                self._result_fingerprint(block, seed)
+                for block, seed in zip(blocks, seeds)
+            ]
+            results = [store.get(fingerprint) for fingerprint in fingerprints]
+            hits = sum(explanation is not None for explanation in results)
+            with self._work_lock:
+                if store is self.result_cache:
+                    self.explanations_produced += hits
+                else:
+                    self.checkpoint_skips += hits
+        items: List[_ShardItem] = [
+            (position, block, np.random.default_rng(seed))
+            for position, (block, seed) in enumerate(zip(blocks, seeds))
+            if results[position] is None
+        ]
+        plan = self._shard_plan([block for _, block, _ in items], shards)
+        if plan is None:
+            pairs: Iterable[Tuple[int, Explanation]] = _explain_shard(
+                self, items, cancel
+            )
+        else:
+            pairs = self._run_shards_remote(
+                [[items[i] for i in indices] for indices in plan], cancel
+            )
+        for position, explanation in pairs:
+            results[position] = explanation
+            if store is not None:
+                store.put(fingerprints[position], explanation)
+        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------- sharding
 
@@ -482,49 +505,32 @@ class ExplanationSession:
 
     def _run_shards_remote(
         self,
-        items: List[_ShardItem],
-        plan: List[List[int]],
+        shard_lists: List[List[_ShardItem]],
         cancel: Optional[CancelToken] = None,
-    ) -> List[Explanation]:
-        """Run the planned shards on the backend's worker processes.
+    ) -> List[Tuple[int, Explanation]]:
+        """Run shards on the backend's worker processes.
 
-        Workers share no memory with the session, so its result cache is
-        consulted here: integer-seeded positions are looked up before the
-        shards start, only the misses ship, and they are stored when their
-        shards return.  Each worker explains its shard on a serial session
-        of its own (see :func:`_explain_shard_remote`); its accounting and
-        explanation count are added to this session as the results come
-        back.  ``cancel`` is checked once before the shards start — the
-        token cannot cross a process boundary.
+        Each worker explains its shard on a serial session of its own (see
+        :func:`_explain_shard_remote`); its accounting and explanation count
+        are added to this session as the results come back.  ``cancel`` is
+        checked once before the shards start — the token cannot cross a
+        process boundary.
         """
-        results: List[Optional[Explanation]] = [None] * len(items)
-        fingerprints = {}
-        if self.result_cache is not None:
-            for position, block, rng in items:
-                if cacheable_seed(rng):
-                    fingerprints[position] = self._result_fingerprint(block, rng)
-                    results[position] = self.result_cache.get(fingerprints[position])
-        with self._work_lock:
-            self.explanations_produced += sum(r is not None for r in results)
-        shards = [[items[i] for i in indices if results[i] is None] for indices in plan]
+        if cancel is not None:
+            cancel.check()
         payloads = [
             (self.model.inner, self.config, shard, self.model.max_entries)
-            for shard in shards
-            if shard
+            for shard in shard_lists
         ]
-        if payloads and cancel is not None:
-            cancel.check()
+        pairs: List[Tuple[int, Explanation]] = []
         for shard_pairs, spent in self.backend.map_batch(
             _explain_shard_remote, payloads
         ):
+            pairs.extend(shard_pairs)
             self.charge(spent)
-            with self._work_lock:
-                self.explanations_produced += len(shard_pairs)
-            for position, explanation in shard_pairs:
-                results[position] = explanation
-                if position in fingerprints:
-                    self.result_cache.put(fingerprints[position], explanation)
-        return results  # type: ignore[return-value]
+        with self._work_lock:
+            self.explanations_produced += len(pairs)
+        return pairs
 
     def global_explainer(self, blocks: Sequence[BasicBlock], **kwargs):
         """A :class:`~repro.globalx.global_explainer.GlobalExplainer` whose

@@ -48,6 +48,9 @@ from repro.runtime.session import ExplanationSession
 from repro.utils.cancellation import CancelToken
 from repro.utils.rng import spawn_seeds
 
+#: Default bound on requests resident in one fused tick group.
+MAX_FUSED_REQUESTS = 8
+
 
 @dataclass(frozen=True)
 class FusionStats:
@@ -162,7 +165,7 @@ def run_fused_group(
     entries: Sequence[FusedEntry],
     *,
     absorb: Optional[Callable[[int], List[FusedEntry]]] = None,
-    max_fused_requests: int = 8,
+    max_fused_requests: int = MAX_FUSED_REQUESTS,
     counters: Optional[FusionCounters] = None,
 ) -> None:
     """Run one per-key fused tick group to completion.

@@ -64,6 +64,7 @@ from repro.explain.explanation import Explanation
 from repro.runtime.pool import PoolStats, SessionFactory, SessionPool
 from repro.runtime.session import ExplanationSession, SessionStats
 from repro.service.batching import (
+    MAX_FUSED_REQUESTS,
     FusedEntry,
     FusionCounters,
     FusionStats,
@@ -341,7 +342,7 @@ class ExplanationService:
         session_factory: Optional[SessionFactory] = None,
         default_deadline: Optional[float] = None,
         continuous_batching: Optional[bool] = None,
-        max_fused_requests: int = 8,
+        max_fused_requests: int = MAX_FUSED_REQUESTS,
         result_cache: Union[ResultCache, str, Path, bool, None] = None,
     ) -> None:
         if max_queue < 1:

@@ -2,6 +2,7 @@
 
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.bb.block import BasicBlock
@@ -228,7 +229,9 @@ class TestOneSearchEntry:
         original = getattr(ExplanationSession, method)
 
         def spying(self, block, rng=None, **kwargs):
-            calls.append((block.key(), rng))
+            # An integer seed as given; a stream as its state at the call.
+            start = rng if isinstance(rng, int) else rng.bit_generator.state
+            calls.append((block.key(), start))
             return original(self, block, rng, **kwargs)
 
         monkeypatch.setattr(ExplanationSession, method, spying)
@@ -243,8 +246,11 @@ class TestOneSearchEntry:
         ) as session:
             session.explain_many(fleet, rng=5)
             assert session.stats().explanations == 3
+        # Every position searches from the stream its child seed names,
+        # repeats included.
         assert calls == [
-            (block.key(), seed) for block, seed in zip(fleet, spawn_seeds(5, 3))
+            (block.key(), np.random.default_rng(seed).bit_generator.state)
+            for block, seed in zip(fleet, spawn_seeds(5, 3))
         ]
 
     def test_fused_searches_run_through_explain_rounds(self, tiny_blocks, monkeypatch):

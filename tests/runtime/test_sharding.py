@@ -10,13 +10,15 @@ backend with one worker never shards: it runs the plain loop.
 
 import threading
 
+import numpy as np
 import pytest
 
+from repro.cache.store import ResultCache
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CachedCostModel
 from repro.models.mca import PortPressureCostModel
 from repro.runtime.backend import ProcessBackend
-from repro.runtime.session import ExplanationSession
+from repro.runtime.session import ExplanationSession, _explain_shard_remote
 from repro.utils.errors import BackendError
 
 from tests.conftest import (
@@ -198,6 +200,58 @@ class TestOneWorkerBackends:
         assert fleet == baseline
 
 
+class TestPartlyWarmFleet:
+    """With a result cache, only the misses of a fleet are planned into
+    shards.  Misses that do not fill two shards run the plain loop on the
+    session, which keeps its backend installed and open, whoever owns it."""
+
+    @pytest.fixture(params=["session-owned", "model-owned"])
+    def session(self, request):
+        model = AnalyticalCostModel("hsw")
+        if request.param == "session-owned":
+            session = ExplanationSession(
+                model,
+                FAST_CONFIG,
+                backend="process",
+                workers=2,
+                result_cache=ResultCache(),
+            )
+        else:
+            model.set_backend(ProcessBackend(workers=2), own=True)
+            session = ExplanationSession(model, FAST_CONFIG, result_cache=ResultCache())
+        with session:
+            yield session
+        model.close()
+
+    def test_lone_miss_keeps_the_session_backend(
+        self, session, tiny_blocks, monkeypatch
+    ):
+        a, b, c = tiny_blocks
+        session.explain_many([a, b], rng=5)
+        mapped = []
+        real_map_batch = ProcessBackend.map_batch
+
+        def recording_map_batch(backend, fn, items):
+            mapped.append(fn)
+            return real_map_batch(backend, fn, items)
+
+        monkeypatch.setattr(ProcessBackend, "map_batch", recording_map_batch)
+        # Position 0 is a hit; the lone miss runs on the session itself.
+        warm = session.explain_many([a, c], rng=5)
+        assert _explain_shard_remote not in mapped
+        assert session.model.execution_backend is session.backend
+        assert not session.backend.closed
+        assert [explanation_fingerprint(e) for e in warm] == _fleet(
+            [a, c], backend="serial", shards=None, seed=5
+        )
+        # The backend still shards a later cold fleet across its workers.
+        cold = session.explain_many([a, b, c], rng=9)
+        assert _explain_shard_remote in mapped
+        assert [explanation_fingerprint(e) for e in cold] == _fleet(
+            [a, b, c], backend="serial", shards=None, seed=9
+        )
+
+
 class TestShardWorker:
     """The process-shard worker function, exercised in-process.
 
@@ -208,7 +262,6 @@ class TestShardWorker:
     """
 
     def test_worker_matches_session_results(self, tiny_blocks):
-        from repro.runtime.session import _explain_shard_remote
         from repro.utils.rng import spawn_rngs
 
         workload = _workload(tiny_blocks)
@@ -231,7 +284,6 @@ class TestShardWorker:
         assert spent.perturbations > 0
 
     def test_worker_draws_a_population_per_repeat(self, tiny_blocks, monkeypatch):
-        from repro.runtime.session import _explain_shard_remote
         from repro.utils.rng import spawn_rngs
 
         block = tiny_blocks[0]
@@ -248,6 +300,27 @@ class TestShardWorker:
         assert [position for position, _ in pairs] == [0, 1]
         assert all(explanation.features for _, explanation in pairs)
         assert counted[block.key()] == 2
+
+    def test_worker_leaves_a_live_model_backend_alone(self, tiny_blocks):
+        """A backend that degrades to in-process execution hands the worker
+        the session's live model; the shard must neither displace nor close
+        the backend installed on it."""
+        model = AnalyticalCostModel("hsw")
+        backend = ProcessBackend(workers=2)
+        model.set_backend(backend, own=True)
+        payload = (
+            model,
+            FAST_CONFIG,
+            [(0, tiny_blocks[0], np.random.default_rng(3))],
+            100_000,
+        )
+        try:
+            pairs, _ = _explain_shard_remote(payload)
+            assert [position for position, _ in pairs] == [0]
+            assert model.execution_backend is backend
+            assert not backend.closed
+        finally:
+            model.close()
 
 
 class TestRuntimeLazyExports:
