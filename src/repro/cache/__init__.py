@@ -19,6 +19,7 @@ from repro.cache.store import (
     CacheStats,
     ResultCache,
     TierStats,
+    resolve_result_cache,
 )
 from repro.utils.errors import CacheError
 
@@ -31,5 +32,6 @@ __all__ = [
     "STORE_MAGIC",
     "TierStats",
     "cacheable_seed",
+    "resolve_result_cache",
     "result_fingerprint",
 ]

@@ -519,8 +519,28 @@ class ResultCache:
         self.close()
 
 
+#: What a ``result_cache`` argument may be (see :func:`resolve_result_cache`).
+ResultCacheSource = Union[ResultCache, str, Path, bool, None]
+
+
+def resolve_result_cache(source: ResultCacheSource) -> Tuple[Optional[ResultCache], bool]:
+    """Turn a ``result_cache`` argument into ``(cache, owned)``.
+
+    An instance is borrowed (``owned`` false); a path opens a disk-backed
+    store and ``True`` a memory-only one, both owned by the caller of this
+    function, which closes them; ``None`` or ``False`` means off.
+    """
+    if source is None or source is False:
+        return None, False
+    if isinstance(source, ResultCache):
+        return source, False
+    return ResultCache(None if source is True else source), True
+
+
 __all__ = [
     "CacheStats",
     "ResultCache",
+    "ResultCacheSource",
     "TierStats",
+    "resolve_result_cache",
 ]

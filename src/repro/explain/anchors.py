@@ -66,7 +66,9 @@ class AnchorSearch:
         self.coverage_estimator = CoverageEstimator(
             self.sampler, self.config.coverage_samples
         )
-        self.original_prediction = model.predict(block)
+        # The search's own model queries (the original prediction and, in
+        # sequential mode, every draw): their summed tallies.
+        self.original_prediction, self.queried = model.predict_counted(block)
         self.tolerance = self.config.tolerance_for(self.original_prediction)
         self.candidate_features: List[Feature] = extract_features(block)
         self.evaluated: List[AnchorCandidate] = []
@@ -104,8 +106,8 @@ class AnchorSearch:
         a single ``predict_batch`` call (possibly fused with other requests'
         rounds) — and the tolerance-ball comparison is vectorized.  In
         sequential mode (``config.batch_queries = False``) each perturbed
-        block is queried through ``model.predict`` on its own, and nothing is
-        yielded.
+        block is queried through ``model.predict_counted`` on its own (kept
+        in :attr:`queried`), and nothing is yielded.
         """
         if not self.config.batch_queries:
             outcome_batches: List[List[bool]] = []
@@ -113,7 +115,8 @@ class AnchorSearch:
                 perturbed = self.sampler.sample(candidates[arm], count)
                 outcomes = []
                 for candidate in perturbed:
-                    prediction = self.model.predict(candidate)
+                    prediction, tally = self.model.predict_counted(candidate)
+                    self.queried += tally
                     outcomes.append(
                         abs(prediction - self.original_prediction) <= self.tolerance
                     )

@@ -18,7 +18,7 @@ from repro.bb.block import BasicBlock
 from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
 from repro.explain.explanation import Explanation
-from repro.models.base import NO_QUERIES, CostModel, QueryCounter, QueryTally
+from repro.models.base import NO_QUERIES, CostModel, QueryTally
 from repro.runtime.backend import BackendSource, ExecutionBackend, resolve_backend
 from repro.utils.cancellation import CancelToken
 from repro.utils.rng import RandomSource, as_rng
@@ -46,79 +46,70 @@ def search_block_rounds(
     Yields the perturbed blocks each KL-LUCB round needs and takes back
     ``(predictions, tally)``: the round's predictions and the accounting of
     the call that produced them.  The explanation arrives through
-    ``StopIteration.value``.  :func:`answer_rounds` drives it with one
-    ``predict_batch`` per round; the service's fused tick answers the rounds
-    of many searches with one segmented call.
+    ``StopIteration.value``.  :func:`answer_rounds` drives it with one model
+    call per round; the service's fused tick answers the rounds of many
+    searches with one segmented call.
 
     The search draws its own background population, so the explanation is
     a pure function of (block, model, config, seed).  A ``cancel`` token is
     checked cooperatively between KL-LUCB rounds; a token that never fires
-    leaves the random stream untouched.  Each resume is measured on the
-    calling thread, so the total is exact even when other searches share the
-    thread between resumes.  ``charge`` receives that total once, also when
-    the search is cancelled, fails or is closed mid-stream.
+    leaves the random stream untouched.  The search's total is the sum of
+    the answered calls' tallies, its own inline queries
+    (:attr:`AnchorSearch.queried`) and its perturber's Γ counters, so it is
+    exact whichever thread resumes the search or answers its rounds.
+    ``charge`` receives that total once, also when the search is cancelled,
+    fails or is closed mid-stream.
     """
     spent = NO_QUERIES
+    search = None
     try:
-        counter = QueryCounter(model)
-        try:
-            with counter:
-                search = AnchorSearch(model, block, config, rng, cancel=cancel)
-        finally:
-            spent += counter.tally
+        search = AnchorSearch(model, block, config, rng, cancel=cancel)
         rounds = search.search_rounds()
         answer = None
         while True:
-            counter = QueryCounter(model)
             try:
-                with counter:
-                    blocks = rounds.send(answer)
+                blocks = rounds.send(answer)
             except StopIteration as done:
                 anchor = done.value
                 break
-            finally:
-                spent += counter.tally
             answer, tally = yield blocks
             spent += tally
     finally:
+        if search is not None:
+            perturber = search.sampler.perturber
+            spent += search.queried + QueryTally(
+                0, 0, 0, perturber.perturbations, perturber.fallbacks
+            )
         if charge is not None:
             charge(spent)
     return Explanation.from_search(search, anchor, num_queries=spent.queries)
 
 
 def answer_round(
-    rounds: Generator,
-    blocks: Sequence[BasicBlock],
-    model: CostModel,
-    charge: Optional[Callable[[QueryTally], None]] = None,
+    rounds: Generator, blocks: Sequence[BasicBlock], model: CostModel
 ) -> Answer:
-    """Answer one round of ``rounds`` with one ``model.predict_batch``.
+    """Answer one round of ``rounds`` with one
+    ``model.predict_batch_segmented`` call of one segment.
 
-    Returns what the generator takes back.  If the call fails, its tally
-    goes to ``charge``, the generator is closed (charging its own work) and
-    the error propagates.
+    Returns what the generator takes back: the predictions and the call's
+    tally.  If the call fails, the generator is closed (charging its own
+    work; the failed call counts nothing) and the error propagates.
     """
-    counter = QueryCounter(model)
     try:
-        with counter:
-            predictions = model.predict_batch(blocks)
+        values, tallies, _ = model.predict_batch_segmented((blocks,))
     except BaseException:
-        if charge is not None:
-            charge(counter.tally)
         rounds.close()
         raise
-    return predictions, counter.tally
+    return values[0], tallies[0]
 
 
 def answer_rounds(
-    rounds: Generator[List[BasicBlock], Answer, T],
-    model: CostModel,
-    charge: Optional[Callable[[QueryTally], None]] = None,
+    rounds: Generator[List[BasicBlock], Answer, T], model: CostModel
 ) -> T:
     """Drive a round generator to completion — the one blocking driver.
 
-    Every round is answered by :func:`answer_round`, so ``charge`` receives
-    only the tally of a call that fails; the generator charges the rest.
+    Every round is answered by :func:`answer_round`; the generator charges
+    the work.
     """
     answer = None
     while True:
@@ -126,7 +117,7 @@ def answer_rounds(
             blocks = rounds.send(answer)
         except StopIteration as done:
             return done.value
-        answer = answer_round(rounds, blocks, model, charge)
+        answer = answer_round(rounds, blocks, model)
 
 
 class CometExplainer:

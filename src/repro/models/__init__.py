@@ -16,7 +16,6 @@ assumes (Section 4).  The package provides:
 from repro.models.base import (
     CostModel,
     CachedCostModel,
-    QueryCounter,
     QueryTally,
     CallableCostModel,
 )
@@ -40,7 +39,6 @@ from repro.models.registry import build_cost_model, available_cost_models
 __all__ = [
     "CostModel",
     "CachedCostModel",
-    "QueryCounter",
     "QueryTally",
     "CallableCostModel",
     "AnalyticalCostModel",

@@ -23,7 +23,6 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.bb.block import BasicBlock
-from repro.perturb.algorithm import _thread_perturb_tally
 from repro.runtime.backend import ExecutionBackend
 from repro.uarch.microarch import MicroArchitecture, get_microarch
 from repro.utils.errors import ModelError
@@ -32,20 +31,20 @@ _MISSING = object()
 
 
 class QueryTally(NamedTuple):
-    """A snapshot of one thread's query accounting on one model.
+    """The query accounting of one piece of work on one model.
 
     ``queries`` counts inner-model evaluations; ``hits``/``misses`` are the
-    cache-lookup split (always zero for uncached models).  Snapshots are
-    per-thread, so deltas taken around a piece of work measure exactly that
-    work even while other threads hammer the same shared model — which is
-    what makes per-explanation ``num_queries`` exact under concurrent
-    service dispatchers.
+    cache-lookup split (always zero for uncached models).  Every model call
+    a search makes returns the tally of that call
+    (:meth:`CostModel.predict_counted`,
+    :meth:`CostModel.predict_batch_segmented`), so a search's
+    ``num_queries`` is the sum of what its own calls did, whichever thread
+    made them and whatever other threads did to the same shared model.
 
-    ``perturbations``/``perturb_fallbacks`` mirror the same per-thread
-    semantics for the Γ engine: how many perturbed blocks the calling thread
-    drew, and how many of those silently fell back to the unperturbed block
-    after ``max_block_attempts`` rejected candidates (see
-    :func:`repro.perturb.algorithm.thread_perturb_tally`).
+    ``perturbations``/``perturb_fallbacks`` carry a search's Γ work: how
+    many perturbed blocks its sampler drew, and how many of those silently
+    fell back to the unperturbed block after ``max_block_attempts``
+    rejected candidates.
     """
 
     queries: int
@@ -55,19 +54,9 @@ class QueryTally(NamedTuple):
     perturb_fallbacks: int = 0
 
     # A named tuple built positionally, not a frozen dataclass: a search
-    # builds about eight tallies per KL-LUCB round (see
+    # adds up one tally per KL-LUCB round (see
     # repro.explain.explainer.search_block_rounds), and a frozen dataclass
     # costs about four times as much to build.
-
-    def delta(self, since: "QueryTally") -> "QueryTally":
-        """The accounting accrued between ``since`` and this snapshot."""
-        return QueryTally(
-            self.queries - since.queries,
-            self.hits - since.hits,
-            self.misses - since.misses,
-            self.perturbations - since.perturbations,
-            self.perturb_fallbacks - since.perturb_fallbacks,
-        )
 
     def __add__(self, other: "QueryTally") -> "QueryTally":
         """The accounting of two pieces of work together."""
@@ -82,15 +71,10 @@ class QueryTally(NamedTuple):
 
 #: The accounting of no work (shared: tallies are immutable).
 NO_QUERIES = QueryTally(0)
-
-
-class _ThreadTallies(threading.local):
-    """Per-thread query/hit/miss accumulators (zero-initialised per thread)."""
-
-    def __init__(self) -> None:
-        self.queries = 0
-        self.hits = 0
-        self.misses = 0
+#: One inner-model evaluation, one cache hit, and one miss (one query).
+_ONE_QUERY = QueryTally(1)
+_ONE_HIT = QueryTally(0, 1, 0)
+_ONE_MISS = QueryTally(1, 0, 1)
 
 
 class CostModel(ABC):
@@ -104,10 +88,9 @@ class CostModel(ABC):
         self.query_count = 0
         # Counter updates must be exact under concurrent callers (service
         # dispatchers and library threads may share one model): the lock
-        # makes the global totals lost-update-free, and the thread-local
-        # tallies give each caller an interference-free per-request view.
+        # makes the global totals lost-update-free.  Per-request views come
+        # from the tallies the calls return, not from these totals.
         self._tally_lock = threading.Lock()
-        self._thread_tallies = _ThreadTallies()
         self._backend: Optional[ExecutionBackend] = None
         self._owns_backend = False
 
@@ -199,46 +182,25 @@ class CostModel(ABC):
     def __getstate__(self) -> dict:
         # Backends hold live pools and must not travel with the model (the
         # process backend pickles models into its workers; a worker-side
-        # model predicts in-process).  Locks and thread-locals do not pickle;
-        # they are rebuilt fresh on the receiving side.
+        # model predicts in-process).  Locks do not pickle; they are rebuilt
+        # fresh on the receiving side.
         state = dict(self.__dict__)
         state["_backend"] = None
         state["_owns_backend"] = False
         state["_tally_lock"] = None
-        state["_thread_tallies"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._tally_lock = threading.Lock()
-        self._thread_tallies = _ThreadTallies()
 
     # ------------------------------------------------------ query accounting
 
     def _count_queries(self, count: int) -> None:
-        """Record ``count`` inner-model evaluations, exactly.
-
-        The global total is updated under the tally lock (concurrent callers
-        must not lose updates); the calling thread's tally needs no lock
-        because only that thread touches it.
-        """
+        """Record ``count`` inner-model evaluations, exactly (concurrent
+        callers must not lose updates)."""
         with self._tally_lock:
             self.query_count += count
-        self._thread_tallies.queries += count
-
-    def query_tally(self) -> QueryTally:
-        """The calling thread's accounting snapshot (see :class:`QueryTally`)."""
-        # The Γ counters are per thread, not per model.  They are read in
-        # place: a search takes four snapshots per KL-LUCB round.
-        tallies = self._thread_tallies
-        perturb = _thread_perturb_tally
-        return QueryTally(
-            tallies.queries,
-            tallies.hits,
-            tallies.misses,
-            perturb.perturbations,
-            perturb.fallbacks,
-        )
 
     def predict(self, block: BasicBlock) -> float:
         """Predicted throughput of ``block`` in cycles per iteration.
@@ -253,6 +215,14 @@ class CostModel(ABC):
                 f"{self.name} produced an invalid cost {value!r} for block:\n{block.text}"
             )
         return value
+
+    def predict_counted(self, block: BasicBlock) -> Tuple[float, QueryTally]:
+        """:meth:`predict` plus the accounting of that one call.
+
+        An uncached model evaluates every block it is asked for, so the
+        call costs one query.
+        """
+        return self.predict(block), _ONE_QUERY
 
     def predict_batch(self, blocks: Sequence[BasicBlock]) -> List[float]:
         """Predict a batch of blocks through the batched query path.
@@ -345,11 +315,12 @@ class CachedCostModel(CostModel):
     their working set hot instead of silently degrading to no caching.
 
     Query accounting: :attr:`query_count` reflects *inner-model* work only —
-    cache hits are free, so :class:`QueryCounter` reports how many real model
-    evaluations a piece of code cost.  Global totals are exact under
-    concurrent callers (lock-protected), and every counting site also feeds
-    the calling thread's :meth:`~CostModel.query_tally` so per-request
-    deltas are interference-free under concurrent callers.
+    cache hits are free.  Every call returns its own :class:`QueryTally`
+    (:meth:`predict_counted`, :meth:`predict_batch_segmented`), and the
+    lock-protected totals grow by exactly that tally once the call has
+    answered, so they are the sum of every tally the wrapper returned; a
+    call that raises counts nothing here (its inner model's own
+    ``query_count`` still counts the attempt).
     """
 
     def __init__(self, inner: CostModel, max_entries: int = 100_000) -> None:
@@ -404,161 +375,114 @@ class CachedCostModel(CostModel):
         while len(self._cache) > self.max_entries:
             self._cache.popitem(last=False)
 
-    def _lookup(self, key: tuple):
-        value = self._cache.get(key, _MISSING)
-        if value is not _MISSING:
-            self._cache.move_to_end(key)
-        return value
-
     # ------------------------------------------------------------------ queries
 
     def _predict(self, block: BasicBlock) -> float:
         return self.predict(block)
 
     def predict(self, block: BasicBlock) -> float:
+        return self.predict_counted(block)[0]
+
+    def predict_counted(self, block: BasicBlock) -> Tuple[float, QueryTally]:
+        """Single-block lookup: a hit is served from the cache, a miss is one
+        ``inner.predict``.  Returns the prediction and the call's tally."""
         key = block.key()
-        tallies = self._thread_tallies
         with self._cache_lock:
-            value = self._lookup(key)
+            value = self._cache.get(key, _MISSING)
             if value is not _MISSING:
+                self._cache.move_to_end(key)
                 self.hits += 1
-                tallies.hits += 1
-                return value
-            self.misses += 1
-            self.query_count += 1
-            tallies.misses += 1
-            tallies.queries += 1
+                return value, _ONE_HIT
         value = self.inner.predict(block)
         with self._cache_lock:
             self._store(key, value)
-        return value
+            self.misses += 1
+            self.query_count += 1
+        return value, _ONE_MISS
 
     def predict_batch(self, blocks: Sequence[BasicBlock]) -> List[float]:
-        """Batch prediction with intra-batch dedup.
-
-        The batch is deduplicated by block content: cache hits are served
-        directly, each distinct missing block is queried exactly once through
-        one ``inner.predict_batch`` call, and duplicates within the batch
-        share the result (they count as hits, exactly as they would have on
-        the sequential path).
-        """
-        blocks = list(blocks)
-        if not blocks:
-            return []
-        keys = [block.key() for block in blocks]
-        results: List[Optional[float]] = [None] * len(blocks)
-        miss_order: List[tuple] = []
-        miss_blocks: List[BasicBlock] = []
-        pending: Dict[tuple, List[int]] = {}
-        tallies = self._thread_tallies
-        hit_count = 0
-        with self._cache_lock:
-            # The loop body runs once per query of the whole explanation hot
-            # path, so the counters are accumulated locally and flushed once
-            # per batch (same totals, a fraction of the attribute traffic).
-            cache_get = self._cache.get
-            cache_touch = self._cache.move_to_end
-            for position, (block, key) in enumerate(zip(blocks, keys)):
-                bucket = pending.get(key)
-                if bucket is not None:
-                    # Duplicate of a block already being queried in this batch.
-                    hit_count += 1
-                    bucket.append(position)
-                    continue
-                value = cache_get(key, _MISSING)
-                if value is not _MISSING:
-                    cache_touch(key)
-                    hit_count += 1
-                    results[position] = value
-                    continue
-                pending[key] = [position]
-                miss_order.append(key)
-                miss_blocks.append(block)
-            miss_count = len(miss_blocks)
-            self.hits += hit_count
-            tallies.hits += hit_count
-            self.misses += miss_count
-            tallies.misses += miss_count
-            if miss_blocks:
-                self.query_count += miss_count
-                tallies.queries += miss_count
-        if miss_blocks:
-            values = self.inner.predict_batch(miss_blocks)
-            with self._cache_lock:
-                for key, value in zip(miss_order, values):
-                    self._store(key, value)
-                    for position in pending[key]:
-                        results[position] = value
-        return results  # type: ignore[return-value]
+        """Batch prediction with intra-batch dedupe: one segment of
+        :meth:`predict_batch_segmented`."""
+        return self.predict_batch_segmented((blocks,))[0][0]
 
     def predict_batch_segmented(
         self, segments: Sequence[Sequence[BasicBlock]]
     ) -> Tuple[List[List[float]], List[QueryTally], int]:
-        """Fused batch prediction with per-segment query accounting.
+        """Batch prediction with dedupe and per-segment query accounting.
 
-        Cache semantics match :meth:`predict_batch` on the concatenation
-        exactly — same dedup, same global totals, same single
-        ``inner.predict_batch`` call.  On top of that, every lookup is
-        attributed to the segment it belongs to: a distinct missing block is
-        a miss (and one inner query) for the *first* segment that asks for
-        it; later occurrences anywhere in the fused batch are hits for the
-        segment they appear in, and those served across segment boundaries
-        are additionally reported as ``shared_hits`` — the dedupe the fused
-        tick got for free by batching requests together.
+        ``segments`` holds one block batch per logical caller (one per
+        request whose KL-LUCB round was fused into a tick; a plain
+        :meth:`predict_batch` is one segment).  The concatenation is
+        deduplicated by block content: cache hits are served directly, each
+        distinct missing block is queried exactly once through one
+        ``inner.predict_batch`` call, and duplicates share the result (they
+        count as hits, exactly as they would have on the sequential path).
+
+        Every lookup is attributed to the segment it belongs to: a distinct
+        missing block is a miss (and one inner query) for the *first*
+        segment that asks for it; later occurrences anywhere in the call are
+        hits for the segment they appear in, and those served across segment
+        boundaries are additionally reported as ``shared_hits`` — the dedupe
+        a fused tick got for free by batching requests together.
         """
         batches = [list(segment) for segment in segments]
-        results: List[List[Optional[float]]] = [[None] * len(batch) for batch in batches]
-        miss_order: List[tuple] = []
+        keys = [[block.key() for block in batch] for batch in batches]
+        results: List[Optional[float]] = [None] * sum(map(len, batches))
+        miss_keys: List[tuple] = []
         miss_blocks: List[BasicBlock] = []
-        pending: Dict[tuple, List[Tuple[int, int]]] = {}
-        first_segment: Dict[tuple, int] = {}
-        per_segment = [[0, 0, 0] for _ in batches]  # queries, hits, misses
-        shared_hits = 0
-        tallies = self._thread_tallies
+        # Block key -> the flat positions waiting on its miss, first asker first.
+        pending: Dict[tuple, List[int]] = {}
+        tallies: List[QueryTally] = []
+        hit_total = shared_hits = start = 0
         with self._cache_lock:
-            for index, batch in enumerate(batches):
-                for position, block in enumerate(batch):
-                    key = block.key()
-                    if key in pending:
+            # The loop body runs once per query of the whole explanation hot
+            # path, so the lookups are bound and the counters accumulated
+            # locally (same totals, a fraction of the attribute traffic).
+            cache_get = self._cache.get
+            cache_touch = self._cache.move_to_end
+            for batch, batch_keys in zip(batches, keys):
+                hits = 0
+                misses_before = len(miss_blocks)
+                for position, (block, key) in enumerate(zip(batch, batch_keys), start):
+                    bucket = pending.get(key)
+                    if bucket is not None:
                         # Duplicate of a block already being queried in this
-                        # fused batch (same or earlier segment).
-                        self.hits += 1
-                        tallies.hits += 1
-                        per_segment[index][1] += 1
-                        if first_segment[key] != index:
+                        # call; shared when an earlier segment asked first.
+                        hits += 1
+                        if bucket[0] < start:
                             shared_hits += 1
-                        pending[key].append((index, position))
+                        bucket.append(position)
                         continue
-                    value = self._lookup(key)
+                    value = cache_get(key, _MISSING)
                     if value is not _MISSING:
-                        self.hits += 1
-                        tallies.hits += 1
-                        per_segment[index][1] += 1
-                        results[index][position] = value
+                        cache_touch(key)
+                        hits += 1
+                        results[position] = value
                         continue
-                    self.misses += 1
-                    tallies.misses += 1
-                    per_segment[index][2] += 1
-                    pending[key] = [(index, position)]
-                    first_segment[key] = index
-                    miss_order.append(key)
+                    pending[key] = [position]
+                    miss_keys.append(key)
                     miss_blocks.append(block)
-            if miss_blocks:
-                self.query_count += len(miss_blocks)
-                tallies.queries += len(miss_blocks)
-                for key in miss_order:
-                    per_segment[first_segment[key]][0] += 1
-        if miss_blocks:
-            values = self.inner.predict_batch(miss_blocks)
-            with self._cache_lock:
-                for key, value in zip(miss_order, values):
-                    self._store(key, value)
-                    for index, position in pending[key]:
-                        results[index][position] = value
-        segment_tallies = [
-            QueryTally(queries=q, hits=h, misses=m) for q, h, m in per_segment
-        ]
-        return results, segment_tallies, shared_hits  # type: ignore[return-value]
+                misses = len(miss_blocks) - misses_before
+                tallies.append(QueryTally(misses, hits, misses))
+                hit_total += hits
+                start += len(batch)
+        miss_count = len(miss_blocks)
+        values = self.inner.predict_batch(miss_blocks) if miss_blocks else ()
+        with self._cache_lock:
+            for key, value in zip(miss_keys, values):
+                self._store(key, value)
+                for position in pending[key]:
+                    results[position] = value
+            # The call has answered: its tallies join the totals.
+            self.hits += hit_total
+            self.misses += miss_count
+            self.query_count += miss_count
+        out: List[List[float]] = []
+        start = 0
+        for batch in batches:
+            out.append(results[start : start + len(batch)])  # type: ignore[arg-type]
+            start += len(batch)
+        return out, tallies, shared_hits
 
     @property
     def hit_rate(self) -> float:
@@ -566,31 +490,3 @@ class CachedCostModel(CostModel):
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-
-class QueryCounter:
-    """Context manager measuring how many queries a piece of code issued.
-
-    The measurement is scoped to the *calling thread* (via
-    :meth:`CostModel.query_tally`), so a search running on one thread
-    counts exactly its own queries even while other threads (service
-    dispatchers) hammer the same shared model.
-    ``hits``/``misses`` carry the cache-lookup split for cached models, and
-    :attr:`tally` the whole delta, Γ counters included.
-    """
-
-    def __init__(self, model: CostModel) -> None:
-        self.model = model
-        self.start = self.tally = NO_QUERIES
-        self.queries = 0
-        self.hits = 0
-        self.misses = 0
-
-    def __enter__(self) -> "QueryCounter":
-        self.start = self.model.query_tally()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        delta = self.tally = self.model.query_tally().delta(self.start)
-        self.queries = delta.queries
-        self.hits = delta.hits
-        self.misses = delta.misses

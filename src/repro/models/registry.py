@@ -98,6 +98,9 @@ def build_session(
     the execution backend and the run-level shared state.  Closing the
     returned session releases the backend; ``model_kwargs`` are forwarded to
     :func:`build_cost_model` (e.g. ``training_blocks`` for ``"ithemal"``).
+    ``result_cache`` is the session's: a caller-owned
+    :class:`~repro.cache.ResultCache`, a path or ``True`` for a
+    session-owned disk or memory-only store, or ``None``/``False`` for off.
     """
     from repro.runtime.session import ExplanationSession
 

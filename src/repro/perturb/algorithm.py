@@ -86,31 +86,6 @@ _perturbations_total = 0
 _fallbacks_total = 0
 
 
-class _ThreadPerturbTally(threading.local):
-    """Per-thread Γ accumulators (zero-initialised per thread).
-
-    Mirrors the process-wide totals at thread granularity so per-request
-    accounting (``CostModel.query_tally`` deltas around one explanation)
-    can report exactly that explanation's perturbations and fallbacks even
-    while other threads share the engine.
-    """
-
-    def __init__(self) -> None:
-        self.perturbations = 0
-        self.fallbacks = 0
-
-
-_thread_perturb_tally = _ThreadPerturbTally()
-
-
-def thread_perturb_tally() -> PerturbTally:
-    """The calling thread's Γ counters (see :func:`perturb_tally`)."""
-    tally = _thread_perturb_tally
-    return PerturbTally(
-        perturbations=tally.perturbations, fallbacks=tally.fallbacks
-    )
-
-
 #: Fallback-rate warning thresholds (satellite of the silent-fallback bugfix):
 #: warn once per perturber when more than ``_FALLBACK_WARNING_RATE`` of at
 #: least ``_FALLBACK_WARNING_MIN`` perturbations fell back to the original.
@@ -504,9 +479,6 @@ class BlockPerturber:
         self._perturbations += count
         if fallbacks:
             self._fallbacks += fallbacks
-        thread_tally = _thread_perturb_tally
-        thread_tally.perturbations += count
-        thread_tally.fallbacks += fallbacks
         with _accounting_lock:
             _perturbations_total += count
             _fallbacks_total += fallbacks

@@ -13,9 +13,7 @@ The explanation search needs two sampling primitives (Section 5.2):
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Iterable, List, Optional
 
 from repro.bb.block import BasicBlock
 from repro.bb.features import Feature, features_present
@@ -46,8 +44,7 @@ class PerturbationSampler:
         self.block = block
         self.config = config or PerturbationConfig()
         self._rng = as_rng(rng)
-        self._perturber = BlockPerturber(block, self.config, self._rng)
-        self._background: List[BasicBlock] = []
+        self.perturber = BlockPerturber(block, self.config, self._rng)
         self.samples_drawn = 0
 
     # ------------------------------------------------------------ sampling
@@ -57,42 +54,17 @@ class PerturbationSampler:
     ) -> List[BasicBlock]:
         """Draw ``count`` perturbations retaining ``features`` (from D_F)."""
         self.samples_drawn += count
-        return self._perturber.perturb_many(count, features, rng=self._rng)
-
-    # Kept only because the repository benchmark's layer tracer names this
-    # entry point (``perfbench/layer_trace.py``); nothing in the library
-    # calls it.  Drop it together with that tracer row.
-    sample_encoded = sample
+        return self.perturber.perturb_many(count, features, rng=self._rng)
 
     def sample_unconstrained(self, count: int = 1) -> List[BasicBlock]:
         """Draw ``count`` unconstrained perturbations (from D = D_∅)."""
         return self.sample((), count)
 
-    # ----------------------------------------------------------- background
-
-    def background_population(self, size: int) -> List[BasicBlock]:
-        """A cached pool of unconstrained perturbations for coverage estimates.
-
-        The anchor search evaluates the coverage of many candidate feature
-        sets against the *same* background population (as the Anchors
-        implementation does), so the pool is drawn once and reused.
-        """
-        if len(self._background) < size:
-            self._background.extend(
-                self.sample_unconstrained(size - len(self._background))
-            )
-        return self._background[:size]
-
-    def coverage_of(self, features: Iterable[Feature], population_size: int = 1000) -> float:
-        """Empirical coverage of ``features`` over the background population."""
-        population = self.background_population(population_size)
-        if not population:
-            return 0.0
-        feature_tuple = tuple(features)
-        hits = sum(
-            1 for candidate in population if features_present(feature_tuple, candidate)
-        )
-        return hits / len(population)
+    # Kept only because the repository benchmark's layer tracer names these
+    # entry points (``perfbench/layer_trace.py``); nothing in the library
+    # calls them.  Drop them together with those tracer rows.
+    sample_encoded = sample
+    background_population = sample_unconstrained
 
     # ----------------------------------------------------------- diagnostics
 

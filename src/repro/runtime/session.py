@@ -37,7 +37,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Literal,
     Optional,
     Sequence,
     Tuple,
@@ -48,7 +47,12 @@ import numpy as np
 
 from repro.bb.block import BasicBlock
 from repro.cache.fingerprint import cacheable_seed, result_fingerprint
-from repro.cache.store import CacheStats, ResultCache
+from repro.cache.store import (
+    CacheStats,
+    ResultCache,
+    ResultCacheSource,
+    resolve_result_cache,
+)
 from repro.explain.config import ExplainerConfig
 from repro.explain.explainer import Answer, answer_rounds, search_block_rounds
 from repro.explain.explanation import Explanation
@@ -178,9 +182,10 @@ class ExplanationSession:
         LRU capacity used when the session wraps the model itself.
     result_cache:
         Whole-explanation memoization: a :class:`~repro.cache.ResultCache`
-        instance (caller-owned), a path to build a disk-backed store from
-        (session-owned, closed with the session), or ``None``/``False`` to
-        disable.
+        instance (caller-owned), a path to open a disk-backed store at or
+        ``True`` for a memory-only store (both session-owned, closed with
+        the session), or ``None``/``False`` to disable (see
+        :func:`~repro.cache.resolve_result_cache`).
         Every computation is history-free, so a result driven by an integer
         seed is a pure function of ``(block, model, uarch, config, seed)``
         and a hit is bit-for-bit what the computation would have produced.
@@ -210,7 +215,7 @@ class ExplanationSession:
         workers: Optional[int] = None,
         rng: RandomSource = None,
         cache_entries: int = 100_000,
-        result_cache: Union["ResultCache", str, Path, Literal[False], None] = None,
+        result_cache: ResultCacheSource = None,
     ) -> None:
         self.config = config or ExplainerConfig()
         self.model: CachedCostModel = (
@@ -231,15 +236,7 @@ class ExplanationSession:
             if installed is not self.backend:
                 self.model.set_backend(self.backend)
         self._rng = as_rng(rng)
-        if isinstance(result_cache, ResultCache):
-            self.result_cache: Optional[ResultCache] = result_cache
-            self._owns_result_cache = False
-        elif result_cache is None or result_cache is False:
-            self.result_cache = None
-            self._owns_result_cache = False
-        else:
-            self.result_cache = ResultCache(result_cache)
-            self._owns_result_cache = True
+        self.result_cache, self._owns_result_cache = resolve_result_cache(result_cache)
         self.explanations_produced = 0
         self.checkpoint_skips = 0
         # Fused ticks and library callers on other threads may charge at once.
@@ -276,11 +273,9 @@ class ExplanationSession:
         """Explain one block using the session's shared state.
 
         The blocking form of :meth:`explain_rounds`: each KL-LUCB round is
-        answered with one ``predict_batch`` on the session's model.
+        answered with one call on the session's model.
         """
-        return answer_rounds(
-            self.explain_rounds(block, rng, cancel=cancel), self.model, self.charge
-        )
+        return answer_rounds(self.explain_rounds(block, rng, cancel=cancel), self.model)
 
     def explain_rounds(
         self,

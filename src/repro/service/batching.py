@@ -216,7 +216,7 @@ def run_fused_group(
             # the error.
             for entry, rounds, blocks in batch:
                 try:
-                    answer = answer_round(rounds, blocks, model, session.charge)
+                    answer = answer_round(rounds, blocks, model)
                 except Exception as error:  # noqa: BLE001
                     entry.fail(error)
                     continue

@@ -54,11 +54,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bb.block import BasicBlock
-from repro.cache.store import CacheStats, ResultCache
+from repro.cache.store import (
+    CacheStats,
+    ResultCache,
+    ResultCacheSource,
+    resolve_result_cache,
+)
 from repro.explain.config import ExplainerConfig
 from repro.explain.explanation import Explanation
 from repro.runtime.pool import PoolStats, SessionFactory, SessionPool
@@ -343,7 +347,7 @@ class ExplanationService:
         default_deadline: Optional[float] = None,
         continuous_batching: Optional[bool] = None,
         max_fused_requests: int = MAX_FUSED_REQUESTS,
-        result_cache: Union[ResultCache, str, Path, bool, None] = None,
+        result_cache: ResultCacheSource = None,
     ) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
@@ -377,17 +381,7 @@ class ExplanationService:
         # REPRO_RESULT_CACHE); None defers to the environment.
         if result_cache is None:
             result_cache = default_result_cache()
-        self._owns_result_cache = False
-        if result_cache is False or result_cache is None:
-            self._result_cache: Optional[ResultCache] = None
-        elif result_cache is True:
-            self._result_cache = ResultCache()
-            self._owns_result_cache = True
-        elif isinstance(result_cache, ResultCache):
-            self._result_cache = result_cache
-        else:
-            self._result_cache = ResultCache(result_cache)
-            self._owns_result_cache = True
+        self._result_cache, self._owns_result_cache = resolve_result_cache(result_cache)
         self._pool = SessionPool(
             session_factory or self._build_session, max_sessions=max_sessions
         )

@@ -61,18 +61,6 @@ def spawn_rngs(source: RandomSource, count: int) -> Sequence[np.random.Generator
     return [np.random.default_rng(s) for s in spawn_seeds(source, count)]
 
 
-def derive_seed(source: RandomSource, *salt: object) -> int:
-    """Derive a stable integer seed from ``source`` and arbitrary salt values.
-
-    Useful when a component needs a seed keyed on some identifier (e.g. one
-    stream per basic block) without consuming state from the parent stream in
-    an order-dependent way.
-    """
-    base = as_rng(source).integers(0, 2**31 - 1)
-    mix = hash(tuple(str(s) for s in salt)) & 0x7FFFFFFF
-    return int((int(base) ^ mix) & 0x7FFFFFFF)
-
-
 def coin(rng: np.random.Generator, probability: float) -> bool:
     """Return ``True`` with the given probability."""
     if not 0.0 <= probability <= 1.0:

@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.bb.block import BasicBlock
-from repro.cache import STORE_MAGIC, CacheError, ResultCache
+from repro.cache import STORE_MAGIC, CacheError, ResultCache, resolve_result_cache
 from repro.explain.explanation import Explanation
 
 
@@ -186,6 +186,31 @@ class TestLifecycle:
     def test_max_memory_entries_validated(self):
         with pytest.raises(ValueError):
             ResultCache(max_memory_entries=0)
+
+
+class TestResolveResultCache:
+    """The one reading of a ``result_cache`` argument, shared by sessions
+    and the service."""
+
+    def test_off(self):
+        assert resolve_result_cache(None) == (None, False)
+        assert resolve_result_cache(False) == (None, False)
+
+    def test_instance_is_borrowed(self):
+        with ResultCache() as cache:
+            assert resolve_result_cache(cache) == (cache, False)
+
+    def test_true_opens_an_owned_memory_store(self):
+        cache, owned = resolve_result_cache(True)
+        assert owned and cache.path is None
+        cache.close()
+
+    def test_path_opens_an_owned_disk_store(self, tmp_path):
+        path = tmp_path / "s.cache"
+        for source in (path, str(path)):
+            cache, owned = resolve_result_cache(source)
+            assert owned and cache.path == path and path.exists()
+            cache.close()
 
 
 class TestCrossHandleVisibility:

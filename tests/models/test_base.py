@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bb.block import BasicBlock
-from repro.models.base import CachedCostModel, CallableCostModel, CostModel, QueryCounter
+from repro.models.base import CachedCostModel, CallableCostModel, CostModel, QueryTally
 from repro.utils.errors import ModelError
 
 
@@ -169,11 +169,9 @@ class TestModelLifecycle:
         assert backend.closed
 
 
-class TestQueryCounter:
-    def test_counts_queries_in_scope(self, tiny_block):
+class TestPredictCounted:
+    def test_uncached_call_is_one_query(self, tiny_block):
         model = CallableCostModel(lambda b: 1.0)
-        model.predict(tiny_block)
-        with QueryCounter(model) as counter:
-            model.predict(tiny_block)
-            model.predict(tiny_block)
-        assert counter.queries == 2
+        assert model.predict_counted(tiny_block) == (1.0, QueryTally(1))
+        assert model.predict_counted(tiny_block) == (1.0, QueryTally(1))
+        assert model.query_count == 2

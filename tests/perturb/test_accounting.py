@@ -5,7 +5,7 @@ falling back to the original block used to be silent (each fallback
 injects a trivially-preserving sample into precision estimates), and the
 per-perturber constraint-plan cache used to grow without limit in warm
 sessions.  This suite pins the accounting at every level it surfaces —
-per perturber, process-wide, per thread (``QueryTally``), per session
+per perturber, process-wide, per search (``QueryTally``), per session
 (``SessionStats``) — plus the once-per-block warning and the LRU bound.
 """
 
@@ -18,11 +18,14 @@ from repro.bb.block import BasicBlock
 from repro.bb.features import extract_features
 from repro.data.synthesis import BlockSynthesizer
 from repro.models.analytical import AnalyticalCostModel
+from repro.explain import explainer as explainer_module
+from repro.explain.anchors import AnchorSearch
+from repro.explain.explainer import answer_rounds, search_block_rounds
+from repro.models.base import CachedCostModel
 from repro.perturb.algorithm import (
     _FALLBACK_WARNING_MIN,
     BlockPerturber,
     perturb_tally,
-    thread_perturb_tally,
 )
 from repro.perturb.config import PerturbationConfig
 from repro.runtime.session import ExplanationSession
@@ -38,46 +41,81 @@ def block():
 class TestCounters:
     def test_perturb_many_counts_at_every_level(self, block):
         process_before = perturb_tally()
-        thread_before = thread_perturb_tally()
         perturber = BlockPerturber(block, rng=0)
 
         perturber.perturb_many(25)
 
         assert perturber.perturbations == 25
         assert perturb_tally().delta(process_before).perturbations == 25
-        assert thread_perturb_tally().delta(thread_before).perturbations == 25
 
     def test_reference_engine_counts_at_every_level(self, block):
         process_before = perturb_tally()
-        thread_before = thread_perturb_tally()
         perturber = BlockPerturber(block, PerturbationConfig(vectorized=False), rng=0)
 
         perturber.perturb_many(25)
 
         assert perturber.perturbations == 25
         assert perturb_tally().delta(process_before).perturbations == 25
-        assert thread_perturb_tally().delta(thread_before).perturbations == 25
 
-    def test_thread_tally_is_isolated_per_thread(self, block):
-        before = thread_perturb_tally()
-
-        def work():
-            BlockPerturber(block, rng=1).perturb_many(10)
-
-        worker = threading.Thread(target=work)
+    def test_perturber_counts_only_its_own_draws(self, block):
+        process_before = perturb_tally()
+        mine = BlockPerturber(block, rng=1)
+        theirs = BlockPerturber(block, rng=1)
+        worker = threading.Thread(target=theirs.perturb_many, args=(10,))
         worker.start()
-        worker.join()
+        mine.perturb_many(4)
+        worker.join(timeout=30)
+        assert not worker.is_alive()
 
-        # The worker's perturbations land in the process total, not ours.
-        assert thread_perturb_tally().delta(before).perturbations == 0
+        # Each perturber counts its own work; the process total has both.
+        assert (mine.perturbations, theirs.perturbations) == (4, 10)
+        assert perturb_tally().delta(process_before).perturbations == 14
 
-    def test_query_tally_carries_perturb_counters(self, block):
-        model = AnalyticalCostModel("hsw")
-        before = model.query_tally()
-        BlockPerturber(block, rng=2).perturb_many(7)
-        delta = model.query_tally().delta(before)
-        assert delta.perturbations == 7
-        assert delta.perturb_fallbacks == 0
+    @pytest.mark.parametrize("all_fall_back", [False, True])
+    def test_search_charges_its_perturbers_counters(
+        self, block, monkeypatch, all_fall_back
+    ):
+        """A search's Γ work is read off the sampler and perturber it owns,
+        and matches the process-wide counters around a lone search."""
+        searches = []
+
+        class RecordedSearch(AnchorSearch):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                searches.append(self)
+
+        monkeypatch.setattr(explainer_module, "AnchorSearch", RecordedSearch)
+        config = FAST_CONFIG.with_overrides(
+            perturbation=PerturbationConfig(vectorized=False)
+        )
+        if all_fall_back:
+            monkeypatch.setattr(
+                BlockPerturber, "_perturb_once_reference", lambda self, plan, rng: None
+            )
+        model = CachedCostModel(AnalyticalCostModel("hsw"))
+        charged = []
+        before = perturb_tally()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            answer_rounds(
+                search_block_rounds(model, block, config, 3, charge=charged.append),
+                model,
+            )
+        delta = perturb_tally().delta(before)
+        (search,) = searches
+        (spent,) = charged
+        sampler = search.sampler
+        assert spent.perturbations == sampler.samples_drawn > 0
+        assert spent.perturbations == sampler.perturber.perturbations
+        assert spent.perturb_fallbacks == sampler.perturber.fallbacks
+        assert (spent.perturbations, spent.perturb_fallbacks) == (
+            delta.perturbations,
+            delta.fallbacks,
+        )
+        if all_fall_back:
+            assert spent.perturb_fallbacks == spent.perturbations
+        else:
+            assert spent.perturb_fallbacks == 0
 
 
 class TestFallbacks:

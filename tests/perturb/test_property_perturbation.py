@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bb.block import BasicBlock
 from repro.bb.features import extract_features, features_present
 from repro.data.synthesis import BlockSynthesizer
+from repro.explain.coverage import CoverageEstimator
 from repro.isa.formatter import format_block_lines
 from repro.isa.parser import parse_block_text
 from repro.isa.validation import validate_block_instructions
@@ -92,9 +93,9 @@ def test_space_size_antitone_in_features(block):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 def test_coverage_antitone_in_features(block, seed):
-    sampler = PerturbationSampler(block, rng=seed)
+    estimator = CoverageEstimator(PerturbationSampler(block, rng=seed), 150)
     features = extract_features(block)
-    baseline = sampler.coverage_of([], 150)
-    one = sampler.coverage_of(features[:1], 150)
-    both = sampler.coverage_of(features[:2], 150)
+    baseline = estimator.coverage([])
+    one = estimator.coverage(features[:1])
+    both = estimator.coverage(features[:2])
     assert baseline >= one >= both >= 0.0

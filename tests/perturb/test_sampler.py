@@ -4,6 +4,7 @@ import pytest
 
 from repro.bb.block import BasicBlock
 from repro.bb.features import NumInstructionsFeature, extract_features
+from repro.explain.coverage import CoverageEstimator
 from repro.perturb.config import PerturbationConfig
 from repro.perturb.sampler import PerturbationSampler
 
@@ -44,43 +45,23 @@ class TestSampling:
         b = PerturbationSampler(block, rng=5).sample((), 10)
         assert [x.key() for x in a] == [y.key() for y in b]
 
-    def test_background_population_is_cached(self, block):
-        sampler = PerturbationSampler(block, rng=1)
-        first = sampler.background_population(50)
-        second = sampler.background_population(50)
-        assert first == second
-        assert len(first) == 50
-
-    def test_background_population_grows_on_demand(self, block):
-        sampler = PerturbationSampler(block, rng=2)
-        small = list(sampler.background_population(10))
-        large = sampler.background_population(30)
-        assert len(large) == 30
-        assert large[:10] == small
+    def test_background_population_is_an_alias_of_sample_unconstrained(self, block):
+        # The repository benchmark's layer tracer still wraps this name.
+        plain = PerturbationSampler(block, rng=2)
+        aliased = PerturbationSampler(block, rng=2)
+        expected = plain.sample_unconstrained(10)
+        assert [b.key() for b in aliased.background_population(10)] == [
+            b.key() for b in expected
+        ]
+        assert aliased.samples_drawn == plain.samples_drawn == 10
 
 
 class TestCoverage:
-    def test_empty_set_has_full_coverage(self, block):
-        sampler = PerturbationSampler(block, rng=3)
-        assert sampler.coverage_of([], 100) == pytest.approx(1.0)
-
-    def test_coverage_decreases_with_more_features(self, block):
-        sampler = PerturbationSampler(block, rng=4)
-        features = extract_features(block)
-        single = sampler.coverage_of(features[:1], 300)
-        double = sampler.coverage_of(features[:2], 300)
-        assert 0.0 <= double <= single <= 1.0
-
     def test_count_feature_coverage_reasonable(self, block):
-        sampler = PerturbationSampler(block, rng=5)
-        coverage = sampler.coverage_of([NumInstructionsFeature(block.num_instructions)], 400)
+        estimator = CoverageEstimator(PerturbationSampler(block, rng=5), 400)
+        coverage = estimator.coverage([NumInstructionsFeature(block.num_instructions)])
         # Roughly the probability that no instruction gets deleted.
         assert 0.2 < coverage < 0.95
-
-    def test_coverage_of_absent_feature_is_low(self, block):
-        sampler = PerturbationSampler(block, rng=6)
-        foreign = NumInstructionsFeature(block.num_instructions + 5)
-        assert sampler.coverage_of([foreign], 200) < 0.05
 
 
 class TestPreservationRate:

@@ -442,6 +442,20 @@ class TestLifecycle:
             session.explain(tiny_blocks[0], rng=0)
             assert session.stats().result_cache is None
 
+    def test_result_cache_true_opens_an_owned_memory_store(self, tiny_blocks):
+        session = ExplanationSession(
+            AnalyticalCostModel("hsw"), FAST_CONFIG, result_cache=True
+        )
+        store = session.result_cache
+        assert store is not None and store.path is None
+        first = session.explain(tiny_blocks[0], rng=3)
+        again = session.explain(tiny_blocks[0], rng=3)
+        assert _fingerprint(again) == _fingerprint(first)
+        assert again.num_queries == first.num_queries
+        assert session.stats().result_cache.hits == 1
+        session.close()
+        assert store.closed
+
     def test_close_is_idempotent(self):
         session = ExplanationSession(AnalyticalCostModel("hsw"), FAST_CONFIG)
         session.close()

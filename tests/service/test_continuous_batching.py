@@ -347,14 +347,17 @@ class TestFusedFaultInjection:
 
 
 class _SegmentedFaultModel(CachedCostModel):
-    """A cache whose fused entry point always fails, forcing the batcher
-    onto its per-segment isolation fallback."""
+    """A cache whose fused (multi-segment) calls always fail, forcing the
+    batcher onto its per-segment isolation fallback, which answers each
+    segment with a one-segment call."""
 
     def __init__(self, inner):
         super().__init__(inner)
         self.segmented_calls = 0
 
     def predict_batch_segmented(self, segments):
+        if len(segments) == 1:
+            return super().predict_batch_segmented(segments)
         self.segmented_calls += 1
         raise RuntimeError("fused path poisoned")
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_rng, choice, coin, derive_seed, spawn_rngs
+from repro.utils.rng import as_rng, choice, coin, spawn_rngs
 
 
 class TestAsRng:
@@ -90,13 +90,3 @@ class TestChoice:
         with pytest.raises(ValueError):
             choice(as_rng(0), [])
 
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(3, "block", 1) == derive_seed(3, "block", 1)
-
-    def test_salt_changes_seed(self):
-        assert derive_seed(3, "a") != derive_seed(3, "b")
-
-    def test_non_negative(self):
-        assert derive_seed(0, "x") >= 0
