@@ -85,13 +85,16 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _explainer_config(args: argparse.Namespace) -> ExplainerConfig:
-    return ExplainerConfig(
-        epsilon=args.epsilon,
-        relative_epsilon=args.relative_epsilon,
-        delta=args.delta,
-        coverage_samples=args.coverage_samples,
-        max_precision_samples=args.max_precision_samples,
-    )
+    try:
+        return ExplainerConfig(
+            epsilon=args.epsilon,
+            relative_epsilon=args.relative_epsilon,
+            delta=args.delta,
+            coverage_samples=args.coverage_samples,
+            max_precision_samples=args.max_precision_samples,
+        )
+    except ValueError as error:
+        raise ReproError(f"invalid explainer setting: {error}") from error
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:

@@ -21,7 +21,6 @@ from repro.explain.precision import (
     bernoulli_upper_bound,
     bernoulli_lower_bound,
     confidence_beta,
-    ArmStatistics,
     PrecisionEstimator,
 )
 from repro.explain.coverage import CoverageEstimator
@@ -35,7 +34,6 @@ __all__ = [
     "bernoulli_upper_bound",
     "bernoulli_lower_bound",
     "confidence_beta",
-    "ArmStatistics",
     "PrecisionEstimator",
     "CoverageEstimator",
     "AnchorSearch",

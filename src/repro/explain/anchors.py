@@ -66,8 +66,9 @@ class AnchorSearch:
         self.coverage_estimator = CoverageEstimator(
             self.sampler, self.config.coverage_samples
         )
-        # The search's own model queries (the original prediction and, in
-        # sequential mode, every draw): their summed tallies.
+        # The summed tallies of every model call made for this search: the
+        # original prediction, each sequential-mode draw and each answered
+        # round.
         self.original_prediction, self.queried = model.predict_counted(block)
         self.tolerance = self.config.tolerance_for(self.original_prediction)
         self.candidate_features: List[Feature] = extract_features(block)
@@ -102,12 +103,14 @@ class AnchorSearch:
         Sub-generator of :meth:`search_rounds`.  Perturbations are drawn per
         request in request order, so the random stream is consumed exactly the
         same way in both modes.  In batched mode the round's blocks are yielded
-        outward — the driver answers with one prediction array, typically from
-        a single ``predict_batch`` call (possibly fused with other requests'
-        rounds) — and the tolerance-ball comparison is vectorized.  In
+        outward and the driver answers with ``(predictions, tally)`` — one
+        prediction array, typically from a single segmented model call
+        (possibly fused with other requests' rounds), and that call's
+        accounting — and the tolerance-ball comparison is vectorized.  In
         sequential mode (``config.batch_queries = False``) each perturbed
-        block is queried through ``model.predict_counted`` on its own (kept
-        in :attr:`queried`), and nothing is yielded.
+        block is queried through ``model.predict_counted`` on its own, and
+        nothing is yielded.  Either way every tally is added to
+        :attr:`queried`.
         """
         if not self.config.batch_queries:
             outcome_batches: List[List[bool]] = []
@@ -131,7 +134,8 @@ class AnchorSearch:
             blocks.extend(perturbed)
         if not blocks:
             return [np.zeros(0, dtype=bool) for _ in requests]
-        predictions = yield blocks
+        predictions, tally = yield blocks
+        self.queried += tally
         outcomes = (
             np.abs(np.asarray(predictions) - self.original_prediction) <= self.tolerance
         )
@@ -164,14 +168,14 @@ class AnchorSearch:
         candidates: Sequence[Tuple[Feature, ...]],
     ):
         """Certify one candidate (sub-generator; see :meth:`search_rounds`)."""
-        meets, stats = yield from self._pump(
+        meets, precision, samples = yield from self._pump(
             estimator.certify_threshold_rounds(arm, self.config.precision_threshold),
             candidates,
         )
         candidate = AnchorCandidate(
             features=features,
-            precision=stats.mean,
-            precision_samples=stats.samples,
+            precision=precision,
+            precision_samples=samples,
             coverage=self.coverage_estimator.coverage(features),
             meets_threshold=meets,
         )
@@ -180,32 +184,18 @@ class AnchorSearch:
 
     # --------------------------------------------------------------- search
 
-    def search(self) -> AnchorCandidate:
-        """Run the beam search and return the selected anchor.
-
-        If no candidate clears the precision threshold within
-        ``max_anchor_size`` features, the most precise candidate found is
-        returned with ``meets_threshold=False`` (callers can inspect the flag).
-        """
-        generator = self.search_rounds()
-        payload = None
-        while True:
-            try:
-                blocks = generator.send(payload)
-            except StopIteration as stop:
-                return stop.value
-            payload = np.asarray(self.model.predict_batch(blocks))
-
     def search_rounds(self):
-        """Generator form of :meth:`search`, resumable at round granularity.
+        """Run the beam search as a round generator.
 
-        Yields the perturbed-block batch each KL-LUCB round needs and expects
-        the corresponding prediction array back via ``send``; the selected
-        :class:`AnchorCandidate` arrives through ``StopIteration.value``.
-        :meth:`search` is a driver that answers every round with its own
-        ``predict_batch`` call; the service layer's continuous batcher instead
-        interleaves the rounds of many concurrent searches and answers them
-        from fused cost-model queries.  In sequential mode
+        Yields the perturbed-block batch each KL-LUCB round needs and takes
+        back ``(predictions, tally)``: the round's predictions and the
+        accounting of the call that produced them (added to :attr:`queried`).
+        The selected :class:`AnchorCandidate` arrives through
+        ``StopIteration.value``; if no candidate clears the precision
+        threshold within ``max_anchor_size`` features, it is the most precise
+        candidate found, with ``meets_threshold=False``.
+        :func:`~repro.explain.explainer.search_block_rounds` wraps this
+        generator with the search's one charge.  In sequential mode
         (``config.batch_queries = False``) queries are issued inline and the
         generator finishes without yielding at all.
         """

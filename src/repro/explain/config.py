@@ -54,11 +54,12 @@ class ExplainerConfig:
         lower bound of the provisional winners are within this tolerance.
     batch_queries:
         When true (the default), all perturbed blocks of a precision
-        refinement round are routed through a single ``predict_batch`` call
-        so vectorized/batched cost models amortise per-query overhead.  When
-        false the search uses the legacy one-block-at-a-time query path.
-        Both paths consume the random stream identically, so for models
-        whose batch path is numerically exact (analytical, the simulators,
+        refinement round are routed through a single batched model call so
+        vectorized/batched cost models amortise per-query overhead.  When
+        false the search queries one block at a time — the sequential
+        reference path the batched one is checked against.  Both paths
+        consume the random stream identically, so for models whose batch
+        path is numerically exact (analytical, the simulators,
         cached wrappers around them) seeded explanations are bit-for-bit
         independent of this flag.  The neural model's batched recurrence may
         differ from its sequential path in the last float ulps (BLAS
@@ -91,6 +92,10 @@ class ExplainerConfig:
             raise ValueError("confidence_delta must be in (0, 1)")
         if self.beam_width < 1 or self.max_anchor_size < 1:
             raise ValueError("beam_width and max_anchor_size must be >= 1")
+        if self.batch_size < 1:
+            # A round of zero draws per arm never refines a bound, so the
+            # KL-LUCB loops would never end.
+            raise ValueError("batch_size must be >= 1")
         if self.min_precision_samples > self.max_precision_samples:
             raise ValueError("min_precision_samples cannot exceed max_precision_samples")
         if self.coverage_samples < 1:

@@ -53,31 +53,22 @@ def search_block_rounds(
     The search draws its own background population, so the explanation is
     a pure function of (block, model, config, seed).  A ``cancel`` token is
     checked cooperatively between KL-LUCB rounds; a token that never fires
-    leaves the random stream untouched.  The search's total is the sum of
-    the answered calls' tallies, its own inline queries
-    (:attr:`AnchorSearch.queried`) and its perturber's Γ counters, so it is
-    exact whichever thread resumes the search or answers its rounds.
-    ``charge`` receives that total once, also when the search is cancelled,
-    fails or is closed mid-stream.
+    leaves the random stream untouched.  The search's total is
+    :attr:`AnchorSearch.queried` (the summed tallies of its own calls and of
+    every answered round) plus its perturber's Γ counters, so it is exact
+    whichever thread resumes the search or answers its rounds.  ``charge``
+    receives that total once, also when the search is cancelled, fails or
+    is closed mid-stream.
     """
     spent = NO_QUERIES
     search = None
     try:
         search = AnchorSearch(model, block, config, rng, cancel=cancel)
-        rounds = search.search_rounds()
-        answer = None
-        while True:
-            try:
-                blocks = rounds.send(answer)
-            except StopIteration as done:
-                anchor = done.value
-                break
-            answer, tally = yield blocks
-            spent += tally
+        anchor = yield from search.search_rounds()
     finally:
         if search is not None:
             perturber = search.sampler.perturber
-            spent += search.queried + QueryTally(
+            spent = search.queried + QueryTally(
                 0, 0, 0, perturber.perturbations, perturber.fallbacks
             )
         if charge is not None:

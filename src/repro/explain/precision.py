@@ -15,8 +15,7 @@ tighter than Hoeffding bounds for probabilities near 0 or 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +32,8 @@ def kl_bernoulli(p: float, q: float) -> float:
 # Memo over completed bisections.  KL-LUCB rounds re-request the same small
 # ``(successes, trials, level)`` triples heavily — early rounds see identical
 # arm statistics across candidates and repeats across rounds — so the scalar
-# bisections (the ≤32-arm delegate path below, plus every per-arm
-# ``ArmStatistics``/``_ArmView`` bound) cache on their full argument tuple.
+# bisections (the ≤32-arm delegate path below, plus the threshold check's
+# per-arm bounds) cache on their full argument tuple.
 # The bound is a pure function of the key, so concurrent explain threads can
 # race on the dict benignly.  Cleared wholesale when full: the working set per
 # explanation is a few thousand keys, so eviction order does not matter.
@@ -161,115 +160,33 @@ def confidence_beta(num_arms: int, round_index: int, delta: float) -> float:
     return inner + math.log(max(inner, 1e-12))
 
 
-@dataclass
-class ArmStatistics:
-    """Sampling statistics of one candidate feature set (one bandit arm)."""
-
-    samples: int = 0
-    positives: int = 0
-
-    @property
-    def mean(self) -> float:
-        """Empirical precision estimate."""
-        return self.positives / self.samples if self.samples else 0.0
-
-    def update(self, outcomes: Sequence[bool]) -> None:
-        """Record a batch of Bernoulli outcomes.
-
-        Accepts plain sequences and numpy boolean arrays alike;
-        ``count_nonzero`` keeps the tally C-speed for batched outcomes
-        instead of a Python-level ``sum(bool(o) ...)`` loop.
-        """
-        self.samples += len(outcomes)
-        self.positives += int(np.count_nonzero(outcomes))
-
-    def upper(self, beta: float) -> float:
-        return bernoulli_upper_bound(self.mean, self.samples, beta)
-
-    def lower(self, beta: float) -> float:
-        return bernoulli_lower_bound(self.mean, self.samples, beta)
-
-
-class _ArmView:
-    """One arm's live view of the estimator's contiguous stat arrays.
-
-    The estimator keeps its round state as ``(successes, trials)`` int64
-    arrays (one vectorized mean/bound computation per round instead of a
-    Python-object walk); this view re-exposes the :class:`ArmStatistics`
-    API — ``samples``/``positives``/``mean``/``update`` and the scalar
-    bounds — so estimator consumers are unchanged.
-    """
-
-    __slots__ = ("_estimator", "_arm")
-
-    def __init__(self, estimator: "PrecisionEstimator", arm: int) -> None:
-        self._estimator = estimator
-        self._arm = arm
-
-    @property
-    def samples(self) -> int:
-        return int(self._estimator._trials[self._arm])
-
-    @property
-    def positives(self) -> int:
-        return int(self._estimator._successes[self._arm])
-
-    @property
-    def mean(self) -> float:
-        """Empirical precision estimate."""
-        trials = self.samples
-        return self.positives / trials if trials else 0.0
-
-    def update(self, outcomes: Sequence[bool]) -> None:
-        """Record a batch of Bernoulli outcomes into the estimator arrays."""
-        self._estimator._trials[self._arm] += len(outcomes)
-        self._estimator._successes[self._arm] += int(np.count_nonzero(outcomes))
-
-    def upper(self, beta: float) -> float:
-        return bernoulli_upper_bound(self.mean, self.samples, beta)
-
-    def lower(self, beta: float) -> float:
-        return bernoulli_lower_bound(self.mean, self.samples, beta)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_ArmView(samples={self.samples}, positives={self.positives})"
-
-
-#: A function that draws ``n`` Bernoulli outcomes for one arm.
-SampleFunction = Callable[[int], Sequence[bool]]
-
-#: A function that serves a whole refinement round: it receives ``(arm,
-#: count)`` requests and returns one outcome sequence per request, in request
-#: order.  Implementations are expected to funnel all of the round's
-#: cost-model queries through a single ``predict_batch`` call.
-BatchSampleFunction = Callable[[Sequence[Tuple[int, int]]], Sequence[Sequence[bool]]]
-
 #: One refinement round of already-clamped ``(arm, count)`` draw requests.
 RoundRequest = List[Tuple[int, int]]
 
-#: The generator form of an estimator run: yields :data:`RoundRequest` rounds,
-#: receives one outcome sequence per request (via ``send``), and returns the
-#: final result through ``StopIteration.value``.
+#: What a round generator takes back for a :data:`RoundRequest` (via
+#: ``send``): one outcome sequence per request, in request order.
 RoundOutcomes = Sequence[Sequence[bool]]
 
 
 class PrecisionEstimator:
-    """KL-LUCB estimator over a set of candidate arms.
+    """KL-LUCB estimator over ``num_arms`` candidate arms.
+
+    The estimator keeps each arm's ``(successes, trials)`` counts and the
+    round structure; it draws nothing itself.  :meth:`select_top_rounds` and
+    :meth:`certify_threshold_rounds` are round generators: each yields one
+    clamped :data:`RoundRequest` per refinement round and takes back one
+    outcome sequence per request, so the caller decides how a round's
+    samples are drawn and queried (the anchor search answers a whole round
+    with one batched cost-model query, possibly fused with other searches'
+    rounds).  Requests are issued in a deterministic order — ascending arm
+    for the minimum fill, winner before challenger during refinement — so a
+    caller that draws per request in request order consumes its random
+    stream the same way however it queries the model.
 
     Parameters
     ----------
-    sample_functions:
-        One sampling callback per arm.  Each call performs perturbations and
-        cost-model queries, so the estimator's job is to spend as few calls
-        as possible.
-    batch_sampler:
-        Alternative to ``sample_functions``: one callback serving a whole
-        refinement round of ``(arm, count)`` requests at once, so the arm
-        samples of a round share a single batched cost-model query
-        (``num_arms`` is then required).  Requests are issued in a
-        deterministic order — ascending arm for the minimum fill, winner
-        before challenger during refinement — matching the sequential path's
-        rng-consumption order exactly.
+    num_arms:
+        Number of candidate arms (at least one).
     confidence_delta:
         Failure probability of the confidence bounds.
     batch_size:
@@ -286,44 +203,24 @@ class PrecisionEstimator:
 
     def __init__(
         self,
-        sample_functions: Optional[Sequence[SampleFunction]] = None,
+        num_arms: int,
         *,
-        batch_sampler: Optional[BatchSampleFunction] = None,
-        num_arms: Optional[int] = None,
         confidence_delta: float = 0.05,
         batch_size: int = 12,
         min_samples: int = 20,
         max_samples: int = 150,
         cancel: Optional[CancelToken] = None,
     ) -> None:
-        if batch_sampler is not None:
-            if sample_functions:
-                raise ValueError("pass either sample_functions or batch_sampler, not both")
-            if not num_arms or num_arms < 1:
-                raise ValueError("batch_sampler requires num_arms >= 1")
-            self.sample_functions: Optional[List[SampleFunction]] = None
-            arms = num_arms
-        elif sample_functions:
-            self.sample_functions = list(sample_functions)
-            arms = len(self.sample_functions)
-        elif num_arms and num_arms >= 1:
-            # Externally served: the caller drives the ``*_rounds`` generators
-            # and supplies each round's outcomes itself (continuous batching).
-            self.sample_functions = None
-            arms = num_arms
-        else:
+        if num_arms < 1:
             raise ValueError("need at least one arm")
-        self.batch_sampler = batch_sampler
         self.confidence_delta = confidence_delta
         self.batch_size = batch_size
         self.min_samples = min_samples
         self.max_samples = max_samples
         # Contiguous per-arm round state: one vectorized mean/bound
-        # computation per KL-LUCB round reads these directly; `stats` holds
-        # per-arm views with the ArmStatistics API for everything else.
-        self._successes = np.zeros(arms, dtype=np.int64)
-        self._trials = np.zeros(arms, dtype=np.int64)
-        self.stats: List[_ArmView] = [_ArmView(self, arm) for arm in range(arms)]
+        # computation per KL-LUCB round reads these directly.
+        self._successes = np.zeros(num_arms, dtype=np.int64)
+        self._trials = np.zeros(num_arms, dtype=np.int64)
         self.rounds = 0
         self.cancel = cancel
 
@@ -351,7 +248,7 @@ class PrecisionEstimator:
         """Fold one served round's outcomes into the arm stat arrays."""
         if len(outcome_batches) != len(clamped):
             raise ValueError(
-                f"batch sampler returned {len(outcome_batches)} outcome "
+                f"round answered with {len(outcome_batches)} outcome "
                 f"sequences for {len(clamped)} requests"
             )
         for (arm, _), outcomes in zip(clamped, outcome_batches):
@@ -362,48 +259,14 @@ class PrecisionEstimator:
         """Generator step: clamp a round, yield it for serving, record outcomes.
 
         The shared building block of the ``*_rounds`` generators: a round that
-        clamps to nothing is skipped without yielding, so external drivers only
-        ever see rounds that actually need cost-model queries.
+        clamps to nothing is skipped without yielding, so callers only ever
+        see rounds that actually need cost-model queries.
         """
         clamped = self._clamp_round(requests)
         if not clamped:
             return
         outcome_batches = yield clamped
         self._record_round(clamped, outcome_batches)
-
-    def _serve_round(self, clamped: RoundRequest) -> RoundOutcomes:
-        """Serve one clamped round through the configured sampler.
-
-        Used by the blocking API (:meth:`select_top` / :meth:`certify_threshold`)
-        to drive the round generators in-process; requests are served either by
-        the round-level ``batch_sampler`` — one batched cost-model query for the
-        whole round — or arm by arm through the per-arm sample functions.
-        """
-        if self.batch_sampler is not None:
-            return self.batch_sampler(clamped)
-        if self.sample_functions is None:
-            raise ValueError(
-                "estimator has no sampler configured; drive the *_rounds "
-                "generators externally instead"
-            )
-        return [self.sample_functions[arm](count) for arm, count in clamped]
-
-    def _drive(self, generator):
-        """Run a round generator to completion with the in-process sampler."""
-        payload: Optional[RoundOutcomes] = None
-        while True:
-            try:
-                clamped = generator.send(payload)
-            except StopIteration as stop:
-                return stop.value
-            payload = self._serve_round(clamped)
-
-    def _draw_many(self, requests: Sequence[Tuple[int, int]]) -> None:
-        """Draw fresh outcomes for several arms in one refinement round."""
-        self._drive(self._request_round(requests))
-
-    def _draw(self, arm: int, count: int) -> None:
-        self._draw_many([(arm, count)])
 
     def _minimum_fill_requests(self) -> List[Tuple[int, int]]:
         trials = self._trials
@@ -414,31 +277,17 @@ class PrecisionEstimator:
             if trials[arm] < minimum
         ]
 
-    def _ensure_minimum(self) -> None:
-        self._draw_many(self._minimum_fill_requests())
-
     # ------------------------------------------------------- top-n selection
 
-    def select_top(self, top_n: int, tolerance: float = 0.15) -> List[int]:
+    def select_top_rounds(self, top_n: int, tolerance: float = 0.15):
         """Indices of (approximately) the ``top_n`` most precise arms.
 
         Implements the LUCB stopping rule: refine the provisional winners'
         lower bounds and the best challenger's upper bound until they are
-        separated by ``tolerance`` or the sampling budget runs out.
-        """
-        return self._drive(self.select_top_rounds(top_n, tolerance))
-
-    def select_top_rounds(self, top_n: int, tolerance: float = 0.15):
-        """Round-generator form of :meth:`select_top`.
-
-        Yields one clamped :data:`RoundRequest` per refinement round and
-        expects the served outcome sequences back via ``send``; the winner
-        list arrives through ``StopIteration.value``.  This is the estimator
-        half of the continuous-batching step API: an external driver can
-        interleave many estimators' rounds into fused cost-model queries.
-        The round structure, clamping and rng-relevant request order are
-        identical to the blocking method, which is just a driver over this
-        generator.
+        separated by ``tolerance`` or the sampling budget runs out.  Yields
+        one clamped :data:`RoundRequest` per refinement round and expects the
+        served outcome sequences back via ``send``; the winner list arrives
+        through ``StopIteration.value``.
         """
         num_arms = int(self._trials.shape[0])
         top_n = min(top_n, num_arms)
@@ -488,9 +337,9 @@ class PrecisionEstimator:
             )
             if exhausted_winner and exhausted_challenger:
                 return winners
-            # Both arms' fresh samples form one refinement round, so a
-            # round-level batch sampler serves them with a single batched
-            # cost-model query (winner first, matching the sequential order).
+            # Both arms' fresh samples form one refinement round, so the
+            # caller serves them with a single batched cost-model query
+            # (winner first, matching the sequential order).
             round_requests: List[Tuple[int, int]] = []
             if not exhausted_winner:
                 round_requests.append((weakest_winner, self.batch_size))
@@ -500,48 +349,33 @@ class PrecisionEstimator:
 
     # ------------------------------------------------------ threshold check
 
-    def certify_threshold(
-        self, arm: int, threshold: float, tolerance: float = 0.05
-    ) -> Tuple[bool, ArmStatistics]:
-        """Decide whether ``arm``'s precision exceeds ``threshold``.
-
-        Samples the arm until its confidence interval clears the threshold on
-        one side (within ``tolerance``) or the budget is exhausted; returns
-        the decision and the final statistics.
-        """
-        return self._drive(self.certify_threshold_rounds(arm, threshold, tolerance))
-
     def certify_threshold_rounds(
         self, arm: int, threshold: float, tolerance: float = 0.05
     ):
-        """Round-generator form of :meth:`certify_threshold`.
+        """Decide whether ``arm``'s precision exceeds ``threshold``.
 
-        Same protocol as :meth:`select_top_rounds`; the ``(meets, stats)``
-        decision arrives through ``StopIteration.value``.
+        Samples the arm until its confidence interval clears the threshold on
+        one side (within ``tolerance``) or its budget is exhausted.  Same
+        round protocol as :meth:`select_top_rounds`; ``(meets, precision,
+        samples)`` — the decision, the arm's empirical precision and its
+        sample count — arrives through ``StopIteration.value``.
         """
-        stats = self.stats[arm]
-        if stats.samples < self.min_samples:
-            yield from self._request_round([(arm, self.min_samples - stats.samples)])
+        num_arms = int(self._trials.shape[0])
+        trials = int(self._trials[arm])
+        if trials < self.min_samples:
+            yield from self._request_round([(arm, self.min_samples - trials)])
         while True:
             if self.cancel is not None:
                 self.cancel.check()
             self.rounds += 1
-            beta = confidence_beta(len(self.stats), self.rounds, self.confidence_delta)
-            lower = stats.lower(beta)
-            upper = stats.upper(beta)
-            if lower >= threshold - tolerance:
-                return True, stats
-            if upper < threshold:
-                return False, stats
-            if stats.samples >= self.max_samples:
-                return stats.mean >= threshold, stats
+            beta = confidence_beta(num_arms, self.rounds, self.confidence_delta)
+            # Python ints, so every memoised bound key is a plain float/int.
+            samples = int(self._trials[arm])
+            precision = int(self._successes[arm]) / samples if samples else 0.0
+            if bernoulli_lower_bound(precision, samples, beta) >= threshold - tolerance:
+                return True, precision, samples
+            if bernoulli_upper_bound(precision, samples, beta) < threshold:
+                return False, precision, samples
+            if samples >= self.max_samples:
+                return precision >= threshold, precision, samples
             yield from self._request_round([(arm, self.batch_size)])
-
-    # ------------------------------------------------------------ reporting
-
-    def summary(self) -> List[Dict[str, float]]:
-        """Mean/sample-count summary per arm (used in diagnostics and tests)."""
-        return [
-            {"mean": s.mean, "samples": float(s.samples), "positives": float(s.positives)}
-            for s in self.stats
-        ]

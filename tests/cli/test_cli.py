@@ -177,6 +177,31 @@ class TestExplain:
         assert payload["model"].startswith("crude")
         assert isinstance(payload["features"], list)
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["explain", "--model", "crude", "--block", BLOCK_INLINE],
+            ["serve", "--model", "crude"],
+        ],
+        ids=["explain", "serve"],
+    )
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--delta", "1.5", "delta"),
+            ("--epsilon", "-1", "epsilon"),
+            ("--coverage-samples", "0", "coverage_samples"),
+            ("--max-precision-samples", "5", "max_precision_samples"),
+        ],
+    )
+    def test_out_of_range_explainer_flag_is_a_cli_error(
+        self, capsys, command, flag, value, field
+    ):
+        assert main(command + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
 
 class TestExplainFleet:
     _FAST = [

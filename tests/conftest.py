@@ -24,8 +24,9 @@ parameterisation can reuse them without requesting a fixture.
 ``anchor_seed`` finds a seed whose explanation of a block ends at (or goes
 past) the empty anchor; ``seed_past_empty_at`` does the same for chosen
 positions of a fleet, ``count_population_draws`` counts the background
-populations searches draw, per block, and ``CancelAfter`` is a token that
-fires mid-search.
+populations searches draw, per block, ``record_searches`` collects the
+:class:`~repro.explain.anchors.AnchorSearch` objects searches build, and
+``CancelAfter`` is a token that fires mid-search.
 """
 
 import collections
@@ -34,6 +35,8 @@ import pytest
 
 from repro.bb.block import BasicBlock
 from repro.data.synthesis import BlockSynthesizer
+from repro.explain import explainer as explainer_module
+from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
 from repro.models.analytical import AnalyticalCostModel
 from repro.perturb.sampler import PerturbationSampler
@@ -117,6 +120,21 @@ def count_population_draws(monkeypatch):
 
     monkeypatch.setattr(PerturbationSampler, "sample_unconstrained", counting)
     return draws
+
+
+def record_searches(monkeypatch):
+    """Collect, in construction order, every :class:`AnchorSearch` that
+    ``search_block_rounds`` builds in this process, so a test can drive a
+    search through its one driver and still inspect the search's state."""
+    searches = []
+
+    class RecordedSearch(AnchorSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(explainer_module, "AnchorSearch", RecordedSearch)
+    return searches
 
 
 class CancelAfter(CancelToken):

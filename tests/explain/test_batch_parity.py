@@ -1,11 +1,11 @@
 """Seeded parity of the batched explanation pipeline.
 
 The batched query engine must be a pure throughput optimisation: given the
-same random seed, routing a refinement round's blocks through one
-``predict_batch`` call has to produce *exactly* the explanation that the
-sequential one-query-per-block path produces.  These tests pin that
-bit-for-bit contract (and seeded determinism generally), plus the round-level
-semantics of the estimator's batch sampler.
+same random seed, answering a refinement round's blocks with one batched
+model call has to produce *exactly* the explanation that the sequential
+one-query-per-block path produces.  These tests pin that
+bit-for-bit contract (and seeded determinism generally), plus the round
+protocol of the KL-LUCB estimator that both paths serve.
 """
 
 import numpy as np
@@ -24,6 +24,7 @@ from repro.runtime.backend import available_backends, resolve_backend
 from repro.runtime.session import ExplanationSession
 
 from tests.conftest import FAST_CONFIG
+from tests.explain.conftest import answer_estimator_rounds
 
 
 def _explain(block, *, batched: bool, seed: int):
@@ -156,64 +157,56 @@ class TestBackendParity:
         assert _fingerprint(baseline) == _fingerprint(routed)
 
 
-class TestBatchSamplerSemantics:
-    def _make(self, probabilities, **kwargs):
-        rng = np.random.default_rng(0)
-        calls = []
-
-        def batch_sampler(requests):
-            calls.append(list(requests))
-            return [
-                rng.random(count) < probabilities[arm] for arm, count in requests
-            ]
-
-        estimator = PrecisionEstimator(
-            batch_sampler=batch_sampler, num_arms=len(probabilities), **kwargs
-        )
-        return estimator, calls
+class TestEstimatorRoundSemantics:
+    """The KL-LUCB estimator's round protocol, which every search serves."""
 
     def test_selects_best_arm(self):
-        estimator, _ = self._make([0.15, 0.9, 0.5], max_samples=300)
-        assert estimator.select_top(1) == [1]
+        estimator = PrecisionEstimator(3, max_samples=300)
+        top, _ = answer_estimator_rounds(
+            estimator.select_top_rounds(1), [0.15, 0.9, 0.5], seed=0
+        )
+        assert top == [1]
 
     def test_minimum_fill_is_one_round(self):
-        estimator, calls = self._make([0.5, 0.6], min_samples=20)
-        estimator._ensure_minimum()
-        assert calls[0] == [(0, 20), (1, 20)]
-        assert all(s.samples == 20 for s in estimator.stats)
+        estimator = PrecisionEstimator(2, min_samples=20)
+        _, rounds = answer_estimator_rounds(
+            estimator.select_top_rounds(1), [0.5, 0.6], seed=0
+        )
+        assert rounds[0] == [(0, 20), (1, 20)]
+        # Refinement rounds draw for the weakest winner and the strongest
+        # challenger only.
+        assert all(len(requests) <= 2 for requests in rounds[1:])
 
     def test_requests_clamped_to_budget(self):
-        estimator, calls = self._make([0.5], min_samples=10, max_samples=25)
-        estimator._draw_many([(0, 10), (0, 10), (0, 10)])
-        assert estimator.stats[0].samples == 25
-        assert calls[0] == [(0, 10), (0, 10), (0, 5)]
+        estimator = PrecisionEstimator(1, min_samples=10, max_samples=25)
+        step = estimator._request_round([(0, 10), (0, 10), (0, 10)])
+        assert next(step) == [(0, 10), (0, 10), (0, 5)]
+        with pytest.raises(StopIteration):
+            step.send([np.ones(count, dtype=bool) for count in (10, 10, 5)])
+        assert int(estimator._trials[0]) == 25
 
-    def test_certify_threshold_through_batch_sampler(self):
-        estimator, _ = self._make([0.95], max_samples=400)
-        meets, stats = estimator.certify_threshold(0, 0.7)
-        assert meets and stats.mean > 0.8
+    def test_certify_threshold_rounds(self):
+        estimator = PrecisionEstimator(1, max_samples=400)
+        (meets, precision, _), _ = answer_estimator_rounds(
+            estimator.certify_threshold_rounds(0, 0.7), [0.95], seed=0
+        )
+        assert meets and precision > 0.8
 
-    def test_rejects_both_sampler_kinds(self):
+    def test_arm_count_must_be_positive(self):
         with pytest.raises(ValueError):
-            PrecisionEstimator([lambda n: [True] * n], batch_sampler=lambda r: [])
-
-    def test_batch_sampler_requires_num_arms(self):
-        with pytest.raises(ValueError):
-            PrecisionEstimator(batch_sampler=lambda r: [])
+            PrecisionEstimator(-1)
 
     def test_mismatched_outcome_count_rejected(self):
-        estimator = PrecisionEstimator(batch_sampler=lambda requests: [], num_arms=1)
-        with pytest.raises(ValueError):
-            estimator._draw_many([(0, 5)])
+        estimator = PrecisionEstimator(1)
+        step = estimator._request_round([(0, 5)])
+        assert next(step) == [(0, 5)]
+        with pytest.raises(ValueError, match="0 outcome sequences for 1 requests"):
+            step.send([])
 
     def test_numpy_outcomes_accepted(self):
-        estimator = PrecisionEstimator(
-            batch_sampler=lambda requests: [
-                np.ones(count, dtype=bool) for _, count in requests
-            ],
-            num_arms=1,
-            min_samples=8,
+        estimator = PrecisionEstimator(1, min_samples=8)
+        _, rounds = answer_estimator_rounds(
+            estimator._request_round(estimator._minimum_fill_requests()), [1.0], seed=0
         )
-        estimator._ensure_minimum()
-        assert estimator.stats[0].samples == 8
-        assert estimator.stats[0].positives == 8
+        assert rounds == [[(0, 8)]]
+        assert (int(estimator._trials[0]), int(estimator._successes[0])) == (8, 8)

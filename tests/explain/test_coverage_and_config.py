@@ -86,6 +86,8 @@ class TestExplainerConfig:
             {"min_precision_samples": 100, "max_precision_samples": 10},
             {"coverage_samples": 0},
             {"coverage_samples": -5},
+            {"batch_size": 0},
+            {"batch_size": -3},
         ],
     )
     def test_invalid_configurations_rejected(self, kwargs):

@@ -12,8 +12,8 @@ skips the draw entirely when the search ends at the empty anchor.
 
 import pytest
 
-from repro.explain.anchors import AnchorSearch
 from repro.explain.coverage import CoverageEstimator
+from repro.explain.explainer import answer_rounds, search_block_rounds
 from repro.models.analytical import AnalyticalCostModel
 from repro.runtime.session import ExplanationSession
 from repro.service import ExplanationService
@@ -23,6 +23,7 @@ from tests.conftest import (
     anchor_seed,
     count_population_draws,
     explanation_fingerprint,
+    record_searches,
 )
 
 
@@ -66,8 +67,13 @@ class TestEagerReferenceParity:
 
 def _search(block, seed, monkeypatch):
     draws = count_population_draws(monkeypatch)
-    search = AnchorSearch(AnalyticalCostModel("hsw"), block, FAST_CONFIG, seed)
-    return search, search.search(), draws[block.key()]
+    searches = record_searches(monkeypatch)
+    model = AnalyticalCostModel("hsw")
+    explanation = answer_rounds(
+        search_block_rounds(model, block, FAST_CONFIG, seed), model
+    )
+    (search,) = searches
+    return search, explanation, draws[block.key()]
 
 
 class TestPopulationDraws:

@@ -16,10 +16,17 @@ from repro.bb.features import (
 )
 from repro.explain.anchors import AnchorSearch
 from repro.explain.config import ExplainerConfig
-from repro.explain.explainer import CometExplainer, explain_block
+from repro.explain.explainer import (
+    CometExplainer,
+    answer_rounds,
+    explain_block,
+    search_block_rounds,
+)
 from repro.explain.explanation import Explanation
 from repro.models.analytical import AnalyticalCostModel
 from repro.models.base import CallableCostModel
+
+from tests.conftest import record_searches
 
 FAST_CONFIG = ExplainerConfig(
     epsilon=0.2,
@@ -128,11 +135,25 @@ class TestAnchorSearchInternals:
             FeatureKind.NUM_INSTRUCTIONS,
         }
 
-    def test_search_records_evaluated_candidates(self, div_block):
-        search = AnchorSearch(AnalyticalCostModel("hsw"), div_block, FAST_CONFIG, rng=10)
-        anchor = search.search()
-        assert search.evaluated
-        assert anchor in search.evaluated or anchor.features == ()
+    def test_search_records_evaluated_candidates(self, div_block, monkeypatch):
+        searches = record_searches(monkeypatch)
+        model = AnalyticalCostModel("hsw")
+        explanation = answer_rounds(
+            search_block_rounds(model, div_block, FAST_CONFIG, 10), model
+        )
+        (search,) = searches
+        assert explanation.candidates_evaluated == len(search.evaluated) > 0
+        # The explanation is one of the candidates the search evaluated.
+        assert any(
+            (c.features, c.precision, c.coverage, c.precision_samples)
+            == (
+                explanation.features,
+                explanation.precision,
+                explanation.coverage,
+                explanation.precision_samples,
+            )
+            for c in search.evaluated
+        )
 
     def test_fallback_when_nothing_meets_threshold(self, cheap_block):
         # A model driven by a feature COMET cannot express (the exact operand

@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.explain import precision
 from repro.explain.precision import (
-    ArmStatistics,
     PrecisionEstimator,
     bernoulli_lower_bound,
     bernoulli_upper_bound,
     confidence_beta,
     kl_bernoulli,
 )
+
+from tests.explain.conftest import answer_estimator_rounds
 
 
 class TestKLBernoulli:
@@ -114,79 +115,51 @@ class TestBoundMemo:
         assert bernoulli_lower_bound(0.5, 0, 1.0) == 0.0
 
 
-class TestArmStatistics:
-    def test_update_and_mean(self):
-        stats = ArmStatistics()
-        stats.update([True, True, False, True])
-        assert stats.samples == 4 and stats.positives == 3
-        assert stats.mean == pytest.approx(0.75)
-
-    def test_empty_mean_is_zero(self):
-        assert ArmStatistics().mean == 0.0
-
-
-def _bernoulli_sampler(probability, seed):
-    rng = np.random.default_rng(seed)
-
-    def draw(count):
-        return list(rng.random(count) < probability)
-
-    return draw
-
-
 class TestPrecisionEstimator:
     def test_selects_best_arm(self):
-        estimator = PrecisionEstimator(
-            [
-                _bernoulli_sampler(0.2, 0),
-                _bernoulli_sampler(0.9, 1),
-                _bernoulli_sampler(0.5, 2),
-            ],
-            max_samples=300,
+        estimator = PrecisionEstimator(3, max_samples=300)
+        top, _ = answer_estimator_rounds(
+            estimator.select_top_rounds(1), [0.2, 0.9, 0.5], seed=0
         )
-        assert estimator.select_top(1) == [1]
+        assert top == [1]
 
     def test_selects_top_two(self):
-        estimator = PrecisionEstimator(
-            [
-                _bernoulli_sampler(0.1, 0),
-                _bernoulli_sampler(0.85, 1),
-                _bernoulli_sampler(0.8, 2),
-                _bernoulli_sampler(0.15, 3),
-            ],
-            max_samples=300,
+        estimator = PrecisionEstimator(4, max_samples=300)
+        top, _ = answer_estimator_rounds(
+            estimator.select_top_rounds(2), [0.1, 0.85, 0.8, 0.15], seed=1
         )
-        assert set(estimator.select_top(2)) == {1, 2}
+        assert set(top) == {1, 2}
 
     def test_top_n_larger_than_arms(self):
-        estimator = PrecisionEstimator([_bernoulli_sampler(0.5, 0)])
-        assert estimator.select_top(3) == [0]
+        estimator = PrecisionEstimator(1)
+        top, _ = answer_estimator_rounds(estimator.select_top_rounds(3), [0.5], seed=2)
+        assert top == [0]
 
     def test_certify_accepts_high_precision_arm(self):
-        estimator = PrecisionEstimator([_bernoulli_sampler(0.95, 4)], max_samples=400)
-        meets, stats = estimator.certify_threshold(0, 0.7)
-        assert meets and stats.mean > 0.8
+        estimator = PrecisionEstimator(1, max_samples=400)
+        (meets, precision, samples), _ = answer_estimator_rounds(
+            estimator.certify_threshold_rounds(0, 0.7), [0.95], seed=4
+        )
+        assert meets and precision > 0.8
+        assert samples == int(estimator._trials[0])
 
     def test_certify_rejects_low_precision_arm(self):
-        estimator = PrecisionEstimator([_bernoulli_sampler(0.3, 5)], max_samples=400)
-        meets, _ = estimator.certify_threshold(0, 0.7)
+        estimator = PrecisionEstimator(1, max_samples=400)
+        (meets, _, _), _ = answer_estimator_rounds(
+            estimator.certify_threshold_rounds(0, 0.7), [0.3], seed=5
+        )
         assert not meets
 
     def test_respects_max_samples_budget(self):
-        estimator = PrecisionEstimator(
-            [_bernoulli_sampler(0.7, 6), _bernoulli_sampler(0.69, 7)],
-            max_samples=60,
+        estimator = PrecisionEstimator(2, max_samples=60)
+        # Nearly indistinguishable arms never separate within the budget.
+        _, rounds = answer_estimator_rounds(
+            estimator.select_top_rounds(1, tolerance=0.001), [0.7, 0.69], seed=6
         )
-        estimator.select_top(1, tolerance=0.001)  # nearly indistinguishable arms
-        assert all(s.samples <= 60 for s in estimator.stats)
-
-    def test_summary_shape(self):
-        estimator = PrecisionEstimator([_bernoulli_sampler(0.5, 8)])
-        estimator.select_top(1)
-        summary = estimator.summary()
-        assert len(summary) == 1
-        assert {"mean", "samples", "positives"} <= set(summary[0])
+        assert all(int(trials) <= 60 for trials in estimator._trials)
+        for arm in (0, 1):
+            assert sum(n for r in rounds for a, n in r if a == arm) <= 60
 
     def test_requires_at_least_one_arm(self):
         with pytest.raises(ValueError):
-            PrecisionEstimator([])
+            PrecisionEstimator(0)

@@ -18,8 +18,6 @@ from repro.bb.block import BasicBlock
 from repro.bb.features import extract_features
 from repro.data.synthesis import BlockSynthesizer
 from repro.models.analytical import AnalyticalCostModel
-from repro.explain import explainer as explainer_module
-from repro.explain.anchors import AnchorSearch
 from repro.explain.explainer import answer_rounds, search_block_rounds
 from repro.models.base import CachedCostModel
 from repro.perturb.algorithm import (
@@ -30,7 +28,7 @@ from repro.perturb.algorithm import (
 from repro.perturb.config import PerturbationConfig
 from repro.runtime.session import ExplanationSession
 
-from tests.conftest import FAST_CONFIG
+from tests.conftest import FAST_CONFIG, record_searches
 
 
 @pytest.fixture
@@ -77,14 +75,7 @@ class TestCounters:
     ):
         """A search's Γ work is read off the sampler and perturber it owns,
         and matches the process-wide counters around a lone search."""
-        searches = []
-
-        class RecordedSearch(AnchorSearch):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                searches.append(self)
-
-        monkeypatch.setattr(explainer_module, "AnchorSearch", RecordedSearch)
+        searches = record_searches(monkeypatch)
         config = FAST_CONFIG.with_overrides(
             perturbation=PerturbationConfig(vectorized=False)
         )
