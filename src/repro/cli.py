@@ -229,23 +229,23 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ExplanationService, serve_stream
 
-    # args.result_cache: a path (--result-cache), False (--no-result-cache,
-    # pinning the cache off even when REPRO_RESULT_CACHE is set), or None
-    # (defer to the environment variable).
-    service = ExplanationService(
-        model=args.model,
-        uarch=args.uarch,
-        config=_explainer_config(args),
-        backend=args.backend,
-        workers=args.workers,
-        dispatchers=args.dispatchers,
-        continuous_batching=args.continuous_batching,
-        max_fused_requests=args.max_fused_requests,
-        max_queue=args.max_queue,
-        max_sessions=args.max_sessions,
-        default_deadline=args.request_timeout,
-        result_cache=args.result_cache,
-    )
+    try:
+        service = ExplanationService(
+            model=args.model,
+            uarch=args.uarch,
+            config=_explainer_config(args),
+            backend=args.backend,
+            workers=args.workers,
+            dispatchers=args.dispatchers,
+            continuous_batching=args.continuous_batching,
+            max_fused_requests=args.max_fused_requests,
+            max_queue=args.max_queue,
+            max_sessions=args.max_sessions,
+            default_deadline=args.request_timeout,
+            result_cache=args.result_cache,
+        )
+    except ValueError as error:
+        raise ReproError(f"invalid service setting: {error}") from error
     if args.port is not None:
         if args.requests:
             service.close()
@@ -312,11 +312,14 @@ def _cmd_route(args: argparse.Namespace) -> int:
     node that served it."""
     from repro.service import Router, route_stream
 
-    router = Router(
-        args.nodes,
-        replicas=args.replicas,
-        timeout=args.request_timeout,
-    )
+    try:
+        router = Router(
+            args.nodes,
+            replicas=args.replicas,
+            timeout=args.request_timeout,
+        )
+    except ValueError as error:
+        raise ReproError(f"invalid router setting: {error}") from error
     if args.requests:
         source = Path(args.requests).read_text().splitlines()
     else:
@@ -450,20 +453,18 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dispatchers",
         type=int,
-        default=None,
-        help="dispatcher threads serving the request queue (default: the "
-        "REPRO_DISPATCHERS environment variable, or 1); requests are routed "
-        "by (model, uarch) key, so seeded results are identical at any "
-        "dispatcher count while distinct models run in parallel",
+        default=1,
+        help="dispatcher threads serving the request queue (default: 1); "
+        "requests are routed by (model, uarch) key, so seeded results are "
+        "identical at any dispatcher count while distinct models run in "
+        "parallel",
     )
     serve.add_argument(
         "--continuous-batching",
-        action=argparse.BooleanOptionalAction,
-        default=None,
+        action="store_true",
         help="fuse concurrent same-(model, uarch) requests into shared "
-        "predict_batch ticks at KL-LUCB round granularity (default: the "
-        "REPRO_FUSED environment variable, or off); per-request results "
-        "stay bit-for-bit identical to unfused serving",
+        "predict_batch ticks at KL-LUCB round granularity; per-request "
+        "results stay bit-for-bit identical to unfused serving",
     )
     serve.add_argument(
         "--max-fused-requests",
@@ -529,13 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="persist whole explanations to this on-disk store and serve "
         "repeats from it (tier-0 in-process LRU over a tier-1 append-only "
-        "log; default: the REPRO_RESULT_CACHE environment variable, or off)",
-    )
-    serve.add_argument(
-        "--no-result-cache",
-        dest="result_cache",
-        action="store_false",
-        help="disable the result cache even when REPRO_RESULT_CACHE is set",
+        "log; default: off)",
     )
     serve.set_defaults(func=_cmd_serve)
 

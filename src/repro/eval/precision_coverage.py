@@ -69,8 +69,7 @@ def explain_blocks(
 
     The session spawns the same independent per-block random streams the
     harness always used; it adds the shared cache wrapper and — when
-    ``backend`` (or ``REPRO_BACKEND``) says so — process fan-out of the
-    model queries.
+    ``backend`` says so — process fan-out of the model queries.
     """
     with ExplanationSession(model, config, backend=backend) as session:
         return session.explain_many(blocks, rng=seed)

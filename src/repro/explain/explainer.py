@@ -193,8 +193,8 @@ class CometExplainer:
             self.model,
             self.config,
             # Borrow whichever backend is already driving this model (set
-            # here or installed on the model directly); otherwise let the
-            # session resolve the environment default.
+            # here or installed on the model directly); otherwise the
+            # session runs serially.
             backend=self._backend or self.model.execution_backend,
             rng=rng if rng is not None else self._rng,
         )

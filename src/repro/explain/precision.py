@@ -213,6 +213,10 @@ class PrecisionEstimator:
     ) -> None:
         if num_arms < 1:
             raise ValueError("need at least one arm")
+        if batch_size < 1:
+            # A round of zero draws per arm never refines a bound, so the
+            # round generators would never end.
+            raise ValueError("batch_size must be >= 1")
         self.confidence_delta = confidence_delta
         self.batch_size = batch_size
         self.min_samples = min_samples

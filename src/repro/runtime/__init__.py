@@ -18,8 +18,6 @@ on models that import this package for backend support.
 """
 
 from repro.runtime.backend import (
-    BACKEND_ENV_VAR,
-    WORKERS_ENV_VAR,
     BackendSource,
     ExecutionBackend,
     ProcessBackend,
@@ -29,8 +27,6 @@ from repro.runtime.backend import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "WORKERS_ENV_VAR",
     "BackendSource",
     "ExecutionBackend",
     "SerialBackend",

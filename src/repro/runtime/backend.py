@@ -39,13 +39,8 @@ from repro.utils.errors import BackendError
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Environment variable selecting the default backend (``serial`` when unset).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-#: Environment variable selecting the default worker count.
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
 #: Anything accepted where a backend is expected: an instance, a short name,
-#: or ``None`` for the environment-controlled default.
+#: or ``None`` for the serial backend.
 BackendSource = Union[None, str, "ExecutionBackend"]
 
 
@@ -95,18 +90,6 @@ class BackendRetryPolicy:
     def delay(self, attempt: int) -> float:
         """The capped-exponential sleep before retry number ``attempt``."""
         return min(self.backoff * (2**attempt), self.max_backoff)
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError as error:
-            raise BackendError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}"
-            ) from error
-    return max(os.cpu_count() or 1, 1)
 
 
 class ExecutionBackend(ABC):
@@ -260,7 +243,9 @@ class ProcessBackend(ExecutionBackend):
         retry: Optional[BackendRetryPolicy] = None,
     ) -> None:
         super().__init__()
-        self._workers = _default_workers() if workers is None else max(int(workers), 1)
+        if workers is None:
+            workers = os.cpu_count() or 1
+        self._workers = max(int(workers), 1)
         self._pool: Optional[ProcessPoolExecutor] = None
         # Strong reference to the model the pool workers hold resident; also
         # prevents id-reuse confusion if the caller drops their reference.
@@ -425,8 +410,7 @@ def resolve_backend(
 ) -> ExecutionBackend:
     """Normalise ``source`` into an :class:`ExecutionBackend`.
 
-    ``None`` consults the ``REPRO_BACKEND`` environment variable and falls
-    back to the serial backend; strings name a backend kind; an existing
+    ``None`` is the serial backend; strings name a backend kind; an existing
     backend instance is returned as-is (``workers`` must then be omitted).
     """
     if isinstance(source, ExecutionBackend):
@@ -435,9 +419,7 @@ def resolve_backend(
                 "cannot override workers on an already-constructed backend"
             )
         return source
-    if source is None:
-        source = os.environ.get(BACKEND_ENV_VAR) or "serial"
-    key = str(source).strip().lower()
+    key = "serial" if source is None else str(source).strip().lower()
     if key == "serial":
         return SerialBackend()
     if key in ("process", "processes"):

@@ -172,8 +172,8 @@ class ExplanationSession:
         Explanation hyperparameters (shared by every explanation of the run).
     backend:
         Execution substrate — a short name (``"serial"``/``"process"``),
-        a constructed backend, or ``None`` for the
-        environment-controlled default.  The session owns backends it
+        a constructed backend, or ``None`` for the backend already installed
+        on the model (serial if there is none).  The session owns backends it
         resolves from names and closes them; a backend *instance* passed in
         stays caller-owned.
     rng:
@@ -226,7 +226,7 @@ class ExplanationSession:
         installed = self.model.execution_backend
         if backend is None and installed is not None:
             # No explicit request: a substrate the caller already configured
-            # on the model (backend=) beats the ambient default — borrow it
+            # on the model (backend=) beats the serial default — borrow it
             # and leave its ownership untouched.
             self.backend = installed
             self._owns_backend = False

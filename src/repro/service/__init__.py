@@ -43,17 +43,11 @@ from repro.runtime.pool import PoolStats, SessionPool
 from repro.service.batching import FusionCounters, FusionStats, run_fused_group
 from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.core import (
-    DISPATCHERS_ENV_VAR,
-    FUSED_ENV_VAR,
-    RESULT_CACHE_ENV_VAR,
     ExplanationRequest,
     ExplanationService,
     RequestStatus,
     ServiceResult,
     ServiceStats,
-    default_continuous_batching,
-    default_dispatchers,
-    default_result_cache,
 )
 from repro.service.protocol import (
     ServiceOp,
@@ -89,18 +83,15 @@ from repro.utils.errors import (
 
 __all__ = [
     "CancelToken",
-    "DISPATCHERS_ENV_VAR",
     "DeadlineExceededError",
     "DispatcherStats",
     "ExplanationRequest",
     "ExplanationService",
-    "FUSED_ENV_VAR",
     "FusionCounters",
     "FusionStats",
     "HashRing",
     "PoolStats",
     "QueueFullError",
-    "RESULT_CACHE_ENV_VAR",
     "RequestCancelledError",
     "RequestStatus",
     "RetryPolicy",
@@ -117,9 +108,6 @@ __all__ = [
     "SessionPool",
     "SocketServer",
     "aggregate_node_stats",
-    "default_continuous_batching",
-    "default_dispatchers",
-    "default_result_cache",
     "parse_nodes",
     "request_from_dict",
     "request_from_line",

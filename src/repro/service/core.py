@@ -49,7 +49,6 @@ unfused service by the fused parity tests.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -84,56 +83,6 @@ from repro.utils.errors import (
     ServiceError,
     ServiceTimeoutError,
 )
-
-#: Environment override for the default dispatcher count (like
-#: ``REPRO_BACKEND`` for backends; CI uses it to run suites multi-dispatch).
-DISPATCHERS_ENV_VAR = "REPRO_DISPATCHERS"
-
-#: Environment override turning cross-request continuous batching on by
-#: default (``1``/``true``/``on``); CI uses it to run suites fused.
-FUSED_ENV_VAR = "REPRO_FUSED"
-
-#: Environment override naming a persistent result-cache store every service
-#: opens by default (``repro serve --result-cache`` wins; CI uses it to run
-#: whole suites memoized).
-RESULT_CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
-
-
-def default_dispatchers() -> int:
-    """The ambient dispatcher count: ``REPRO_DISPATCHERS`` or 1."""
-    raw = os.environ.get(DISPATCHERS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise ServiceError(
-            f"{DISPATCHERS_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from error
-    if value < 1:
-        raise ServiceError(
-            f"{DISPATCHERS_ENV_VAR} must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def default_continuous_batching() -> bool:
-    """The ambient fusion default: ``REPRO_FUSED`` or off."""
-    raw = os.environ.get(FUSED_ENV_VAR, "").strip().lower()
-    if not raw:
-        return False
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ServiceError(f"{FUSED_ENV_VAR} must be a boolean flag, got {raw!r}")
-
-
-def default_result_cache() -> Optional[str]:
-    """The ambient result-cache path: ``REPRO_RESULT_CACHE`` or none."""
-    raw = os.environ.get(RESULT_CACHE_ENV_VAR, "").strip()
-    return raw or None
-
 
 class RequestStatus(Enum):
     """Lifecycle of one request inside the service."""
@@ -178,6 +127,17 @@ class ExplanationRequest:
         if self.deadline is not None and self.deadline <= 0:
             raise ServiceError(
                 f"request deadline must be positive seconds, got {self.deadline!r}"
+            )
+        # Checked here, not by the sharded path alone: a fused service never
+        # plans shards, and it must reject what the unfused one rejects.
+        shards = self.shards
+        if not (
+            shards is None
+            or isinstance(shards, int)
+            or (isinstance(shards, str) and shards.strip().lower() == "auto")
+        ):
+            raise ServiceError(
+                f"shards must be an integer, 'auto' or None, got {shards!r}"
             )
 
 
@@ -281,16 +241,15 @@ class ExplanationService:
         Explanation hyperparameters shared by every session the service
         builds (per-request configs would defeat session warm-up).
     backend / workers:
-        Execution substrate forwarded to each session (a short name or
-        ``None`` for the ``REPRO_BACKEND`` environment default).  Each
-        session resolves — and owns — its own backend instance.
+        Execution substrate forwarded to each session (a short name, or
+        ``None`` for the serial backend).  Each session resolves — and
+        owns — its own backend instance.
     dispatchers:
-        How many dispatcher threads serve the queue (``None`` = the
-        ``REPRO_DISPATCHERS`` environment default, normally 1).  Requests
-        are routed by session key: one key never runs concurrently with
-        itself, so any dispatcher count preserves per-request seeded
-        results bit-for-bit; more dispatchers let distinct (model, uarch)
-        keys execute in parallel.
+        How many dispatcher threads serve the queue.  Requests are routed
+        by session key: one key never runs concurrently with itself, so any
+        dispatcher count preserves per-request seeded results bit-for-bit;
+        more dispatchers let distinct (model, uarch) keys execute in
+        parallel.
     max_queue:
         Bound on buffered requests (backpressure surface).
     max_sessions:
@@ -302,8 +261,7 @@ class ExplanationService:
         unbounded.  A request's explicit ``deadline`` always wins.
     continuous_batching:
         Fuse concurrent same-key requests into shared ``predict_batch``
-        ticks (``None`` = the ``REPRO_FUSED`` environment default, normally
-        off).  Fused results are bit-for-bit identical to the unfused
+        ticks.  Fused results are bit-for-bit identical to the unfused
         oracle — each search keeps its own seeded stream and background
         population — fusion only changes how many requests one warm model
         invocation serves.
@@ -313,13 +271,11 @@ class ExplanationService:
         Whole-explanation memoization shared by every session the service
         builds: a :class:`~repro.cache.ResultCache` instance (caller-owned),
         a path to open a disk-backed store at (service-owned, closed with
-        the service), ``True`` for a service-owned memory-only cache,
-        ``False`` to disable regardless of the environment, or ``None`` for
-        the ``REPRO_RESULT_CACHE`` environment default (a path, or off).
-        Hits serve the stored explanation verbatim — bit-for-bit what the
-        computation would produce, since the service already runs every
-        request history-free — and retire without a search (under fusion,
-        without consuming a KL-LUCB round).
+        the service), ``True`` for a service-owned memory-only cache, or
+        ``None``/``False`` for none.  Hits serve the stored explanation
+        verbatim — bit-for-bit what the computation would produce, since the
+        service already runs every request history-free — and retire
+        without a search (under fusion, without consuming a KL-LUCB round).
     session_factory:
         Override how sessions are built (tests inject toy models here).  The
         default routes through :func:`repro.models.registry.build_session`.
@@ -339,13 +295,13 @@ class ExplanationService:
         config: Optional[ExplainerConfig] = None,
         backend: Optional[str] = None,
         workers: Optional[int] = None,
-        dispatchers: Optional[int] = None,
+        dispatchers: int = 1,
         max_queue: int = 64,
         max_sessions: int = 4,
         cache_entries: int = 100_000,
         session_factory: Optional[SessionFactory] = None,
         default_deadline: Optional[float] = None,
-        continuous_batching: Optional[bool] = None,
+        continuous_batching: bool = False,
         max_fused_requests: int = MAX_FUSED_REQUESTS,
         result_cache: ResultCacheSource = None,
     ) -> None:
@@ -355,12 +311,8 @@ class ExplanationService:
             raise ValueError("max_sessions must be >= 1")
         if default_deadline is not None and default_deadline <= 0:
             raise ValueError("default_deadline must be positive seconds")
-        if dispatchers is None:
-            dispatchers = default_dispatchers()
         if dispatchers < 1:
             raise ValueError("dispatchers must be >= 1")
-        if continuous_batching is None:
-            continuous_batching = default_continuous_batching()
         if max_fused_requests < 1:
             raise ValueError("max_fused_requests must be >= 1")
         self.default_model = model
@@ -376,11 +328,6 @@ class ExplanationService:
         self._backend = backend
         self._workers = workers
         self._cache_entries = cache_entries
-        # Result-cache resolution: an explicit False always disables (the
-        # parity matrix needs a "disabled" arm even when CI exports
-        # REPRO_RESULT_CACHE); None defers to the environment.
-        if result_cache is None:
-            result_cache = default_result_cache()
         self._result_cache, self._owns_result_cache = resolve_result_cache(result_cache)
         self._pool = SessionPool(
             session_factory or self._build_session, max_sessions=max_sessions

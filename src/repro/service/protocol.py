@@ -105,8 +105,7 @@ def request_from_dict(payload: Dict[str, object]) -> ExplanationRequest:
             shards = int(shards)  # type: ignore[arg-type]
         except (TypeError, ValueError) as error:
             raise ServiceError(
-                f"'shards' must be an integer, a string or null, "
-                f"got {shards!r}"
+                f"'shards' must be an integer, 'auto' or null, got {shards!r}"
             ) from error
     try:
         seed = int(payload.get("seed", 0))  # type: ignore[arg-type]

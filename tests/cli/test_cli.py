@@ -202,6 +202,31 @@ class TestExplain:
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["serve", "--dispatchers", "0"], "dispatchers"),
+            (["serve", "--max-queue", "0"], "max_queue"),
+            (["serve", "--max-sessions", "0"], "max_sessions"),
+            (["serve", "--max-fused-requests", "0"], "max_fused_requests"),
+            (["serve", "--request-timeout", "0"], "default_deadline"),
+            (["route", "--nodes", "127.0.0.1:9", "--replicas", "0"], "replicas"),
+        ],
+        ids=[
+            "dispatchers",
+            "max-queue",
+            "max-sessions",
+            "max-fused-requests",
+            "request-timeout",
+            "replicas",
+        ],
+    )
+    def test_out_of_range_service_flag_is_a_cli_error(self, capsys, argv, field):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
 
 class TestExplainFleet:
     _FAST = [
@@ -282,16 +307,11 @@ class TestServeFlags:
         assert args.continuous_batching is True
         assert args.max_fused_requests == 4
 
-    def test_no_continuous_batching_flag_parses(self):
-        args = build_parser().parse_args(
-            ["serve", "--model", "crude", "--no-continuous-batching"]
-        )
-        assert args.continuous_batching is False
-
-    def test_continuous_batching_defaults_to_env(self):
-        # None defers to REPRO_FUSED at service construction.
+    def test_serving_defaults(self):
         args = build_parser().parse_args(["serve", "--model", "crude"])
-        assert args.continuous_batching is None
+        assert args.continuous_batching is False
+        assert args.dispatchers == 1
+        assert args.result_cache is None
         assert args.max_fused_requests == 8
 
     def test_served_batch_runs_fused(self, tmp_path, capsys):

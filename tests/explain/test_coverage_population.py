@@ -117,7 +117,6 @@ def test_fused_service_answers_empty_anchor_like_a_direct_session(tiny_blocks):
         config=FAST_CONFIG,
         dispatchers=1,
         continuous_batching=True,
-        result_cache=False,  # every answer must come from a fused search
     ) as service:
         ids = {
             service.submit(block, seed=seed): (block.key(), seed)

@@ -163,3 +163,8 @@ class TestPrecisionEstimator:
     def test_requires_at_least_one_arm(self):
         with pytest.raises(ValueError):
             PrecisionEstimator(0)
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_rejects_empty_rounds(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            PrecisionEstimator(2, batch_size=batch_size)

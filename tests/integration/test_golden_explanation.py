@@ -134,8 +134,7 @@ class TestGoldenExplanation:
         temperature must serve the same payload the no-cache
         single-dispatcher oracle (the golden JSON itself) produces:
 
-        * ``disabled`` — the cache pinned off (even if ``REPRO_RESULT_CACHE``
-          is exported, as it is in the CI cache lanes);
+        * ``disabled`` — no cache (``result_cache=False``);
         * ``cold`` — an empty store, first touch computes and writes through;
         * ``warm`` — the same service answering a repeat from tier 0;
         * ``warm-restart`` — a *new* service process-life answering from the

@@ -8,8 +8,6 @@ from repro.bb.block import BasicBlock
 from repro.models.base import CachedCostModel, CallableCostModel
 from repro.models.mca import PortPressureCostModel
 from repro.runtime.backend import (
-    BACKEND_ENV_VAR,
-    WORKERS_ENV_VAR,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -111,8 +109,9 @@ class TestResolution:
 
     @pytest.mark.parametrize("name", ["thread", "threads"])
     def test_thread_names_rejected(self, name):
-        with pytest.raises(BackendError, match=r"\('serial', 'process'\)"):
-            resolve_backend(name, 2)
+        for workers in (None, 2):
+            with pytest.raises(BackendError, match=r"\('serial', 'process'\)"):
+                resolve_backend(name, workers)
 
     def test_instance_passes_through(self):
         backend = SerialBackend()
@@ -126,27 +125,13 @@ class TestResolution:
         with pytest.raises(BackendError, match="unknown execution backend"):
             resolve_backend("quantum")
 
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_default_is_serial(self):
         assert isinstance(resolve_backend(None), SerialBackend)
 
-    def test_environment_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        with resolve_backend(None) as backend:
-            assert isinstance(backend, ProcessBackend)
-            assert backend.workers == 3
-
-    @pytest.mark.parametrize("name", ["thread", "threads"])
-    def test_thread_environment_rejected(self, monkeypatch, name):
-        monkeypatch.setenv(BACKEND_ENV_VAR, name)
-        with pytest.raises(BackendError, match=r"\('serial', 'process'\)"):
-            resolve_backend(None)
-
-    def test_bad_workers_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
-        with pytest.raises(BackendError):
-            resolve_backend("process")
+    def test_process_workers_default_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert ProcessBackend().workers == 3
+        assert resolve_backend("process").workers == 3
 
 
 class TestProcessBackendModelValidation:

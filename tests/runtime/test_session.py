@@ -176,10 +176,7 @@ class TestPositionIndependence:
     def test_service_fleet_request(self, fleet, expected, fused):
         blocks, seed = fleet
         with ExplanationService(
-            model="crude",
-            config=FAST_CONFIG,
-            continuous_batching=fused,
-            result_cache=False,
+            model="crude", config=FAST_CONFIG, continuous_batching=fused
         ) as service:
             answered = service.explain(blocks, seed=seed)
         assert [_fingerprint(e) for e in answered] == expected
@@ -480,7 +477,7 @@ class TestLifecycle:
         backend.close()
 
     def test_session_borrows_a_model_configured_backend(self):
-        # A substrate the caller installed on the model beats the ambient
+        # A substrate the caller installed on the model beats the serial
         # default, and must survive the session.
         configured = ProcessBackend(2)
         model = AnalyticalCostModel("hsw")

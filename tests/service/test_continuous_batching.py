@@ -43,18 +43,9 @@ from tests.conftest import (
 
 
 def _oracle(workload, fast_config):
-    """Single-dispatcher, fusion-off, cache-free serving — the behavioral
-    reference.  The result cache is pinned off so that under the CI cache
-    lanes (``REPRO_RESULT_CACHE`` exported) the oracle cannot pre-warm the
-    ambient store the subject service would then trivially serve from —
-    parity must be proven against an independent computation."""
-    with ExplanationService(
-        model="crude",
-        config=fast_config,
-        dispatchers=1,
-        continuous_batching=False,
-        result_cache=False,
-    ) as service:
+    """Default serving — one dispatcher, no fusion, no result cache — the
+    behavioral reference."""
+    with ExplanationService(model="crude", config=fast_config) as service:
         return {
             (block.key(), seed, uarch): explanation_fingerprint(
                 service.explain(block, seed=seed, uarch=uarch)[0]
@@ -100,10 +91,6 @@ class TestFusedParity:
             config=fast_config,
             dispatchers=1,
             continuous_batching=True,
-            # Cache off: this test asserts the fusion *mechanism* (ticks,
-            # occupancy, absorption), which an ambient REPRO_RESULT_CACHE
-            # would short-circuit — cache-hit requests retire without ticks.
-            result_cache=False,
         ) as service:
             ids = {
                 service.submit(block, seed=seed, uarch=uarch): (block, seed, uarch)
@@ -134,13 +121,7 @@ class TestFusedParity:
         from repro.reporting.export import explanation_to_dict
 
         workload = self._workload(tiny_blocks)
-        with ExplanationService(
-            model="crude",
-            config=fast_config,
-            dispatchers=1,
-            continuous_batching=False,
-            result_cache=False,  # independent oracle, even in CI cache lanes
-        ) as service:
+        with ExplanationService(model="crude", config=fast_config) as service:
             oracle = {
                 (block.key(), seed, uarch): explanation_dict_fingerprint(
                     explanation_to_dict(
@@ -197,11 +178,7 @@ class TestFusedParity:
 
     def test_fleet_requests_fused_match_oracle(self, fast_config, tiny_blocks):
         workload = list(tiny_blocks) + [tiny_blocks[0]]  # include a repeat
-        with ExplanationService(
-            model="crude", config=fast_config, dispatchers=1,
-            continuous_batching=False,
-            result_cache=False,  # independent oracle, even in CI cache lanes
-        ) as service:
+        with ExplanationService(model="crude", config=fast_config) as service:
             oracle = service.explain(workload, seed=11)
         with ExplanationService(
             model="crude", config=fast_config, continuous_batching=True
@@ -255,9 +232,6 @@ class TestFusedQueryAccounting:
                 model="crude",
                 config=FAST_CONFIG,
                 continuous_batching=continuous_batching,
-                # Cache off: a memoized hit would return the stored count
-                # and make this accounting comparison vacuous.
-                result_cache=False,
             ) as service:
                 return service.explain(block, seed=7)[0].num_queries
 
@@ -280,9 +254,6 @@ class TestFusedFaultInjection:
             config=fast_config,
             dispatchers=1,
             continuous_batching=True,
-            # Cache off: the victim must actually *run* long enough to be
-            # cancelled mid-group; ambient warmth could retire it instantly.
-            result_cache=False,
         ) as service:
             victim = service.submit(victim_blocks, seed=0)
             deadline = time.monotonic() + 30
@@ -321,9 +292,6 @@ class TestFusedFaultInjection:
             config=fast_config,
             dispatchers=1,
             continuous_batching=True,
-            # Cache off: the doomed request's deadline must lapse while it
-            # still has work; ambient warmth could finish it first.
-            result_cache=False,
         ) as service:
             doomed = service.submit(
                 list(block_fleet[:10]), seed=0, deadline=0.001
@@ -542,40 +510,6 @@ class TestRunFusedGroupUnit:
 
 
 class TestFusionConfigSurface:
-    def test_env_defaults(self, monkeypatch):
-        from repro.service import FUSED_ENV_VAR, default_continuous_batching
-        from repro.utils.errors import ServiceError
-
-        monkeypatch.delenv(FUSED_ENV_VAR, raising=False)
-        assert default_continuous_batching() is False
-        monkeypatch.setenv(FUSED_ENV_VAR, "1")
-        assert default_continuous_batching() is True
-        monkeypatch.setenv(FUSED_ENV_VAR, "off")
-        assert default_continuous_batching() is False
-        monkeypatch.setenv(FUSED_ENV_VAR, "sideways")
-        with pytest.raises(ServiceError, match="boolean"):
-            default_continuous_batching()
-
-    def test_service_env_threading(self, monkeypatch, tiny_blocks):
-        from repro.service import FUSED_ENV_VAR
-
-        monkeypatch.setenv(FUSED_ENV_VAR, "true")
-        with ExplanationService(model="crude", config=FAST_CONFIG) as service:
-            assert service.continuous_batching is True
-            assert service.max_fused_requests == 8
-            service.explain(tiny_blocks[0], seed=0)
-            assert service.stats().fusion.requests_fused == 1
-
-    def test_explicit_arguments_beat_env(self, monkeypatch):
-        from repro.service import FUSED_ENV_VAR
-
-        monkeypatch.setenv(FUSED_ENV_VAR, "1")
-        with ExplanationService(
-            model="crude", config=FAST_CONFIG, continuous_batching=False
-        ) as service:
-            assert service.continuous_batching is False
-            assert service.stats().fusion.enabled is False
-
     def test_max_fused_requests_validated(self):
         with pytest.raises(ValueError, match="max_fused_requests"):
             ExplanationService(
@@ -619,7 +553,6 @@ class TestFusedWireStats:
             model="crude",
             config=fast_config,
             continuous_batching=True,
-            result_cache=False,  # ticks >= 1 requires real tick work below
         ) as service:
             serve_stream(service, lines, out)
         responses = {r["id"]: r for r in map(json.loads, out.getvalue().splitlines())}

@@ -35,7 +35,6 @@ from repro.utils.errors import (
 )
 
 from tests.conftest import FAST_CONFIG, explanation_dict_fingerprint
-from tests.service.conftest import require_in_process_backend
 
 
 def _probe(server, text="div rcx; add rax, rbx", seed=9):
@@ -287,17 +286,10 @@ def gated_service():
     submitted request runs until its first model query and parks there.
     """
     gate = threading.Event()
-    # The gate Event must stay in-process, so the session is pinned to the
-    # serial backend regardless of REPRO_BACKEND; the guard skips — with the
-    # reason in the report — rather than hanging if that pin ever breaks.
-    backend = require_in_process_backend("serial")
 
     def factory(name, uarch):
-        session = ExplanationSession(_GateModel(gate), FAST_CONFIG, backend=backend)
-        assert not isinstance(session.backend, ProcessBackend), (
-            "gate Event would never open"
-        )
-        return session
+        # Serial: the gate Event must stay in the test's process.
+        return ExplanationSession(_GateModel(gate), FAST_CONFIG, backend="serial")
 
     with ExplanationService(
         model="gated", config=FAST_CONFIG, session_factory=factory, dispatchers=1
@@ -339,18 +331,11 @@ class TestDeadlines:
         gets no session (under ``max_sessions`` pressure a build could evict
         a warm one)."""
         gate = threading.Event()
-        backend = require_in_process_backend("serial")
         built = []
 
         def factory(name, uarch):
             built.append(uarch)
-            session = ExplanationSession(
-                _GateModel(gate), FAST_CONFIG, backend=backend
-            )
-            assert not isinstance(session.backend, ProcessBackend), (
-                "gate Event would never open"
-            )
-            return session
+            return ExplanationSession(_GateModel(gate), FAST_CONFIG, backend="serial")
 
         with ExplanationService(
             model="gated",
@@ -387,18 +372,9 @@ class TestDeadlines:
 
     def test_default_deadline_applies_and_explicit_wins(self, tiny_block):
         gate = threading.Event()
-        # In-process gate — pin and guard the serial backend like
-        # gated_service does.
-        backend = require_in_process_backend("serial")
 
         def factory(name, uarch):
-            session = ExplanationSession(
-                _GateModel(gate), FAST_CONFIG, backend=backend
-            )
-            assert not isinstance(session.backend, ProcessBackend), (
-                "gate Event would never open"
-            )
-            return session
+            return ExplanationSession(_GateModel(gate), FAST_CONFIG, backend="serial")
 
         with ExplanationService(
             model="gated",
@@ -649,11 +625,7 @@ class TestClientResilience:
             RetryPolicy(backoff=-0.1)
 
     def test_result_timeout_raises_service_timeout_error(self):
-        # Memoization off: with REPRO_RESULT_CACHE set, every service in the
-        # run shares one store, and a hit could answer before the 1 µs wait.
-        with ExplanationService(
-            model="crude", config=FAST_CONFIG, result_cache=False
-        ) as service:
+        with ExplanationService(model="crude", config=FAST_CONFIG) as service:
             with SocketServer(service, port=0) as server:
                 with ServiceClient(*server.address) as client:
                     request_id = client.submit("div rcx; add rax, rbx", seed=0)

@@ -19,16 +19,59 @@ from repro.service import ExplanationService
 from tests.conftest import explanation_fingerprint
 
 
+#: The service configurations an answer must not depend on.  Each one is a
+#: named case of the parity tests below, pinned bit for bit against the
+#: direct explainer; a ``result_cache`` entry names a store file that
+#: :func:`_service` opens under the test's ``tmp_path``.
+_PROCESS = {"backend": "process", "workers": 2}
+SERVICE_CONFIGS = {
+    "default": {},
+    "process": _PROCESS,
+    "process-4-dispatchers": {**_PROCESS, "dispatchers": 4},
+    "process-4-dispatchers-fused": {
+        **_PROCESS, "dispatchers": 4, "continuous_batching": True,
+    },
+    "process-result-cache": {**_PROCESS, "result_cache": "results.cache"},
+    "process-result-cache-fused-4-dispatchers": {
+        **_PROCESS,
+        "dispatchers": 4,
+        "continuous_batching": True,
+        "result_cache": "results.cache",
+    },
+}
+
+
+def _service(name, fast_config, tmp_path):
+    options = dict(SERVICE_CONFIGS[name])
+    if "result_cache" in options:
+        options["result_cache"] = tmp_path / options["result_cache"]
+    return ExplanationService(model="crude", config=fast_config, **options)
+
+
+def _assert_configuration_ran(name, stats):
+    """The service's own stats show each configured mechanism at work."""
+    options = SERVICE_CONFIGS[name]
+    assert {s.backend.split()[0] for s in stats.session_stats.values()} == {
+        options.get("backend", "serial")
+    }
+    assert stats.dispatchers == options.get("dispatchers", 1)
+    assert stats.fusion.enabled is options.get("continuous_batching", False)
+    if stats.fusion.enabled:
+        assert stats.fusion.ticks > 0
+    assert (stats.result_cache is not None) is ("result_cache" in options)
+
+
 def _direct(block, seed, fast_config):
     model = CachedCostModel(AnalyticalCostModel("hsw"))
     return CometExplainer(model, fast_config).explain(block, rng=seed)
 
 
 class TestServiceParity:
+    @pytest.mark.parametrize("name", SERVICE_CONFIGS)
     def test_single_block_matches_direct_explainer_bit_for_bit(
-        self, fast_config, tiny_blocks
+        self, fast_config, tiny_blocks, tmp_path, name
     ):
-        with ExplanationService(model="crude", config=fast_config) as service:
+        with _service(name, fast_config, tmp_path) as service:
             for seed, block in enumerate(tiny_blocks):
                 served = service.explain(block, seed=seed)[0]
                 direct = _direct(block, seed, fast_config)
@@ -37,16 +80,31 @@ class TestServiceParity:
                 assert served.prediction == direct.prediction
                 assert served.precision == direct.precision
                 assert served.coverage == direct.coverage
+            _assert_configuration_ran(name, service.stats())
 
-    def test_fleet_request_matches_direct_explain_many(self, fast_config, tiny_blocks):
-        direct = CometExplainer(
-            CachedCostModel(AnalyticalCostModel("hsw")), fast_config
-        ).explain_many(tiny_blocks, rng=9)
-        with ExplanationService(model="crude", config=fast_config) as service:
-            served = service.explain(tiny_blocks, seed=9)
-        assert [explanation_fingerprint(e) for e in served] == [
-            explanation_fingerprint(e) for e in direct
+    @pytest.mark.parametrize("name", SERVICE_CONFIGS)
+    def test_fleet_request_matches_direct_explain_many(
+        self, fast_config, tiny_blocks, tmp_path, name
+    ):
+        fleet = list(tiny_blocks) + [tiny_blocks[0]]  # include a repeat
+        direct = [
+            explanation_fingerprint(e)
+            for e in CometExplainer(
+                CachedCostModel(AnalyticalCostModel("hsw")), fast_config
+            ).explain_many(fleet, rng=9)
         ]
+        with _service(name, fast_config, tmp_path) as service:
+            first = service.explain(fleet, seed=9)
+            cold = service.stats()
+            second = service.explain(fleet, seed=9)
+            warm = service.stats()
+        assert [explanation_fingerprint(e) for e in first] == direct
+        assert [explanation_fingerprint(e) for e in second] == direct
+        _assert_configuration_ran(name, warm)
+        if warm.result_cache is not None:
+            # The second pass is answered from the store, every position.
+            assert cold.result_cache.hits == 0
+            assert warm.result_cache.hits == len(fleet)
 
     @pytest.mark.parametrize("shards", ["auto", 2])
     def test_sharded_fleet_request_matches_unsharded(

@@ -43,6 +43,11 @@ class TestRequestDecoding:
     def test_integer_shards(self):
         assert request_from_dict({"block": "div rcx", "shards": 3}).shards == 3
 
+    @pytest.mark.parametrize("shards", ["lots", "", "2", [2]])
+    def test_invalid_shards_rejected(self, shards):
+        with pytest.raises(ServiceError, match="shards"):
+            request_from_dict({"blocks": ["div rcx", "add rax, rbx"], "shards": shards})
+
     def test_block_and_blocks_together_rejected(self):
         with pytest.raises(ServiceError):
             request_from_dict({"block": "div rcx", "blocks": ["div rcx"]})
@@ -162,6 +167,23 @@ class TestServeStream:
         assert by_id["y"]["status"] == "failed"
         assert "cannot parse" in by_id["y"]["error"]
         assert by_id["ok"]["status"] == "done"
+
+    def test_invalid_shards_fail_in_band_fused_or_not(self, fast_config):
+        # Rejected at admission, so the answer cannot depend on whether the
+        # service would have planned shards (unfused) or ignored them (fused).
+        lines = [
+            '{"id": "bad", "blocks": ["add rax, rbx", "mov rcx, rdx"], "shards": "lots"}',
+            '{"id": "ok", "block": "div rcx"}',
+        ]
+        for fused in (False, True):
+            served, responses = self._serve(
+                lines, fast_config, continuous_batching=fused
+            )
+            by_id = {r["id"]: r for r in responses}
+            assert served == 1
+            assert by_id["bad"]["status"] == "failed"
+            assert "shards" in by_id["bad"]["error"]
+            assert by_id["ok"]["status"] == "done"
 
     def test_multi_block_request_roundtrip(self, fast_config):
         lines = ['{"id": "fleet", "blocks": ["div rcx", "add rax, rbx"], "seed": 2}']

@@ -1,10 +1,9 @@
 """Tests for the warm-session explanation service: lifecycle, queueing,
 session pooling and request semantics.
 
-Tests that inject toy (lambda-backed) models via ``session_factory`` pin the
-session backend to ``serial`` explicitly — lambdas cannot cross a process
-boundary, and the suite must pass under ``REPRO_BACKEND=process`` (CI runs
-it that way).
+Tests that inject toy (lambda-backed) models via ``session_factory`` run
+their sessions on the ``serial`` backend: lambdas cannot cross a process
+boundary.
 """
 
 import threading
@@ -382,31 +381,6 @@ class TestMultiDispatcher:
     def test_invalid_dispatcher_count_rejected(self, fast_config):
         with pytest.raises(ValueError):
             ExplanationService(config=fast_config, dispatchers=0)
-
-    def test_env_default_dispatchers(self, fast_config, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCHERS", "3")
-        instance = ExplanationService(
-            config=fast_config, session_factory=_toy_factory(fast_config)
-        )
-        try:
-            assert instance.dispatchers == 3
-        finally:
-            instance.close()
-        # An explicit argument beats the environment.
-        instance = ExplanationService(
-            config=fast_config, dispatchers=2,
-            session_factory=_toy_factory(fast_config),
-        )
-        try:
-            assert instance.dispatchers == 2
-        finally:
-            instance.close()
-
-    def test_invalid_env_dispatchers_rejected(self, fast_config, monkeypatch):
-        for bad in ("zero", "0", "-2"):
-            monkeypatch.setenv("REPRO_DISPATCHERS", bad)
-            with pytest.raises(ServiceError):
-                ExplanationService(config=fast_config)
 
     def test_distinct_keys_run_concurrently(self, fast_config, tiny_block):
         """Two models in flight at once — the whole point of the fleet."""

@@ -647,7 +647,6 @@ class TestServeCliSocket:
         import sys
 
         env = dict(os.environ, PYTHONPATH="src")
-        env.pop("REPRO_BACKEND", None)  # keep the subprocess serial and fast
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
