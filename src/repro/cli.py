@@ -43,7 +43,7 @@ from repro.perturb.algorithm import BlockPerturber
 from repro.perturb.config import PerturbationConfig
 from repro.perturb.space import space_report
 from repro.reporting.export import explanation_to_json
-from repro.runtime.backend import available_backends
+from repro.runtime.backend import available_backends, resolve_backend
 from repro.service.batching import MAX_FUSED_REQUESTS
 from repro.uarch.microarch import available_microarchitectures
 from repro.utils.errors import ReproError
@@ -97,7 +97,17 @@ def _explainer_config(args: argparse.Namespace) -> ExplainerConfig:
         raise ReproError(f"invalid explainer setting: {error}") from error
 
 
+def _check_backend(args: argparse.Namespace) -> None:
+    """Reject a backend setting that cannot be built before any work
+    starts (``serve`` builds its backends with its first session)."""
+    try:
+        resolve_backend(args.backend, args.workers).close()
+    except ValueError as error:
+        raise ReproError(f"invalid backend setting: {error}") from error
+
+
 def _cmd_explain(args: argparse.Namespace) -> int:
+    _check_backend(args)
     config = _explainer_config(args)
     if args.blocks_file:
         return _cmd_explain_fleet(args, config)
@@ -229,6 +239,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ExplanationService, serve_stream
 
+    _check_backend(args)
     try:
         service = ExplanationService(
             model=args.model,
@@ -456,8 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="dispatcher threads serving the request queue (default: 1); "
         "requests are routed by (model, uarch) key, so seeded results are "
-        "identical at any dispatcher count while distinct models run in "
-        "parallel",
+        "identical at any dispatcher count; dispatchers take turns, and "
+        "distinct models overlap only while one waits on process-backend "
+        "workers",
     )
     serve.add_argument(
         "--continuous-batching",

@@ -10,7 +10,11 @@ cost-model queries) from its *execution substrate*:
   execution backend (background populations live for one search),
 * :mod:`repro.runtime.pool` — :class:`SessionPool`, a leased LRU pool of
   warm sessions keyed by (model, microarch), shared by the explanation
-  service's dispatcher fleet and library callers alike.
+  service's dispatcher fleet and library callers alike,
+* :mod:`repro.runtime.turn` — :class:`ExecutionTurn`, which the
+  service's dispatchers take one at a time through their :class:`Turn`
+  handles, and :func:`blocking`, which gives a turn up for a wait outside
+  the interpreter.
 
 ``ExplanationSession`` and ``SessionPool`` are imported lazily (PEP 562):
 the session layer sits on top of :mod:`repro.explain`, which itself builds
@@ -25,6 +29,7 @@ from repro.runtime.backend import (
     available_backends,
     resolve_backend,
 )
+from repro.runtime.turn import ExecutionTurn, Turn, blocking
 
 __all__ = [
     "BackendSource",
@@ -33,6 +38,9 @@ __all__ = [
     "ProcessBackend",
     "available_backends",
     "resolve_backend",
+    "ExecutionTurn",
+    "Turn",
+    "blocking",
     "ExplanationSession",
     "SessionStats",
     "SessionPool",

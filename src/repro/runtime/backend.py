@@ -34,6 +34,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
+from repro.runtime.turn import blocking
 from repro.utils.errors import BackendError
 
 T = TypeVar("T")
@@ -245,7 +246,10 @@ class ProcessBackend(ExecutionBackend):
         super().__init__()
         if workers is None:
             workers = os.cpu_count() or 1
-        self._workers = max(int(workers), 1)
+        workers = int(workers)
+        if workers < 1:
+            raise ValueError(f"process backend workers must be >= 1, got {workers}")
+        self._workers = workers
         self._pool: Optional[ProcessPoolExecutor] = None
         # Strong reference to the model the pool workers hold resident; also
         # prevents id-reuse confusion if the caller drops their reference.
@@ -319,12 +323,18 @@ class ProcessBackend(ExecutionBackend):
         ``max_restarts`` rebuilds the policy decides: raise a
         :class:`~repro.utils.errors.BackendError` (default — failures stay
         loud) or degrade to ``serial``, the in-process fallback.
+
+        ``run`` waits on the workers and the backoff sleeps, so both give up
+        the caller's execution turn (:func:`~repro.runtime.turn.blocking`):
+        another dispatcher runs its search meanwhile.  The serial fallback
+        keeps the turn.
         """
         policy = self.retry_policy
         attempt = 0
         while True:
             try:
-                return run()
+                with blocking():
+                    return run()
             except BrokenProcessPool as error:
                 # The pool is unusable no matter what happens next; tear it
                 # down so the next attempt (or the next caller) rebuilds.
@@ -343,7 +353,8 @@ class ProcessBackend(ExecutionBackend):
                 with self._stats_lock:
                     self._restarts += 1
                     self._retries += 1
-                time.sleep(policy.delay(attempt))
+                with blocking():
+                    time.sleep(policy.delay(attempt))
                 attempt += 1
 
     def worker_stats(self) -> Dict[str, int]:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.runtime.session import ExplanationSession, SessionStats
+from repro.runtime.turn import blocking
 from repro.utils.errors import BackendError
 
 #: Builds the session serving one (model, microarch) pair.
@@ -165,8 +166,10 @@ class SessionPool:
                     assert hit is not None
                     break
             # Another caller is building this key; wait outside the lock and
-            # retry (the entry vanishes again if that build failed).
-            entry.built.wait()
+            # the execution turn, and retry (the entry vanishes again if that
+            # build failed).
+            with blocking():
+                entry.built.wait()
         if hit is not None:
             for old in evicted_now:
                 old.close()

@@ -12,9 +12,10 @@ drains in-flight work before the backends are released.
 
 Requests are executed by the :class:`~repro.service.scheduler.Scheduler` —
 N dispatcher threads with deterministic per-key affinity routing, work
-stealing, per-key fairness and admission control — so distinct (model,
-microarch) keys execute concurrently while every single request still
-produces the bit-for-bit seeded result of serial submission.
+stealing, per-key fairness, admission control and one execution turn they
+take in order — so distinct (model, microarch) keys take turns, overlapping
+only while a dispatcher waits outside the interpreter, and every single
+request still produces the bit-for-bit seeded result of serial submission.
 
 The JSON-lines wire protocol (the codec in :mod:`repro.service.protocol`) is
 one conversation (:class:`~repro.service.transport.Conversation`) spoken

@@ -11,14 +11,18 @@ with submit/poll/result semantics or the synchronous
 
 Design decisions worth knowing:
 
-* **Key-affine dispatchers.**  The :class:`~repro.service.scheduler.Scheduler`
-  routes every request by its session key — ``(model, microarch)`` — to one
-  home dispatcher and never runs two requests of one key concurrently, so N
-  concurrent clients sharing a warm session get exactly the seeded results
-  serial submission would produce while *distinct* keys execute in parallel.
+* **Key-affine dispatchers that take turns.**  The
+  :class:`~repro.service.scheduler.Scheduler` routes every request by its
+  session key — ``(model, microarch)`` — to one home dispatcher and never
+  runs two requests of one key concurrently, so N concurrent clients
+  sharing a warm session get exactly the seeded results serial submission
+  would produce.  Distinct keys take turns: a dispatcher holds the
+  scheduler's one execution turn while it runs a request, and keys overlap
+  only while a dispatcher blocks outside the interpreter (a process-backend
+  batch, a wait for a session being built), which gives the turn up.
   ``dispatchers=1`` (the default) is the original single-threaded service
-  and stays the behavioral oracle in tests.  Parallelism also lives *inside*
-  a request: each explanation fans its query batches out through the
+  and stays the behavioral oracle in tests.  Parallelism lives *inside* a
+  request: each explanation fans its query batches out through the
   session's backend, and fleet requests additionally shard their block list
   across backend workers (see ``ExplanationSession.explain_many``).
 * **Bounded queue.**  ``max_queue`` caps buffered requests across the whole
@@ -247,9 +251,10 @@ class ExplanationService:
     dispatchers:
         How many dispatcher threads serve the queue.  Requests are routed
         by session key: one key never runs concurrently with itself, so any
-        dispatcher count preserves per-request seeded results bit-for-bit;
-        more dispatchers let distinct (model, uarch) keys execute in
-        parallel.
+        dispatcher count preserves per-request seeded results bit-for-bit.
+        Dispatchers take turns running requests; distinct (model, uarch)
+        keys overlap only while one waits outside the interpreter — on
+        process-backend workers, or for a session being built.
     max_queue:
         Bound on buffered requests (backpressure surface).
     max_sessions:
@@ -603,9 +608,10 @@ class ExplanationService:
     def _execute(self, ticket: _Ticket) -> None:
         """Run one claimed request on a dispatcher thread.
 
-        The scheduler guarantees per-key mutual exclusion, so this request
-        has its session to itself for the duration; the pool lease pins the
-        session against a concurrent eviction triggered by another key.
+        The scheduler guarantees per-key mutual exclusion and holds the
+        execution turn around this call, so this request has its session to
+        itself for the duration; the pool lease pins the session against an
+        eviction triggered by another key while this one blocks.
         With continuous batching on, the claimed request seeds a fused tick
         group that also serves — and keeps absorbing — other outstanding
         requests of the same key (see :mod:`repro.service.batching`).

@@ -272,6 +272,7 @@ def stats_to_dict(
                     "executed": d.executed,
                     "stolen": d.stolen,
                     "busy": d.busy,
+                    "turn_wait_s": round(d.turn_wait_s, 6),
                 }
                 for d in stats.dispatcher_stats
             ],

@@ -1,16 +1,25 @@
 """The multi-dispatcher scheduler behind the explanation service.
 
 One dispatcher thread was the service's original concurrency story: strict
-submission order on one thread made determinism trivial and throughput
-single-core.  This module scales the *serving* path without giving up the
-determinism contract, by making the session key — ``(model, microarch)`` —
-the unit of both routing and mutual exclusion:
+submission order on one thread made determinism trivial.  This module runs
+N dispatchers without giving up the determinism contract, by making the
+session key — ``(model, microarch)`` — the unit of both routing and mutual
+exclusion, while the dispatchers take turns at the interpreter:
 
 * **Partitioned affinity routing.**  Every key has a *home* dispatcher,
   chosen by a stable hash (CRC-32 of the key, reproducible across runs and
   processes).  New work for a key is queued under the key and the key is
   made ready on its home dispatcher's list, so one hot key always executes
   on one thread while distinct keys spread across dispatchers.
+* **One execution turn.**  Dispatchers take turns: each holds the
+  scheduler's one :class:`~repro.runtime.turn.ExecutionTurn` while it
+  executes a claimed item (one request, or the fused group it seeds), so
+  at most one dispatcher runs in-process search work at a time.  The
+  search is pure Python, so two dispatchers running it at once only trade
+  the interpreter lock — the same work at a higher cost per unit.  Keys
+  overlap only while a dispatcher blocks outside the interpreter inside
+  :func:`~repro.runtime.turn.blocking` (a process-backend batch, a wait
+  for a session being built), which gives its turn up meanwhile.
 * **Per-key mutual exclusion.**  A key is *ready* (claimable) only while no
   request of that key is in flight; claiming a key takes exactly one queued
   request and marks the key in flight until that request finishes.  Two
@@ -37,7 +46,13 @@ the unit of both routing and mutual exclusion:
 * **Per-key fairness.**  A claim takes one request, then the key goes to
   the back of its home dispatcher's ready list.  Keys round-robin: a hot
   model with a deep backlog cannot starve other models routed to the same
-  dispatcher.
+  dispatcher.  Across dispatchers, each holds at most one claimed item
+  while it waits for the turn, and the turn goes to waiting dispatchers
+  in the order they asked for it, so a claimed item waits behind at most
+  one execution per other dispatcher and backlogged keys alternate as on
+  a single dispatcher.  (A plain lock let the releasing dispatcher take
+  the turn straight back: with short items, one key's whole backlog ran
+  first.)
 * **Admission control.**  One global bound caps queued-but-unclaimed work
   across all dispatchers.  Blocking submits wait for space (backpressure),
   non-blocking ones raise :class:`~repro.utils.errors.QueueFullError`.
@@ -57,6 +72,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
+from repro.runtime.turn import ExecutionTurn, Turn
 from repro.utils.errors import QueueFullError, ServiceClosedError
 
 
@@ -84,10 +100,15 @@ class DispatcherStats:
     executed: int
     stolen: int
     busy: bool
+    #: Seconds spent waiting for the execution turn (see :class:`Scheduler`).
+    turn_wait_s: float = 0.0
 
     def describe(self) -> str:
         state = "busy" if self.busy else "idle"
-        return f"dispatcher {self.index}: {self.executed} executed ({self.stolen} stolen), {state}"
+        return (
+            f"dispatcher {self.index}: {self.executed} executed "
+            f"({self.stolen} stolen, {self.turn_wait_s:.3f} s turn wait), {state}"
+        )
 
 
 @dataclass(frozen=True)
@@ -123,9 +144,10 @@ class Scheduler:
     Parameters
     ----------
     execute:
-        Called (on a dispatcher thread) with each claimed item.  Items of
-        one key are executed one at a time, FIFO; distinct keys execute
-        concurrently.
+        Called (on a dispatcher thread, holding the execution turn) with
+        each claimed item.  Items of one key are executed one at a time,
+        FIFO; distinct keys take turns, and overlap only while an execution
+        waits inside :func:`~repro.runtime.turn.blocking`.
     dispatchers:
         Worker thread count.  ``1`` reproduces the single-dispatcher
         service exactly (modulo cross-key fairness, which cannot change
@@ -163,6 +185,9 @@ class Scheduler:
         self._stolen = [0] * dispatchers
         self._busy = [False] * dispatchers
         self._absorbed = 0
+        #: One execution turn, shared by every dispatcher's handle.
+        turn = ExecutionTurn()
+        self._turns = [Turn(turn) for _ in range(dispatchers)]
         self._stop = False
         self._threads = [
             threading.Thread(
@@ -341,7 +366,8 @@ class Scheduler:
                 self._busy[me] = True
             key, state, item = claimed
             try:
-                self._execute(item)
+                with self._turns[me]:
+                    self._execute(item)
             finally:
                 with self._lock:
                     self._busy[me] = False
@@ -414,6 +440,7 @@ class Scheduler:
                         executed=self._executed[index],
                         stolen=self._stolen[index],
                         busy=self._busy[index],
+                        turn_wait_s=self._turns[index].waited,
                     )
                     for index in range(self.dispatchers)
                 ),

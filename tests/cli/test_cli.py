@@ -227,6 +227,21 @@ class TestExplain:
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--model", "crude", "--block", "div rcx"],
+            ["serve", "--model", "crude"],
+        ],
+        ids=["explain", "serve"],
+    )
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_process_workers_below_one_is_a_cli_error(self, capsys, argv, workers):
+        assert main(argv + ["--backend", "process", "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid backend setting:") and "workers" in err
+        assert "Traceback" not in err
+
 
 class TestExplainFleet:
     _FAST = [

@@ -1,6 +1,9 @@
 """Tests for the execution backends (the runtime's substrate layer)."""
 
+import os
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -14,11 +17,22 @@ from repro.runtime.backend import (
     available_backends,
     resolve_backend,
 )
+from repro.runtime.turn import ExecutionTurn, Turn
 from repro.utils.errors import BackendError
 
 
 def _square(x):
     return x * x
+
+
+def _wait_for_path(path):
+    """Worker task: wait (up to 30 s) until ``path`` exists."""
+    deadline = time.monotonic() + 30
+    while not os.path.exists(path):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 @pytest.fixture
@@ -86,9 +100,14 @@ class TestIntrospection:
         assert SerialBackend().workers == 1
         assert ProcessBackend(2).workers == 2
 
-    def test_zero_workers_means_sequential(self):
-        # An explicit 0 asks for no parallelism, not for the machine default.
-        assert ProcessBackend(0).workers == 1
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_workers_below_one_rejected(self, workers):
+        # Neither the machine default nor one worker: an impossible count
+        # is an error, as every other out-of-range setting is.
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ProcessBackend(workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            resolve_backend("process", workers)
 
     def test_describe_names_the_backend(self):
         assert "process" in ProcessBackend(2).describe()
@@ -217,3 +236,24 @@ class TestModelBackendIntegration:
             assert model.execution_backend is configured
         assert not configured.closed
         model.close()
+
+
+class TestExecutionTurn:
+    def test_process_batch_gives_up_the_turn(self, tmp_path):
+        """A batch issued by a turn holder releases the turn while the
+        workers run: the workers wait for a file that only another turn
+        holder creates, so without the release they time out instead."""
+        shared = ExecutionTurn()
+        path = tmp_path / "created-by-the-other-turn"
+
+        def take_turn_and_create():
+            with Turn(shared):
+                path.touch()
+
+        thread = threading.Thread(target=take_turn_and_create)
+        with ProcessBackend(2) as backend:
+            with Turn(shared):
+                thread.start()
+                assert backend.map_batch(_wait_for_path, [str(path)] * 2) == [True, True]
+        thread.join(timeout=30)
+        assert not thread.is_alive()

@@ -211,6 +211,7 @@ class TestServeStream:
         assert stats["served"] >= 1
         assert stats["dispatchers"] == 2
         assert len(stats["dispatcher_stats"]) == 2
+        assert all(d["turn_wait_s"] >= 0.0 for d in stats["dispatcher_stats"])
         assert stats["pool"]["sessions"] == 1
         assert stats["sessions"] == [["crude", "hsw"]]
 

@@ -23,6 +23,7 @@ from repro.service import (
     HashRing,
     Router,
     SocketServer,
+    aggregate_node_stats,
     parse_nodes,
     route_stream,
     routing_key,
@@ -252,6 +253,26 @@ class TestRouterParity:
         assert cache["hits"] >= 2
         assert cache["hit_rate"] > 0
         assert len(cache["path"]) >= 1
+
+
+class TestAggregateNodeStats:
+    def test_turn_waits_sum_across_nodes_and_dispatchers(self):
+        def node(*waits):
+            return {
+                "served": 1,
+                "dispatcher_stats": [
+                    {"index": index, "executed": 1, "stolen": 0, "busy": False,
+                     "turn_wait_s": wait}
+                    for index, wait in enumerate(waits)
+                ],
+            }
+
+        merged = aggregate_node_stats(
+            {"a:1": node(0.25, 0.5), "b:2": node(1.0), "c:3": {"served": 0}}
+        )
+        assert merged["turn_wait_s"] == 1.75
+        assert merged["served"] == 2
+        assert merged["per_node"]["a:1"]["dispatcher_stats"][1]["turn_wait_s"] == 0.5
 
 
 class TestRouteStream:

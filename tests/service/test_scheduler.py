@@ -3,12 +3,14 @@ work stealing, fairness and admission control, tested with synthetic items
 (no explanation machinery) so the concurrency invariants are visible.
 """
 
+import sys
 import threading
 import time
 from collections import defaultdict
 
 import pytest
 
+from repro.runtime.turn import blocking
 from repro.service.scheduler import Scheduler
 from repro.utils.errors import QueueFullError, ServiceClosedError
 
@@ -148,6 +150,106 @@ class TestFairness:
         # Round-robin: the cold key is served within a couple of hot items,
         # not behind the whole backlog.
         assert cold_position <= 3, finish_order[:10]
+
+
+def _keys_homed_apart(scheduler, count):
+    """``count`` keys whose home dispatchers are 0, 1, ... in order."""
+    keys = []
+    for index in range(1000):
+        key = f"k{index}"
+        if scheduler.home(key) == len(keys):
+            keys.append(key)
+            if len(keys) == count:
+                return keys
+    raise AssertionError("no keys found for every dispatcher")
+
+
+class TestExecutionTurn:
+    """Dispatchers take one execution turn: at most one runs an item at a
+    time, except while it waits inside ``blocking()``."""
+
+    def test_four_dispatchers_never_execute_at_once(self):
+        lock = threading.Lock()
+        inside = [0]
+        most = [0]
+
+        def executor(item):
+            with lock:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+            time.sleep(0.002)  # drops the interpreter lock, keeps the turn
+            with lock:
+                inside[0] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        scheduler = Scheduler(executor, dispatchers=4, max_queue=256)
+        try:
+            for index in range(48):
+                _submit(scheduler, f"key-{index % 8}", index)
+            assert scheduler.drain(timeout=60)
+            stats = scheduler.stats()
+        finally:
+            scheduler.close()
+            sys.setswitchinterval(interval)
+        assert most[0] == 1
+        assert sum(d.executed for d in stats.dispatcher_stats) == 48
+        assert sum(d.turn_wait_s for d in stats.dispatcher_stats) > 0.0
+
+    def test_distinct_keys_meet_inside_blocking(self):
+        """Two items of distinct keys each wait for the other inside
+        ``blocking()``: both reach the barrier, so neither holds the turn
+        while it waits (a held turn would break the barrier on timeout)."""
+        barrier = threading.Barrier(2, timeout=10)
+        outcomes = []
+
+        def executor(item):
+            key, _ = item
+            with blocking():
+                try:
+                    barrier.wait()
+                    outcomes.append((key, "met"))
+                except threading.BrokenBarrierError:
+                    outcomes.append((key, "broken"))
+
+        scheduler = Scheduler(executor, dispatchers=2, max_queue=16)
+        try:
+            first, second = _keys_homed_apart(scheduler, 2)
+            _submit(scheduler, first, 0)
+            _submit(scheduler, second, 0)
+            assert scheduler.drain(timeout=30)
+        finally:
+            scheduler.close()
+        assert sorted(outcomes) == sorted([(first, "met"), (second, "met")])
+
+    def test_waiting_keys_alternate(self):
+        """The turn goes to waiting dispatchers in the order they asked, so
+        two backlogged keys alternate as on one dispatcher, instead of the
+        releasing dispatcher taking the turn straight back."""
+        gate = threading.Event()
+        order = []
+
+        def executor(item):
+            gate.wait(timeout=30)
+            order.append(item[0])
+
+        scheduler = Scheduler(executor, dispatchers=2, max_queue=64)
+        try:
+            first, second = _keys_homed_apart(scheduler, 2)
+            for index in range(10):
+                _submit(scheduler, first, index)
+                _submit(scheduler, second, index)
+            deadline = time.monotonic() + 10
+            while scheduler.stats().in_flight != 2:  # one runs, one waits
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            time.sleep(0.05)  # let the claimer queue for the turn
+            gate.set()
+            assert scheduler.drain(timeout=30)
+        finally:
+            gate.set()
+            scheduler.close()
+        assert all(a != b for a, b in zip(order, order[1:])), order
 
 
 class TestAdmissionControl:

@@ -14,6 +14,7 @@ import pytest
 from repro.bb.block import BasicBlock
 from repro.models.base import CachedCostModel, CallableCostModel
 from repro.runtime.session import ExplanationSession
+from repro.runtime.turn import blocking
 from repro.service import ExplanationRequest, ExplanationService, RequestStatus
 from repro.utils.errors import (
     QueueFullError,
@@ -24,17 +25,25 @@ from repro.utils.errors import (
 from tests.conftest import FAST_CONFIG
 
 
-def _toy_factory(fast_config, *, gate: "threading.Event" = None, built=None):
+def _toy_factory(
+    fast_config, *, gate: "threading.Event" = None, built=None, release_turn=False
+):
     """A session factory over a cheap in-process model.
 
     ``gate``, when given, makes every prediction wait — the dispatcher then
     blocks mid-request, which is how the queueing tests create a backlog.
-    ``built`` collects one entry per factory call, for session-reuse tests.
+    With ``release_turn`` the wait gives up the dispatcher's execution turn,
+    as a wait on process-backend workers does.  ``built`` collects one
+    entry per factory call, for session-reuse tests.
     """
 
     def predict(block):
         if gate is not None:
-            gate.wait(timeout=30)
+            if release_turn:
+                with blocking():
+                    gate.wait(timeout=30)
+            else:
+                gate.wait(timeout=30)
         return float(block.num_instructions)
 
     def factory(model_name, uarch):
@@ -382,13 +391,45 @@ class TestMultiDispatcher:
         with pytest.raises(ValueError):
             ExplanationService(config=fast_config, dispatchers=0)
 
-    def test_distinct_keys_run_concurrently(self, fast_config, tiny_block):
-        """Two models in flight at once — the whole point of the fleet."""
+    def test_distinct_keys_take_turns(self, fast_config, tiny_block):
+        """Two models claimed at once, but only one runs: the other waits
+        for the execution turn, still queued, and counts the wait."""
         gate = threading.Event()
         instance = ExplanationService(
             config=fast_config,
             dispatchers=2,
             session_factory=_toy_factory(fast_config, gate=gate),
+        )
+        try:
+            first = instance.submit(tiny_block, model="a", seed=0)
+            second = instance.submit(tiny_block, model="b", seed=0)
+            deadline = time.monotonic() + 30
+            while not (
+                instance.stats().in_flight == 2
+                and RequestStatus.RUNNING
+                in (instance.poll(first), instance.poll(second))
+            ):
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            # Give the claimed second key every chance to misbehave.
+            time.sleep(0.1)
+            statuses = {instance.poll(first), instance.poll(second)}
+            assert statuses == {RequestStatus.RUNNING, RequestStatus.QUEUED}
+        finally:
+            gate.set()
+            instance.close()
+        stats = instance.stats()
+        assert stats.served == 2
+        assert sum(d.turn_wait_s for d in stats.dispatcher_stats) > 0.0
+
+    def test_distinct_keys_overlap_while_blocking(self, fast_config, tiny_block):
+        """Two models in flight at once while their model waits outside
+        the interpreter — the overlap a fleet of dispatchers buys."""
+        gate = threading.Event()
+        instance = ExplanationService(
+            config=fast_config,
+            dispatchers=2,
+            session_factory=_toy_factory(fast_config, gate=gate, release_turn=True),
         )
         try:
             first = instance.submit(tiny_block, model="a", seed=0)

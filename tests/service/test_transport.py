@@ -531,7 +531,8 @@ class TestServerLimits:
     def test_op_flood_past_pending_cap_hangs_up(self, fast_config):
         """Ops bypass the service queue, so the per-connection pending cap
         is what bounds a stats/error pipelining flood.  The writer is
-        pinned behind a gated explanation so the flood cannot drain."""
+        pinned behind a gated explanation until the reader has hung up, so
+        the flood cannot drain meanwhile."""
         gate = threading.Event()
         service = TestClientDeadlinesAndFailures._gated_service(gate)
         server = SocketServer(service, port=0, max_pending_responses=8)
@@ -546,6 +547,12 @@ class TestServerLimits:
                 time.sleep(0.01)
             for _ in range(64):  # well past the cap of 8
                 sock.sendall(b'{"op": "stats"}\n')
+            # Opening the gate earlier lets the writer drain stats answers
+            # while the reader still reads, so it reads past the cap.
+            reader = "repro-socket-{}:{}-reader".format(*sock.getsockname()[:2])
+            while any(t.name == reader for t in threading.enumerate()):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             gate.set()  # release the writer; it drains what was accepted
             answered = 0
             while lines.readline():
