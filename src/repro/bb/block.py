@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bb.dependencies import Dependency, find_dependencies
@@ -19,6 +18,7 @@ from repro.isa.instructions import Instruction
 from repro.isa.parser import parse_block_text
 from repro.isa.validation import validate_block_instructions
 from repro.utils.errors import ValidationError
+from repro.utils.memo import memoized_property
 
 _EMPTY_BLOCK = "a basic block must contain at least one instruction"
 
@@ -111,17 +111,17 @@ class BasicBlock:
     def __getitem__(self, index: int) -> Instruction:
         return self.instructions[index]
 
-    @cached_property
+    @memoized_property
     def text(self) -> str:
         """The block formatted back to Intel syntax, one instruction per line."""
         return format_block_lines(self.instructions)
 
-    @cached_property
+    @memoized_property
     def dependencies(self) -> Tuple[Dependency, ...]:
         """All data-dependency hazards of this block."""
         return tuple(find_dependencies(self.instructions))
 
-    @cached_property
+    @memoized_property
     def category(self) -> BlockCategory:
         """The BHive-style category of this block."""
         return classify_block(self)

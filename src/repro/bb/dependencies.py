@@ -16,7 +16,8 @@ Modelling choices (documented because they shape the feature space):
   flags, so including them would connect nearly every instruction pair and
   drown the meaningful dependencies (hardware renames flags anyway).
 * Stack-pointer hazards from ``push``/``pop`` are ignored for the same reason
-  (the stack engine renames ``rsp`` updates).
+  (the stack engine renames ``rsp`` updates).  The excluded register roots
+  are :data:`repro.isa.instructions.UNTRACKED_ROOTS`.
 * Only the *nearest* hazard is reported: for RAW the reader depends on the
   last writer of the location; earlier writers are shadowed.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.isa.instructions import Instruction, Location
 
@@ -76,36 +77,42 @@ class Dependency:
         return f"{self.kind.value}({self.source}→{self.destination} over {loc_text})"
 
 
-#: Locations excluded from hazard detection (see module docstring).
-_IGNORED_ROOTS = {"rflags", "rsp", "rip"}
+#: One hazard: ``(source, destination, kind, location)``.
+Hazard = Tuple[int, int, DependencyKind, Location]
+
+#: What the coverage index matches a dependency feature against:
+#: ``(kind, location space, source mnemonic, destination mnemonic)``.
+DependencySignature = Tuple[DependencyKind, str, str, str]
 
 
-def _tracked(location: Location) -> bool:
-    space, payload = location
-    if space == "flags":
-        return False
-    if space == "reg" and payload in _IGNORED_ROOTS:
-        return False
-    return True
+def _hazards(instructions: Sequence[Instruction]) -> Iterator[Hazard]:
+    """Every nearest hazard, in scan order, possibly more than once.
 
-
-def _tracked_accesses(
-    instruction: Instruction,
-) -> Tuple[Tuple[Location, ...], Tuple[Location, ...]]:
-    """The instruction's hazard-tracked ``(reads, writes)``, memoised.
-
-    Perturbed blocks share :class:`Instruction` instances heavily (opcode
-    replacements and renames are cached objects), and both the dependency
-    scan and the batched analytical model re-filter the same read/write sets
-    thousands of times per explanation; caching the filtered tuples on the
-    instance makes the filter a dict lookup after the first visit.
+    Reads the hazard-tracked accesses each instruction memoises
+    (:attr:`~repro.isa.instructions.Instruction.tracked_accesses`: no flags,
+    ``rsp`` or ``rip``).  Every writer and reader recorded so far precedes
+    the instruction being scanned, so ``source < destination`` always.
     """
-    cached = instruction.__dict__.get("_tracked_accesses")
-    if cached is None:
-        reads = tuple(loc for loc in instruction.reads if _tracked(loc))
-        writes = tuple(loc for loc in instruction.writes if _tracked(loc))
-        cached = instruction.__dict__["_tracked_accesses"] = (reads, writes)
-    return cached
+    last_writer: Dict[Location, int] = {}
+    readers_since_write: Dict[Location, Set[int]] = {}
+    for index, instruction in enumerate(instructions):
+        reads, writes = instruction.tracked_accesses
+        for loc in reads:
+            writer = last_writer.get(loc)
+            if writer is not None:
+                yield writer, index, DependencyKind.RAW, loc
+        for loc in writes:
+            writer = last_writer.get(loc)
+            if writer is not None:
+                yield writer, index, DependencyKind.WAW, loc
+            for reader in readers_since_write.get(loc, ()):
+                yield reader, index, DependencyKind.WAR, loc
+
+        for loc in reads:
+            readers_since_write.setdefault(loc, set()).add(index)
+        for loc in writes:
+            last_writer[loc] = index
+            readers_since_write[loc] = set()
 
 
 def find_dependencies(instructions: Sequence[Instruction]) -> List[Dependency]:
@@ -115,38 +122,26 @@ def find_dependencies(instructions: Sequence[Instruction]) -> List[Dependency]:
     instruction pair; each is reported separately, matching the multigraph
     construction of Section 5.1.
     """
-    last_writer: Dict[Location, int] = {}
-    readers_since_write: Dict[Location, Set[int]] = {}
+    seen: Set[Hazard] = set()
     dependencies: List[Dependency] = []
-    seen: Set[Tuple[int, int, DependencyKind, Location]] = set()
-
-    def emit(src: int, dst: int, kind: DependencyKind, loc: Location) -> None:
-        key = (src, dst, kind, loc)
-        if src < dst and key not in seen:
-            seen.add(key)
-            dependencies.append(Dependency(src, dst, kind, loc))
-
-    for index, instruction in enumerate(instructions):
-        reads, writes = _tracked_accesses(instruction)
-
-        for loc in reads:
-            if loc in last_writer:
-                emit(last_writer[loc], index, DependencyKind.RAW, loc)
-        for loc in writes:
-            if loc in last_writer:
-                emit(last_writer[loc], index, DependencyKind.WAW, loc)
-            for reader in readers_since_write.get(loc, ()):  # WAR hazards
-                if reader != index:
-                    emit(reader, index, DependencyKind.WAR, loc)
-
-        for loc in reads:
-            readers_since_write.setdefault(loc, set()).add(index)
-        for loc in writes:
-            last_writer[loc] = index
-            readers_since_write[loc] = set()
-
+    for hazard in _hazards(instructions):
+        if hazard not in seen:
+            seen.add(hazard)
+            dependencies.append(Dependency(*hazard))
     dependencies.sort(key=lambda d: (d.source, d.destination, d.kind.value, str(d.location)))
     return dependencies
+
+
+def dependency_signatures(
+    instructions: Sequence[Instruction],
+) -> FrozenSet[DependencySignature]:
+    """The :data:`DependencySignature` of every hazard :func:`find_dependencies`
+    reports, from the same scan, without building or sorting
+    :class:`Dependency` objects."""
+    return frozenset(
+        (kind, location[0], instructions[source].mnemonic, instructions[destination].mnemonic)
+        for source, destination, kind, location in _hazards(instructions)
+    )
 
 
 def dependencies_between(

@@ -638,6 +638,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every command with a --seed seeds numpy, which rejects a negative
+        # seed only once the work has started, with a traceback.
+        if getattr(args, "seed", 0) < 0:
+            raise ReproError(f"invalid seed {args.seed}: seeds are non-negative integers")
         return args.func(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

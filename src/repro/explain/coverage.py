@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.bb.block import BasicBlock
+from repro.bb.dependencies import dependency_signatures
 from repro.bb.features import (
     DependencyFeature,
     Feature,
@@ -79,17 +80,9 @@ class CoverageEstimator:
             self._instruction_sets.append(
                 frozenset(inst.key() for inst in block)
             )
-            self._dependency_sets.append(
-                frozenset(
-                    (
-                        dep.kind,
-                        dep.location_space,
-                        block[dep.source].mnemonic,
-                        block[dep.destination].mnemonic,
-                    )
-                    for dep in block.dependencies
-                )
-            )
+            # The hazard signatures straight from the dependency scan: the
+            # index needs no Dependency objects, and no order.
+            self._dependency_sets.append(dependency_signatures(block.instructions))
         self._counts = np.array(
             [block.num_instructions for block in population], dtype=np.int64
         )

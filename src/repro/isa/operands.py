@@ -7,7 +7,7 @@ perturbed blocks independent of the original block object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import FrozenSet, Optional, Tuple
 
@@ -123,8 +123,21 @@ class MemoryOperand(Operand):
         )
 
     def with_fields(self, **changes) -> "MemoryOperand":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
+        """Return a copy with the given fields replaced.
+
+        Γ renames address registers and shifts displacements through here,
+        so the copy fills its instance dict directly instead of going
+        through :func:`dataclasses.replace`, then runs the same checks.
+        """
+        copy = object.__new__(MemoryOperand)
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        for name, value in changes.items():
+            if name not in fields:
+                raise TypeError(f"MemoryOperand has no field {name!r}")
+            fields[name] = value
+        copy.__post_init__()
+        return copy
 
 
 @dataclass(frozen=True, repr=False)

@@ -25,14 +25,14 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bb.block import BasicBlock
-from repro.bb.dependencies import Dependency, DependencyKind, _tracked_accesses
+from repro.bb.dependencies import Dependency, DependencyKind
 from repro.bb.features import (
     DependencyFeature,
     Feature,
     InstructionFeature,
     NumInstructionsFeature,
 )
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Instruction, declare_shape_memo
 from repro.models.base import CostModel
 from repro.uarch.microarch import get_microarch
 from repro.uarch.tables import instruction_cost_for
@@ -54,8 +54,16 @@ class AnalyticalCostModel(CostModel):
         # Perturbed blocks share Instruction instances (replacements and
         # renames are cached objects), so the cost is additionally memoised
         # on the instance itself under a per-uarch attribute — the batch
-        # loop then pays one dict lookup per instruction visit.
+        # loop then pays one dict lookup per instruction visit.  The cost
+        # depends only on the instruction's shape, so same-shape rewrites
+        # (renames, displacement shifts) carry it.
         self._cost_attr = f"_cost_{self.microarch.short_name}"
+        declare_shape_memo(self._cost_attr)
+
+    def __setstate__(self, state: dict) -> None:
+        # A model unpickled into a backend worker skips ``__init__``.
+        super().__setstate__(state)
+        declare_shape_memo(self._cost_attr)
 
     # -------------------------------------------------------- cost functions
 
@@ -125,10 +133,7 @@ class AnalyticalCostModel(CostModel):
                 costs.append(cost)
                 if cost > best:
                     best = cost
-                accesses = instruction.__dict__.get("_tracked_accesses")
-                if accesses is None:
-                    accesses = _tracked_accesses(instruction)
-                reads, writes = accesses
+                reads, writes = instruction.tracked_accesses
                 for loc in reads:
                     source = last_writer_get(loc)
                     if source is not None:

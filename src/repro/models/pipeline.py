@@ -76,19 +76,6 @@ class SimulationResult:
         return max(bounds, key=lambda k: bounds[k])
 
 
-#: Ignored for scheduling: flags and stack-pointer updates are renamed away.
-_UNTRACKED_ROOTS = {"rflags", "rsp", "rip"}
-
-
-def _tracked(location: Location) -> bool:
-    space, payload = location
-    if space == "flags":
-        return False
-    if space == "reg" and payload in _UNTRACKED_ROOTS:
-        return False
-    return True
-
-
 def _is_reg_move(instruction: Instruction) -> bool:
     return (
         instruction.mnemonic in ("mov", "movaps", "movups", "movdqa", "vmovaps", "vmovups")
@@ -254,8 +241,9 @@ class PipelineSimulator:
             breaks_dependency = True
         elif self.config.move_elimination and _is_reg_move(instruction):
             eliminated = True
-        reads = tuple(loc for loc in instruction.reads if _tracked(loc))
-        writes = tuple(loc for loc in instruction.writes if _tracked(loc))
+        # Flags and stack-pointer updates are renamed away: schedule over
+        # the hazard-tracked accesses only.
+        reads, writes = instruction.tracked_accesses
         return _StaticInstruction(
             instruction=instruction,
             cost=cost,

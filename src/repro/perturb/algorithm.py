@@ -625,29 +625,6 @@ class BlockPerturber:
         return None
 
     @staticmethod
-    def _seed_derived(source: Instruction, fresh: Instruction) -> None:
-        """Copy shape-invariant derived attributes onto an operand rewrite.
-
-        Register renames and memory-displacement shifts preserve the mnemonic
-        and every operand's ``(type, kind, size)`` shape (renames are
-        width-preserving within a register class), so the source instruction's
-        memory-access flags, validity memo and per-uarch cost memos hold
-        verbatim for the rewritten instance.  ``reads``/``writes`` are *not*
-        copied — they name concrete registers and memory address keys, which
-        the rewrite changes.  Seeding them here spares the cost model and the
-        validator a cold cached-property storm on every fresh rename (chained
-        renames defeat the rename cache, so fresh instances are common).
-        """
-        source_dict = source.__dict__
-        fresh_dict = fresh.__dict__
-        for name in ("loads_memory", "stores_memory", "_is_valid"):
-            if name in source_dict and name not in fresh_dict:
-                fresh_dict[name] = source_dict[name]
-        for name, value in source_dict.items():
-            if name.startswith("_cost_") and name not in fresh_dict:
-                fresh_dict[name] = value
-
-    @staticmethod
     def _flip_rows(
         rng: np.random.Generator, rows: int, cols: int, probability: float
     ) -> List[List[bool]]:
@@ -851,7 +828,6 @@ class BlockPerturber:
                     renamed = rename_register_in_instruction(
                         instruction, root, new_register
                     )
-                    self._seed_derived(instruction, renamed)
                     self._rename_result_cache[cache_key] = renamed
                 working[endpoint] = renamed
                 marks = affected.get(endpoint)
@@ -876,8 +852,8 @@ class BlockPerturber:
                             displacement=memory.displacement
                             + _MEMORY_DELTAS[delta_index]
                         ),
+                        same_shape=True,
                     )
-                    self._seed_derived(instruction, variant)
                     self._mem_variant_cache[cache_key] = variant
                 working[endpoint] = variant
             rewritten.append(endpoint)
@@ -1028,7 +1004,9 @@ class BlockPerturber:
                     continue
                 new_memory = perturb_memory_displacement(rng, memory)
                 position = instruction.operands.index(memory)
-                working[endpoint] = instruction.with_operand(position, new_memory)
+                working[endpoint] = instruction.with_operand(
+                    position, new_memory, same_shape=True
+                )
                 return
 
     @staticmethod
@@ -1141,7 +1119,6 @@ class BlockPerturber:
                     renamed = rename_register_in_instruction(
                         instruction, root, new_register
                     )
-                    self._seed_derived(instruction, renamed)
                     self._rename_result_cache[cache_key] = renamed
                 working[endpoint] = renamed
                 return endpoint
@@ -1153,9 +1130,9 @@ class BlockPerturber:
                     continue
                 new_memory = perturb_memory_displacement(rng, memory)
                 position = instruction.operands.index(memory)
-                shifted = instruction.with_operand(position, new_memory)
-                self._seed_derived(instruction, shifted)
-                working[endpoint] = shifted
+                working[endpoint] = instruction.with_operand(
+                    position, new_memory, same_shape=True
+                )
                 return endpoint
 
     @staticmethod

@@ -129,11 +129,19 @@ def rename_register_in_instruction(
     Register operands keep their width: renaming ``ecx`` to the ``rbx`` family
     yields ``ebx``.  Memory base/index registers are renamed to the 64-bit
     member of the new family (addresses are always 64-bit in our blocks).
+    A width-preserving rename keeps every operand's shape, so the copy
+    shares the instruction's shape memos (see
+    :meth:`~repro.isa.instructions.Instruction.with_operands`).
     """
+    reshaped = False
 
     def family_member(width: int) -> Register:
+        nonlocal reshaped
         member = _family_member(new_register.root, width)
-        return member if member is not None else new_register
+        if member is None:
+            reshaped = True
+            return new_register
+        return member
 
     new_operands: List[Operand] = []
     for operand in instruction.operands:
@@ -155,7 +163,7 @@ def rename_register_in_instruction(
                 new_operands.append(operand)
         else:
             new_operands.append(operand)
-    return instruction.with_operands(tuple(new_operands))
+    return instruction.with_operands(new_operands, same_shape=not reshaped)
 
 
 def perturb_memory_displacement(

@@ -128,6 +128,10 @@ class ExplanationRequest:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ServiceError("an explanation request needs at least one block")
+        if self.seed < 0:
+            raise ServiceError(
+                f"request seed must be a non-negative integer, got {self.seed!r}"
+            )
         if self.deadline is not None and self.deadline <= 0:
             raise ServiceError(
                 f"request deadline must be positive seconds, got {self.deadline!r}"

@@ -1,16 +1,21 @@
 """Tests for data-dependency (hazard) detection."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bb.block import BasicBlock
 from repro.bb.dependencies import (
     Dependency,
     DependencyKind,
     dependencies_between,
+    dependency_signatures,
     find_dependencies,
     true_dependency_chains,
 )
+from repro.data.synthesis import BlockSynthesizer
 from repro.isa.parser import parse_block_text
+from repro.perturb.algorithm import BlockPerturber
 
 
 def deps_of(text):
@@ -151,3 +156,43 @@ class TestChains:
     def test_no_chains_for_independent_block(self):
         instructions = parse_block_text("add rax, rbx\nadd rcx, rdx")
         assert true_dependency_chains(instructions, find_dependencies(instructions)) == []
+
+
+def _signatures_of(instructions):
+    return frozenset(
+        (dep.kind, dep.location_space, instructions[dep.source].mnemonic,
+         instructions[dep.destination].mnemonic)
+        for dep in find_dependencies(instructions)
+    )
+
+
+class TestSignatureScan:
+    """``dependency_signatures`` is the coverage index's view of
+    ``find_dependencies``: the same hazards, without Dependency objects."""
+
+    def test_case_study_signatures(self):
+        instructions = parse_block_text(
+            "mov ecx, edx\nxor edx, edx\nlea rax, [rcx + rax - 1]\ndiv rcx\n"
+            "mov qword ptr [rdi], rax\nmov rbx, qword ptr [rdi]"
+        )
+        signatures = dependency_signatures(instructions)
+        assert signatures == _signatures_of(instructions)
+        assert (DependencyKind.RAW, "reg", "mov", "div") in signatures
+        assert (DependencyKind.RAW, "mem", "mov", "mov") in signatures
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        size=st.integers(min_value=2, max_value=10),
+        perturb_seed=st.integers(min_value=0, max_value=1000),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matches_find_dependencies_on_gamma_outputs(self, seed, size, perturb_seed):
+        block = BlockSynthesizer(seed).generate(size)
+        blocks = [block, *BlockPerturber(block, rng=perturb_seed).perturb_many(10)]
+        for candidate in blocks:
+            instructions = candidate.instructions
+            assert dependency_signatures(instructions) == _signatures_of(instructions)

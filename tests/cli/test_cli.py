@@ -242,6 +242,24 @@ class TestExplain:
         assert err.startswith("error: invalid backend setting:") and "workers" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--model", "crude", "--block", "div rcx"],
+            ["perturb", "--block", "div rcx"],
+            ["optimize", "--model", "crude", "--block", "div rcx"],
+            ["dataset", "--size", "2", "--output", "{tmp}/d.json"],
+        ],
+        ids=["explain", "perturb", "optimize", "dataset"],
+    )
+    def test_negative_seed_is_a_cli_error(self, capsys, tmp_path, argv):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert not (tmp_path / "d.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid seed -1")
+        assert "Traceback" not in err
+
 
 class TestExplainFleet:
     _FAST = [

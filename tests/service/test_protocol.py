@@ -48,6 +48,11 @@ class TestRequestDecoding:
         with pytest.raises(ServiceError, match="shards"):
             request_from_dict({"blocks": ["div rcx", "add rax, rbx"], "shards": shards})
 
+    @pytest.mark.parametrize("seed", [-1, "-5"])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ServiceError, match="seed"):
+            request_from_dict({"block": "div rcx", "seed": seed})
+
     def test_block_and_blocks_together_rejected(self):
         with pytest.raises(ServiceError):
             request_from_dict({"block": "div rcx", "blocks": ["div rcx"]})
@@ -183,6 +188,22 @@ class TestServeStream:
             assert served == 1
             assert by_id["bad"]["status"] == "failed"
             assert "shards" in by_id["bad"]["error"]
+            assert by_id["ok"]["status"] == "done"
+
+    def test_negative_seed_fails_in_band_fused_or_not(self, fast_config):
+        # Rejected at admission: numpy would only refuse it mid-run.
+        lines = [
+            '{"id": "bad", "block": "div rcx", "seed": -1}',
+            '{"id": "ok", "block": "div rcx", "seed": 1}',
+        ]
+        for fused in (False, True):
+            served, responses = self._serve(
+                lines, fast_config, continuous_batching=fused
+            )
+            by_id = {r["id"]: r for r in responses}
+            assert served == 1
+            assert by_id["bad"]["status"] == "failed"
+            assert "seed" in by_id["bad"]["error"]
             assert by_id["ok"]["status"] == "done"
 
     def test_multi_block_request_roundtrip(self, fast_config):
