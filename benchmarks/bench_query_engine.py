@@ -385,13 +385,13 @@ def run_dispatcher_matrix(args, blocks) -> dict:
 
     The stream requests every block on *both* microarchitectures (two
     session keys), repeated — the workload shape the scheduler exists for:
-    same-key requests stay serialized on one dispatcher (the determinism
-    contract), distinct keys spread across the fleet.  Seeded results are
-    identical at every dispatcher count (pinned by the service parity
-    tests), so the matrix measures pure scheduling/parallelism effect.  On
-    a single-CPU host every count measures the same core plus scheduler
-    overhead; the per-section ``cpus`` stamp makes that floor
-    machine-detectable.
+    same-key requests run one at a time (the determinism contract), while
+    the dispatchers claim distinct keys from one shared ready list and take
+    turns executing them.  Seeded results are identical at every dispatcher
+    count (pinned by the service parity tests), so the matrix measures pure
+    scheduling/parallelism effect.  On a single-CPU host every count
+    measures the same core plus scheduler overhead; the per-section
+    ``cpus`` stamp makes that floor machine-detectable.
     """
     from repro.service import ExplanationService
 
@@ -436,7 +436,6 @@ def run_dispatcher_matrix(args, blocks) -> dict:
             "executed_per_dispatcher": [
                 d.executed for d in stats.dispatcher_stats
             ],
-            "stolen": sum(d.stolen for d in stats.dispatcher_stats),
         }
     # "vs single" means exactly that: the baseline is the count==1 entry,
     # not whatever the caller listed first; without one the ratio is
@@ -935,7 +934,7 @@ def main(argv=None) -> int:
             print(
                 f"  {count:>2} dispatchers: {row['seconds']:7.2f}s  "
                 f"{row['requests_per_sec']:7.3f} req/s  "
-                f"({row['stolen']} stolen)"
+                f"executed {row['executed_per_dispatcher']}"
             )
         if dispatcher_matrix["scaling_vs_single"] is not None:
             print(

@@ -285,13 +285,6 @@ def _serve_socket(args: argparse.Namespace, service) -> int:
 
     from repro.service import SocketServer
 
-    server = SocketServer(
-        service,
-        host=args.host,
-        port=args.port,
-        max_connections=args.max_connections,
-        idle_timeout=args.idle_timeout,
-    )
     shutdown_requested = threading.Event()
 
     def _request_shutdown(signum, frame):  # noqa: ARG001 - signal signature
@@ -304,6 +297,15 @@ def _serve_socket(args: argparse.Namespace, service) -> int:
     for signum in (signal.SIGTERM, signal.SIGINT):
         previous[signum] = signal.signal(signum, _request_shutdown)
     try:
+        # A bad port or an address in use raises ServiceError (exit 2);
+        # the service still closes below.
+        server = SocketServer(
+            service,
+            host=args.host,
+            port=args.port,
+            max_connections=args.max_connections,
+            idle_timeout=args.idle_timeout,
+        )
         host, port = server.start()
         print(f"serving on {host}:{port} (ctrl-c or SIGTERM drains)", file=sys.stderr)
         shutdown_requested.wait()

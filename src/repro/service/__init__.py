@@ -11,11 +11,12 @@ a bounded request queue for backpressure, and a graceful shutdown that
 drains in-flight work before the backends are released.
 
 Requests are executed by the :class:`~repro.service.scheduler.Scheduler` —
-N dispatcher threads with deterministic per-key affinity routing, work
-stealing, per-key fairness, admission control and one execution turn they
-take in order — so distinct (model, microarch) keys take turns, overlapping
-only while a dispatcher waits outside the interpreter, and every single
-request still produces the bit-for-bit seeded result of serial submission.
+N dispatcher threads that claim keys from one shared round-robin ready
+list, with per-key mutual exclusion, admission control and one execution
+turn they take in order — so distinct (model, microarch) keys take turns,
+overlapping only while a dispatcher waits outside the interpreter, and
+every single request still produces the bit-for-bit seeded result of
+serial submission.
 
 The JSON-lines wire protocol (the codec in :mod:`repro.service.protocol`) is
 one conversation (:class:`~repro.service.transport.Conversation`) spoken
@@ -64,13 +65,9 @@ from repro.service.router import (
     parse_nodes,
     route_stream,
     routing_key,
-)
-from repro.service.scheduler import (
-    DispatcherStats,
-    Scheduler,
-    SchedulerStats,
     stable_key_hash,
 )
+from repro.service.scheduler import DispatcherStats, Scheduler, SchedulerStats
 from repro.service.transport import SocketServer, serve_stream
 from repro.utils.cancellation import CancelToken
 from repro.utils.errors import (

@@ -11,15 +11,16 @@ with submit/poll/result semantics or the synchronous
 
 Design decisions worth knowing:
 
-* **Key-affine dispatchers that take turns.**  The
-  :class:`~repro.service.scheduler.Scheduler` routes every request by its
-  session key — ``(model, microarch)`` — to one home dispatcher and never
-  runs two requests of one key concurrently, so N concurrent clients
-  sharing a warm session get exactly the seeded results serial submission
-  would produce.  Distinct keys take turns: a dispatcher holds the
-  scheduler's one execution turn while it runs a request, and keys overlap
-  only while a dispatcher blocks outside the interpreter (a process-backend
-  batch, a wait for a session being built), which gives the turn up.
+* **Dispatchers that share one ready list and take turns.**  The
+  :class:`~repro.service.scheduler.Scheduler` queues every request under
+  its session key — ``(model, microarch)`` — and its dispatchers claim
+  keys from one shared ready list; it never runs two requests of one key
+  concurrently, so N concurrent clients sharing a warm session get exactly
+  the seeded results serial submission would produce.  Distinct keys take
+  turns: a dispatcher holds the scheduler's one execution turn while it
+  runs a request, and keys overlap only while a dispatcher blocks outside
+  the interpreter (a process-backend batch, a wait for a session being
+  built), which gives the turn up.
   ``dispatchers=1`` (the default) is the original single-threaded service
   and stays the behavioral oracle in tests.  Parallelism lives *inside* a
   request: each explanation fans its query batches out through the
@@ -30,7 +31,8 @@ Design decisions worth knowing:
   producers, a non-blocking one raises
   :class:`~repro.utils.errors.QueueFullError` so callers can shed load
   instead of buffering without limit.  Within the bound, queued keys
-  round-robin per dispatcher, so one hot model cannot starve the rest.
+  round-robin on the one ready list, so one hot model cannot starve the
+  rest.
 * **Ownership.**  The service owns its session pool, which owns the
   sessions it builds (and closes them); each session owns the backend it
   resolved (and closes it).  Nothing else closes anything: callers that
@@ -132,7 +134,7 @@ class ExplanationRequest:
             raise ServiceError(
                 f"request seed must be a non-negative integer, got {self.seed!r}"
             )
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not self.deadline > 0:  # NaN too
             raise ServiceError(
                 f"request deadline must be positive seconds, got {self.deadline!r}"
             )

@@ -81,6 +81,26 @@ class ServiceOp:
             )
 
 
+def _as_int(name: str, value: object, expected: str) -> int:
+    """``int(value)``, or a :class:`ServiceError` naming the field.
+
+    Booleans and fractional numbers are refused first: ``int()`` reads
+    ``true`` as 1 and truncates ``1.7`` to 1, so the request would run as a
+    different one instead of failing.  The error must be a ServiceError:
+    anything else would escape the in-band failure path and kill the stdio
+    stream (or silently drop a socket connection) on one malformed request.
+    """
+    invalid = f"'{name}' must be {expected}, got {value!r}"
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ServiceError(invalid)
+    try:
+        return int(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError) as error:
+        raise ServiceError(invalid) from error
+
+
 def request_from_dict(payload: Dict[str, object]) -> ExplanationRequest:
     """Build an :class:`ExplanationRequest` from one decoded JSON object."""
     if "block" in payload and "blocks" in payload:
@@ -101,30 +121,17 @@ def request_from_dict(payload: Dict[str, object]) -> ExplanationRequest:
     # request out of sharding (the sequential loop).
     shards = payload.get("shards", "auto")
     if shards is not None and not isinstance(shards, str):
-        try:
-            shards = int(shards)  # type: ignore[arg-type]
-        except (TypeError, ValueError) as error:
-            raise ServiceError(
-                f"'shards' must be an integer, 'auto' or null, got {shards!r}"
-            ) from error
-    try:
-        seed = int(payload.get("seed", 0))  # type: ignore[arg-type]
-    except (TypeError, ValueError) as error:
-        # Must be a ServiceError: anything else would escape the in-band
-        # failure path and kill the stdio stream (or silently drop a socket
-        # connection) on one malformed request.
-        raise ServiceError(
-            f"'seed' must be an integer, got {payload.get('seed')!r}"
-        ) from error
+        shards = _as_int("shards", shards, "an integer, 'auto' or null")
+    seed = _as_int("seed", payload.get("seed", 0), "an integer")
     deadline = payload.get("deadline")
     if deadline is not None:
+        invalid = f"'deadline' must be positive seconds, got {deadline!r}"
+        if isinstance(deadline, bool):  # float() reads true as 1 s
+            raise ServiceError(invalid)
         try:
             deadline = float(deadline)  # type: ignore[arg-type]
         except (TypeError, ValueError) as error:
-            raise ServiceError(
-                f"'deadline' must be positive seconds, got "
-                f"{payload.get('deadline')!r}"
-            ) from error
+            raise ServiceError(invalid) from error
     return ExplanationRequest(
         blocks=blocks,
         seed=seed,
@@ -270,7 +277,8 @@ def stats_to_dict(
                 {
                     "index": d.index,
                     "executed": d.executed,
-                    "stolen": d.stolen,
+                    # Always 0 (one ready list); perfbench/serve.py reads it.
+                    "stolen": 0,
                     "busy": d.busy,
                     "turn_wait_s": round(d.turn_wait_s, 6),
                 }

@@ -3,10 +3,9 @@
 One :class:`~repro.service.transport.SocketServer` is one process: its warm
 sessions, its query LRU and its result cache all live behind one port.  To
 scale past one process without giving up warmth, requests must keep landing
-on the node that already holds their state.  This module generalises the
-scheduler's CRC-32 dispatcher affinity (:func:`~repro.service.scheduler.stable_key_hash`)
-from "key → dispatcher index" to "key → fleet node", with the classic
-consistent-hashing property the modulo form lacks: **removing a node remaps
+on the node that already holds their state.  This module places each key
+on a fleet node by a stable CRC-32 hash (:func:`stable_key_hash`), with the
+consistent-hashing property a plain modulo lacks: **removing a node remaps
 only the keys that node owned** — every other key keeps its placement, so a
 fleet resize invalidates one node's warmth, not the whole fleet's.
 
@@ -40,6 +39,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import threading
+import zlib
 from typing import (
     Dict,
     Iterable,
@@ -54,7 +54,6 @@ from typing import (
 from repro.bb.block import BasicBlock
 from repro.service.client import BlockSource, RetryPolicy, ServiceClient
 from repro.service.core import ExplanationRequest
-from repro.service.scheduler import stable_key_hash
 from repro.service.transport import Conversation, pump
 from repro.utils.errors import ServiceError
 
@@ -67,7 +66,19 @@ __all__ = [
     "parse_nodes",
     "route_stream",
     "routing_key",
+    "stable_key_hash",
 ]
+
+
+def stable_key_hash(key: object) -> int:
+    """A stable, seedless 32-bit hash of ``key`` (CRC-32 of its ``repr``).
+
+    The hash ring places both its nodes' points and its keys with this one
+    function: it is reproducible across runs, processes and hosts
+    (``hash()`` is randomized per process), so every placement derived from
+    it is too.
+    """
+    return zlib.crc32(repr(key).encode("utf-8"))
 
 
 def parse_nodes(spec: Union[str, Sequence[str]]) -> List[str]:

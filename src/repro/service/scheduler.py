@@ -3,14 +3,13 @@
 One dispatcher thread was the service's original concurrency story: strict
 submission order on one thread made determinism trivial.  This module runs
 N dispatchers without giving up the determinism contract, by making the
-session key — ``(model, microarch)`` — the unit of both routing and mutual
-exclusion, while the dispatchers take turns at the interpreter:
+session key — ``(model, microarch)`` — the unit of mutual exclusion, while
+the dispatchers take turns at the interpreter:
 
-* **Partitioned affinity routing.**  Every key has a *home* dispatcher,
-  chosen by a stable hash (CRC-32 of the key, reproducible across runs and
-  processes).  New work for a key is queued under the key and the key is
-  made ready on its home dispatcher's list, so one hot key always executes
-  on one thread while distinct keys spread across dispatchers.
+* **One ready list.**  New work for a key is queued under the key, and the
+  key joins the back of the scheduler's one list of ready keys, which every
+  dispatcher claims from.  No key belongs to a dispatcher: whichever
+  dispatcher is free claims the key at the head of the list.
 * **One execution turn.**  Dispatchers take turns: each holds the
   scheduler's one :class:`~repro.runtime.turn.ExecutionTurn` while it
   executes a claimed item (one request, or the fused group it seeds), so
@@ -28,30 +27,24 @@ exclusion, while the dispatchers take turns at the interpreter:
   request runs alone on its session, which keeps no population between
   calls, and drives the search from its own seed, so neither thread
   placement nor arrival order can leak into a result.
-* **Work stealing.**  A dispatcher with no ready keys of its own claims a
-  ready key from another dispatcher before sleeping.  Ready keys have no
-  in-flight request *by construction*, so stealing preserves the mutual
-  exclusion above; when a stolen key has more work, it is re-listed on its
-  home dispatcher, so stealing moves single requests, not residency.
-* **Absorption.**  Per-key mutual exclusion used to mean same-key work
-  always *parked* behind the in-flight request — stealing is restricted to
-  keys with no in-flight request, so no other dispatcher could touch it
-  either.  A fused executor (the service's continuous batcher) instead
-  calls :meth:`claim_extra` between ticks to absorb newly queued or stolen
-  same-key work into its own running group: the work joins the next fused
-  tick on the thread already holding the key instead of waiting for the
-  whole flight to end.  Each absorbed item is accounted like a claimed one
-  (admission slot released on absorb, ``extra_done`` per item on finish),
-  and execution stays single-threaded per key.
+* **Absorption.**  Per-key mutual exclusion means same-key work *parks*
+  behind the in-flight request: the key is off the ready list, so no other
+  dispatcher can claim it.  A fused executor (the service's continuous
+  batcher) instead calls :meth:`claim_extra` between ticks to absorb newly
+  queued same-key work into its own running group: the work joins the next
+  fused tick on the thread already holding the key instead of waiting for
+  the whole flight to end.  Each absorbed item is accounted like a claimed
+  one (admission slot released on absorb, ``extra_done`` per item on
+  finish), and execution stays single-threaded per key.
 * **Per-key fairness.**  A claim takes one request, then the key goes to
-  the back of its home dispatcher's ready list.  Keys round-robin: a hot
-  model with a deep backlog cannot starve other models routed to the same
-  dispatcher.  Across dispatchers, each holds at most one claimed item
-  while it waits for the turn, and the turn goes to waiting dispatchers
-  in the order they asked for it, so a claimed item waits behind at most
-  one execution per other dispatcher and backlogged keys alternate as on
-  a single dispatcher.  (A plain lock let the releasing dispatcher take
-  the turn straight back: with short items, one key's whole backlog ran
+  the back of the ready list.  Keys round-robin across the whole fleet: a
+  hot model with a deep backlog cannot starve other models.  Each
+  dispatcher holds at most one claimed item while it waits for the turn,
+  and the turn goes to waiting dispatchers in the order they asked for it,
+  so a claimed item waits behind at most one execution per other
+  dispatcher and backlogged keys take their turns in list order, as on a
+  single dispatcher.  (A plain lock let the releasing dispatcher take the
+  turn straight back: with short items, one key's whole backlog ran
   first.)
 * **Admission control.**  One global bound caps queued-but-unclaimed work
   across all dispatchers.  Blocking submits wait for space (backpressure),
@@ -67,25 +60,12 @@ the multi-dispatcher configurations are pinned against in tests.
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.runtime.turn import ExecutionTurn, Turn
 from repro.utils.errors import QueueFullError, ServiceClosedError
-
-
-def stable_key_hash(key: Hashable) -> int:
-    """A stable, seedless 32-bit hash of ``key`` (CRC-32 of its ``repr``).
-
-    Both the scheduler's dispatcher affinity and the consistent-hash ring of
-    :mod:`repro.service.router` place keys with this one function: it is
-    reproducible across runs, processes and hosts (``hash()`` is randomized
-    per process), so any placement derived from it — a home dispatcher, a
-    ring node — is too.
-    """
-    return zlib.crc32(repr(key).encode("utf-8"))
 
 #: Runs one claimed work item; must not raise (the service catches and
 #: converts failures into failed results itself).
@@ -98,7 +78,6 @@ class DispatcherStats:
 
     index: int
     executed: int
-    stolen: int
     busy: bool
     #: Seconds spent waiting for the execution turn (see :class:`Scheduler`).
     turn_wait_s: float = 0.0
@@ -107,7 +86,7 @@ class DispatcherStats:
         state = "busy" if self.busy else "idle"
         return (
             f"dispatcher {self.index}: {self.executed} executed "
-            f"({self.stolen} stolen, {self.turn_wait_s:.3f} s turn wait), {state}"
+            f"({self.turn_wait_s:.3f} s turn wait), {state}"
         )
 
 
@@ -129,17 +108,16 @@ class SchedulerStats:
 class _KeyState:
     """One session key's backlog and flight state."""
 
-    __slots__ = ("queue", "inflight", "ready", "home")
+    __slots__ = ("queue", "inflight", "ready")
 
-    def __init__(self, home: int) -> None:
+    def __init__(self) -> None:
         self.queue: Deque[Any] = deque()
         self.inflight = False   # a request of this key is executing
-        self.ready = False      # the key sits on exactly one ready list
-        self.home = home
+        self.ready = False      # the key sits on the ready list
 
 
 class Scheduler:
-    """N dispatcher threads over key-partitioned work queues.
+    """N dispatcher threads over per-key work queues and one ready list.
 
     Parameters
     ----------
@@ -178,11 +156,11 @@ class Scheduler:
         #: drain() waits here; the last finishing item notifies it.
         self._idle = threading.Condition(self._lock)
         self._keys: Dict[Hashable, _KeyState] = {}
-        self._ready: List[Deque[Hashable]] = [deque() for _ in range(dispatchers)]
+        #: Claimable keys, oldest first; every dispatcher claims the head.
+        self._ready: Deque[Hashable] = deque()
         self._queued = 0     # admission-controlled backlog
         self._pending = 0    # queued + in flight (drain waits on zero)
         self._executed = [0] * dispatchers
-        self._stolen = [0] * dispatchers
         self._busy = [False] * dispatchers
         self._absorbed = 0
         #: One execution turn, shared by every dispatcher's handle.
@@ -198,13 +176,6 @@ class Scheduler:
         ]
         for thread in self._threads:
             thread.start()
-
-    # --------------------------------------------------------------- routing
-
-    def home(self, key: Hashable) -> int:
-        """The dispatcher a key is affine to — a stable, seedless hash, so
-        routing is reproducible across runs (``hash()`` is randomized)."""
-        return stable_key_hash(key) % self.dispatchers
 
     # ---------------------------------------------------------------- submit
 
@@ -243,17 +214,17 @@ class Scheduler:
                     raise ServiceClosedError("the scheduler has been closed")
             state = self._keys.get(key)
             if state is None:
-                state = self._keys[key] = _KeyState(self.home(key))
+                state = self._keys[key] = _KeyState()
             state.queue.append(item)
             self._queued += 1
             self._pending += 1
             self._mark_ready_locked(key, state)
 
     def _mark_ready_locked(self, key: Hashable, state: _KeyState) -> None:
-        """List a key on its home dispatcher if it is claimable."""
+        """Put a key at the back of the ready list if it is claimable."""
         if state.queue and not state.inflight and not state.ready:
             state.ready = True
-            self._ready[state.home].append(key)
+            self._ready.append(key)
             self._work.notify_all()
 
     def withdraw(self, key: Hashable, item: Any) -> bool:
@@ -277,15 +248,8 @@ class Scheduler:
             self._pending -= 1
             self._space.notify_all()
             if not state.queue and state.ready:
-                # Delist the key wherever it sits: stealing may have parked
-                # it on a non-home ready list.
                 state.ready = False
-                for ready in self._ready:
-                    try:
-                        ready.remove(key)
-                        break
-                    except ValueError:
-                        continue
+                self._ready.remove(key)
             if not state.queue and not state.inflight:
                 self._keys.pop(key, None)
             if self._pending == 0:
@@ -294,24 +258,11 @@ class Scheduler:
 
     # ------------------------------------------------------------ dispatchers
 
-    def _claim_locked(self, me: int) -> Optional[Tuple[Hashable, _KeyState, Any]]:
-        """Take one item: own ready keys first, then steal.
-
-        Ready keys have no in-flight request by construction, so a steal
-        can never run a key concurrently with its home dispatcher.
-        """
-        key: Optional[Hashable] = None
-        if self._ready[me]:
-            key = self._ready[me].popleft()
-        else:
-            for offset in range(1, self.dispatchers):
-                other = (me + offset) % self.dispatchers
-                if self._ready[other]:
-                    key = self._ready[other].popleft()
-                    self._stolen[me] += 1
-                    break
-        if key is None:
+    def _claim_locked(self) -> Optional[Tuple[Hashable, _KeyState, Any]]:
+        """Take one item of the key at the head of the ready list."""
+        if not self._ready:
             return None
+        key = self._ready.popleft()
         state = self._keys[key]
         state.ready = False
         state.inflight = True
@@ -325,7 +276,7 @@ class Scheduler:
 
         Called by a fused executor *while it holds the key* (between ticks),
         so the items it receives still execute one key at a time, on the one
-        thread already running the key — the work-stealing restriction is
+        thread already running the key — per-key mutual exclusion is
         relaxed by absorption rather than by concurrent claims.  Each item's
         admission slot is released immediately; the caller must report every
         absorbed item finished via :meth:`extra_done` (the primary claimed
@@ -357,12 +308,12 @@ class Scheduler:
     def _run(self, me: int) -> None:
         while True:
             with self._work:
-                claimed = self._claim_locked(me)
+                claimed = self._claim_locked()
                 while claimed is None:
                     if self._stop:
-                        return  # nothing claimable anywhere: drained
+                        return  # nothing claimable: drained
                     self._work.wait()
-                    claimed = self._claim_locked(me)
+                    claimed = self._claim_locked()
                 self._busy[me] = True
             key, state, item = claimed
             try:
@@ -375,12 +326,11 @@ class Scheduler:
                     state.inflight = False
                     self._pending -= 1
                     if state.queue:
-                        # Back of the *home* list: fairness round-robin, and
-                        # stolen keys return to their own dispatcher.
+                        # Back of the ready list: keys round-robin.
                         self._mark_ready_locked(key, state)
                     else:
                         # Keep the key space bounded: an idle, empty key is
-                        # rebuilt from the hash on its next submission.
+                        # rebuilt on its next submission.
                         self._keys.pop(key, None)
                     if self._pending == 0:
                         self._idle.notify_all()
@@ -412,8 +362,7 @@ class Scheduler:
                     state.ready = False
                     if not state.inflight:
                         self._keys.pop(key)
-                for ready in self._ready:
-                    ready.clear()
+                self._ready.clear()
                 self._queued -= len(cancelled)
                 self._pending -= len(cancelled)
                 if self._pending == 0:
@@ -438,7 +387,6 @@ class Scheduler:
                     DispatcherStats(
                         index=index,
                         executed=self._executed[index],
-                        stolen=self._stolen[index],
                         busy=self._busy[index],
                         turn_wait_s=self._turns[index].waited,
                     )

@@ -561,6 +561,8 @@ class SocketServer:
         max_line_bytes: int = 1 << 20,
         max_pending_responses: int = 1024,
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise ServiceError(f"port must be in 0-65535, got {port}")
         if max_connections < 1:
             raise ServiceError("max_connections must be >= 1")
         if max_line_bytes < 2:
@@ -597,9 +599,11 @@ class SocketServer:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self.host, self.port))
             listener.listen(self.max_connections * 2)
-        except OSError:
+        except (OSError, OverflowError) as error:
             listener.close()
-            raise
+            raise ServiceError(
+                f"cannot listen on {self.host}:{self.port}: {error}"
+            ) from error
         self._listener = listener
         self.host, self.port = listener.getsockname()[:2]
         self._acceptor = threading.Thread(

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import socket
 
 import pytest
 
@@ -225,6 +226,23 @@ class TestExplain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_out_of_range_port_is_a_cli_error(self, capsys, port):
+        assert main(["serve", "--model", "crude", "--port", port]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"got {port}" in err
+        assert "Traceback" not in err
+
+    def test_port_in_use_is_a_cli_error(self, capsys):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            assert main(["serve", "--model", "crude", "--port", str(port)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

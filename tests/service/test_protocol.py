@@ -53,6 +53,29 @@ class TestRequestDecoding:
         with pytest.raises(ServiceError, match="seed"):
             request_from_dict({"block": "div rcx", "seed": seed})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", 1.7),
+            ("seed", True),
+            ("seed", False),
+            ("seed", float("inf")),
+            ("shards", 2.5),
+            ("shards", True),
+            ("deadline", True),
+            ("deadline", float("nan")),
+        ],
+    )
+    def test_booleans_and_fractions_rejected_not_truncated(self, field, value):
+        with pytest.raises(ServiceError, match=field):
+            request_from_dict({"blocks": ["div rcx", "add rax, rbx"], field: value})
+
+    def test_integral_numbers_decode(self):
+        request = request_from_dict(
+            {"block": "div rcx", "seed": 2.0, "shards": 3.0, "deadline": 1}
+        )
+        assert (request.seed, request.shards, request.deadline) == (2, 3, 1.0)
+
     def test_block_and_blocks_together_rejected(self):
         with pytest.raises(ServiceError):
             request_from_dict({"block": "div rcx", "blocks": ["div rcx"]})
@@ -205,6 +228,33 @@ class TestServeStream:
             assert by_id["bad"]["status"] == "failed"
             assert "seed" in by_id["bad"]["error"]
             assert by_id["ok"]["status"] == "done"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", "1.7"),
+            ("seed", "true"),
+            ("shards", "2.5"),
+            ("shards", "true"),
+            ("shards", "-Infinity"),
+            ("deadline", "true"),
+            ("deadline", "NaN"),
+            ("seed", "Infinity"),  # int() raised OverflowError, ending the stream
+        ],
+    )
+    def test_booleans_and_fractions_fail_in_band(self, fast_config, field, value):
+        # int()/float() would run these as seed 1, 2 or 1 shards, or a 1 s
+        # deadline: a different request from the one sent.
+        lines = [
+            f'{{"id": "bad", "blocks": ["div rcx", "add rax, rbx"], "{field}": {value}}}',
+            '{"id": "ok", "block": "div rcx", "seed": 1}',
+        ]
+        served, responses = self._serve(lines, fast_config)
+        by_id = {r["id"]: r for r in responses}
+        assert served == 1
+        assert by_id["bad"]["status"] == "failed"
+        assert field in by_id["bad"]["error"]
+        assert by_id["ok"]["status"] == "done"
 
     def test_multi_block_request_roundtrip(self, fast_config):
         lines = ['{"id": "fleet", "blocks": ["div rcx", "add rax, rbx"], "seed": 2}']

@@ -40,16 +40,6 @@ class TestStableKeyHash:
         assert stable_key_hash(("crude", "hsw")) == stable_key_hash(("crude", "hsw"))
         assert stable_key_hash("a") != stable_key_hash("b")
 
-    def test_scheduler_home_uses_it(self):
-        from repro.service.scheduler import Scheduler
-
-        scheduler = Scheduler(lambda item: None, dispatchers=4)
-        try:
-            for key in [("crude", "hsw"), ("uica", "skl"), "anything"]:
-                assert scheduler.home(key) == stable_key_hash(key) % 4
-        finally:
-            scheduler.close()
-
 
 class TestParseNodes:
     def test_comma_separated_and_sequence_forms(self):

@@ -1,6 +1,6 @@
-"""The scheduler in isolation: affinity routing, per-key mutual exclusion,
-work stealing, fairness and admission control, tested with synthetic items
-(no explanation machinery) so the concurrency invariants are visible.
+"""The scheduler in isolation: the shared ready list, per-key mutual
+exclusion, fairness, withdrawal and admission control, tested with synthetic
+items (no explanation machinery) so the concurrency invariants are visible.
 """
 
 import sys
@@ -14,6 +14,11 @@ from repro.runtime.turn import blocking
 from repro.service.scheduler import Scheduler
 from repro.utils.errors import QueueFullError, ServiceClosedError
 
+# A dispatcher thread that dies (say, claiming a key left listed after its
+# state is gone) fails the test instead of printing a warning.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnhandledThreadExceptionWarning"
+)
 
 class _Recorder:
     """Collects executions and watches for per-key concurrency violations."""
@@ -45,18 +50,15 @@ def _submit(scheduler, key, payload, **kwargs):
     scheduler.submit(key, (key, payload), **kwargs)
 
 
-class TestRouting:
-    def test_home_is_stable_and_in_range(self):
-        scheduler = Scheduler(lambda item: None, dispatchers=4)
-        try:
-            keys = [("crude", "hsw"), ("crude", "skl"), ("uica", "hsw"), ("m", "u")]
-            homes = {key: scheduler.home(key) for key in keys}
-            for key, home in homes.items():
-                assert 0 <= home < 4
-                assert scheduler.home(key) == home  # stable on re-ask
-        finally:
-            scheduler.close()
+def _wait_in_flight(scheduler, count):
+    """Wait until ``count`` items are claimed (running or waiting for the turn)."""
+    deadline = time.monotonic() + 10
+    while scheduler.stats().in_flight != count:
+        assert time.monotonic() < deadline
+        time.sleep(0.002)
 
+
+class TestRouting:
     def test_all_items_of_one_key_execute_fifo(self):
         recorder = _Recorder()
         scheduler = Scheduler(recorder, dispatchers=4, max_queue=64)
@@ -100,30 +102,6 @@ class TestRouting:
         assert len(threads_used) > 1  # the fleet actually fanned out
 
 
-class TestStealing:
-    def test_idle_dispatcher_steals_foreign_keys(self):
-        """One key's backlog blocks its home dispatcher; other keys homed to
-        the same dispatcher still make progress via stealing."""
-        recorder = _Recorder(delay=0.02)
-        scheduler = Scheduler(recorder, dispatchers=2, max_queue=64)
-        try:
-            # Find keys homed to dispatcher 0 (stable hash → deterministic).
-            homed0 = [f"k{i}" for i in range(40) if scheduler.home(f"k{i}") == 0][:4]
-            assert len(homed0) == 4
-            for rounds in range(3):
-                for key in homed0:
-                    _submit(scheduler, key, rounds)
-            assert scheduler.drain(timeout=60)
-            stats = scheduler.stats()
-        finally:
-            scheduler.close()
-        assert not recorder.violations
-        # Dispatcher 1 had nothing of its own, so everything it ran was stolen.
-        assert stats.dispatcher_stats[1].executed == stats.dispatcher_stats[1].stolen
-        assert stats.dispatcher_stats[1].stolen > 0
-        assert sum(d.executed for d in stats.dispatcher_stats) == 12
-
-
 class TestFairness:
     def test_hot_key_cannot_starve_others(self):
         """With a deep backlog on one key, a later-submitted key still gets
@@ -151,17 +129,33 @@ class TestFairness:
         # not behind the whole backlog.
         assert cold_position <= 3, finish_order[:10]
 
+    def test_backlogged_keys_share_executions_across_dispatchers(self):
+        """Three backlogged keys on two dispatchers get equal shares.  With
+        a ready list per dispatcher, k0 and k2 (one CRC-32 home) split one
+        dispatcher while k1 had the other to itself: 15 of the first 30
+        executions went to k1."""
+        gate = threading.Event()
+        order = []
 
-def _keys_homed_apart(scheduler, count):
-    """``count`` keys whose home dispatchers are 0, 1, ... in order."""
-    keys = []
-    for index in range(1000):
-        key = f"k{index}"
-        if scheduler.home(key) == len(keys):
-            keys.append(key)
-            if len(keys) == count:
-                return keys
-    raise AssertionError("no keys found for every dispatcher")
+        def executor(item):
+            gate.wait(timeout=30)
+            order.append(item[0])
+
+        scheduler = Scheduler(executor, dispatchers=2, max_queue=64)
+        try:
+            for index in range(10):
+                for key in ("k0", "k2", "k1"):
+                    _submit(scheduler, key, index)
+            _wait_in_flight(scheduler, 2)  # one runs, one waits for the turn
+            time.sleep(0.05)  # let the claimer queue for the turn
+            gate.set()
+            assert scheduler.drain(timeout=30)
+        finally:
+            gate.set()
+            scheduler.close()
+        first = order[:15]
+        shares = {key: first.count(key) for key in ("k0", "k1", "k2")}
+        assert shares == {"k0": 5, "k1": 5, "k2": 5}, order
 
 
 class TestExecutionTurn:
@@ -214,13 +208,12 @@ class TestExecutionTurn:
 
         scheduler = Scheduler(executor, dispatchers=2, max_queue=16)
         try:
-            first, second = _keys_homed_apart(scheduler, 2)
-            _submit(scheduler, first, 0)
-            _submit(scheduler, second, 0)
+            _submit(scheduler, "a", 0)
+            _submit(scheduler, "b", 0)
             assert scheduler.drain(timeout=30)
         finally:
             scheduler.close()
-        assert sorted(outcomes) == sorted([(first, "met"), (second, "met")])
+        assert sorted(outcomes) == [("a", "met"), ("b", "met")]
 
     def test_waiting_keys_alternate(self):
         """The turn goes to waiting dispatchers in the order they asked, so
@@ -235,14 +228,10 @@ class TestExecutionTurn:
 
         scheduler = Scheduler(executor, dispatchers=2, max_queue=64)
         try:
-            first, second = _keys_homed_apart(scheduler, 2)
             for index in range(10):
-                _submit(scheduler, first, index)
-                _submit(scheduler, second, index)
-            deadline = time.monotonic() + 10
-            while scheduler.stats().in_flight != 2:  # one runs, one waits
-                assert time.monotonic() < deadline
-                time.sleep(0.002)
+                _submit(scheduler, "a", index)
+                _submit(scheduler, "b", index)
+            _wait_in_flight(scheduler, 2)  # one runs, one waits for the turn
             time.sleep(0.05)  # let the claimer queue for the turn
             gate.set()
             assert scheduler.drain(timeout=30)
@@ -259,10 +248,7 @@ class TestAdmissionControl:
         scheduler = Scheduler(recorder, dispatchers=1, max_queue=2)
         try:
             _submit(scheduler, "k", 0)  # claimed, blocked on the gate
-            deadline = time.monotonic() + 10
-            while scheduler.stats().in_flight != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.002)
+            _wait_in_flight(scheduler, 1)
             _submit(scheduler, "k", 1)
             _submit(scheduler, "k", 2)
             with pytest.raises(QueueFullError):
@@ -296,10 +282,7 @@ class TestAdmissionControl:
         try:
             for index in range(4):
                 _submit(scheduler, "k", index)
-            deadline = time.monotonic() + 10
-            while scheduler.stats().in_flight != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.002)
+            _wait_in_flight(scheduler, 1)
             stats = scheduler.stats()
             assert stats.queue_depth == 3
             assert stats.keys == 1
@@ -392,6 +375,79 @@ class TestAbsorption:
         assert scheduler.stats().absorbed == 0
 
 
+class TestWithdraw:
+    """``withdraw``: the cancellation fast path for still-queued items."""
+
+    def test_withdrawn_item_never_executes_and_frees_its_slot(self):
+        gate = threading.Event()
+        recorder = _Recorder(gate=gate)
+        scheduler = Scheduler(recorder, dispatchers=1, max_queue=1)
+        outcome = []
+
+        def blocked_submit():
+            try:
+                _submit(scheduler, "k", 2, timeout=30.0)  # queue full: blocks
+                outcome.append("queued")
+            except Exception as error:  # pragma: no cover - reported below
+                outcome.append(error)
+
+        try:
+            _submit(scheduler, "k", 0)
+            _wait_in_flight(scheduler, 1)  # claimed, held at the gate
+            _submit(scheduler, "k", 1)  # takes the one queue slot
+            thread = threading.Thread(target=blocked_submit)
+            thread.start()
+            time.sleep(0.05)
+            assert thread.is_alive()  # waiting for space
+            assert scheduler.withdraw("k", ("k", 1))
+            thread.join(timeout=5)  # woken by the freed slot, not its timeout
+            assert outcome == ["queued"]
+            gate.set()
+            assert scheduler.drain(timeout=30)
+        finally:
+            gate.set()
+            scheduler.close()
+        assert [payload for _, payload, _ in recorder.executed] == [0, 2]
+
+    def test_withdrawing_a_keys_last_item_delists_the_key(self):
+        gate = threading.Event()
+        recorder = _Recorder(gate=gate)
+        scheduler = Scheduler(recorder, dispatchers=1, max_queue=8)
+        try:
+            _submit(scheduler, "busy", 0)
+            _wait_in_flight(scheduler, 1)
+            _submit(scheduler, "idle", 1)  # ready, not claimed
+            assert scheduler.stats().keys == 2
+            assert scheduler.withdraw("idle", ("idle", 1))
+            stats = scheduler.stats()
+            assert (stats.keys, stats.queue_depth) == (1, 0)
+            # A key left on the ready list would be claimed with no item.
+            gate.set()
+            assert scheduler.drain(timeout=30)
+        finally:
+            gate.set()
+            scheduler.close()
+        assert [key for key, _, _ in recorder.executed] == ["busy"]
+
+    def test_claimed_or_unknown_items_are_not_withdrawn(self):
+        gate = threading.Event()
+        recorder = _Recorder(gate=gate)
+        scheduler = Scheduler(recorder, dispatchers=2, max_queue=8)
+        try:
+            _submit(scheduler, "k", 0)
+            _wait_in_flight(scheduler, 1)
+            assert not scheduler.withdraw("k", ("k", 0))  # claimed
+            assert not scheduler.withdraw("k", ("k", 9))  # never queued
+            assert not scheduler.withdraw("other", ("other", 0))  # no such key
+            assert scheduler.stats().in_flight == 1
+            gate.set()
+            assert scheduler.drain(timeout=30)
+        finally:
+            gate.set()
+            scheduler.close()
+        assert [payload for _, payload, _ in recorder.executed] == [0]
+
+
 class TestLifecycle:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -417,18 +473,25 @@ class TestLifecycle:
     def test_close_with_cancel_returns_backlog(self):
         gate = threading.Event()
         recorder = _Recorder(gate=gate)
-        scheduler = Scheduler(recorder, dispatchers=1, max_queue=64)
+        scheduler = Scheduler(recorder, dispatchers=2, max_queue=64)
         _submit(scheduler, "k", 0)
-        deadline = time.monotonic() + 10
-        while scheduler.stats().in_flight != 1:
-            assert time.monotonic() < deadline
-            time.sleep(0.002)
-        for index in (1, 2, 3):
-            _submit(scheduler, "k", index)
-        gate.set()
+        _wait_in_flight(scheduler, 1)
+        _submit(scheduler, "a", 1)
+        _wait_in_flight(scheduler, 2)  # both dispatchers hold a claim
+        for key, index in (("k", 2), ("a", 3), ("b", 4), ("k", 5), ("b", 6)):
+            _submit(scheduler, key, index)
+        # Open the gate only once close has withdrawn the backlog.
+        releaser = threading.Timer(0.1, gate.set)
+        releaser.start()
         cancelled = scheduler.close(cancel=True)
-        assert [payload for _, payload in cancelled] == [1, 2, 3]
-        assert [payload for _, payload, _ in recorder.executed] == [0]
+        releaser.join(timeout=10)
+        by_key = defaultdict(list)
+        for key, payload in cancelled:
+            by_key[key].append(payload)
+        assert by_key == {"k": [2, 5], "a": [3], "b": [4, 6]}
+        assert sorted(payload for _, payload, _ in recorder.executed) == [0, 1]
+        stats = scheduler.stats()
+        assert (stats.queue_depth, stats.in_flight, stats.keys) == (0, 0, 0)
 
     def test_close_wakes_blocked_submitters(self):
         gate = threading.Event()

@@ -514,6 +514,34 @@ class TestServerLimits:
             with pytest.raises(ServiceError):
                 SocketServer(service, max_pending_responses=0)
 
+    @pytest.mark.parametrize("port", [70000, 65536, -1])
+    def test_port_out_of_range_rejected(self, fast_config, port):
+        with ExplanationService(model="crude", config=fast_config) as service:
+            with pytest.raises(ServiceError, match="port"):
+                SocketServer(service, port=port)
+
+    def test_port_in_use_raises_and_closes_the_listener(
+        self, fast_config, monkeypatch
+    ):
+        created = []
+
+        class RecordingSocket(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            with ExplanationService(model="crude", config=fast_config) as service:
+                server = SocketServer(service, port=port)
+                monkeypatch.setattr(socket, "socket", RecordingSocket)
+                with pytest.raises(ServiceError, match=f"127.0.0.1:{port}"):
+                    server.start()
+                monkeypatch.undo()
+        assert len(created) == 1 and created[0].fileno() == -1  # closed
+
     def test_deep_explanation_pipeline_is_not_capped(self, fast_config, tiny_blocks):
         """Only connection-local (op/error) responses count against the
         pending cap: a legitimate explanation pipeline deeper than the cap
