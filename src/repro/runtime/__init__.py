@@ -4,17 +4,15 @@ This package separates COMET's *workload* (the anchor search and its
 cost-model queries) from its *execution substrate*:
 
 * :mod:`repro.runtime.backend` — where batches of independent work run
-  (:class:`SerialBackend`, :class:`ProcessBackend`),
+  (:class:`SerialBackend`, :class:`ProcessBackend`), and :func:`blocking`,
+  which frees a service dispatcher's execution slot while a process-pool
+  batch runs,
 * :mod:`repro.runtime.session` — :class:`ExplanationSession`, which owns the
   state shared across one explanation run: the cache wrapper and the
   execution backend (background populations live for one search),
 * :mod:`repro.runtime.pool` — :class:`SessionPool`, a leased LRU pool of
   warm sessions keyed by (model, microarch), shared by the explanation
-  service's dispatcher fleet and library callers alike,
-* :mod:`repro.runtime.turn` — :class:`ExecutionTurn`, which the
-  service's dispatchers take one at a time through their :class:`Turn`
-  handles, and :func:`blocking`, which gives a turn up for a wait outside
-  the interpreter.
+  service's dispatcher fleet and library callers alike.
 
 ``ExplanationSession`` and ``SessionPool`` are imported lazily (PEP 562):
 the session layer sits on top of :mod:`repro.explain`, which itself builds
@@ -27,9 +25,9 @@ from repro.runtime.backend import (
     ProcessBackend,
     SerialBackend,
     available_backends,
+    blocking,
     resolve_backend,
 )
-from repro.runtime.turn import ExecutionTurn, Turn, blocking
 
 __all__ = [
     "BackendSource",
@@ -38,8 +36,6 @@ __all__ = [
     "ProcessBackend",
     "available_backends",
     "resolve_backend",
-    "ExecutionTurn",
-    "Turn",
     "blocking",
     "ExplanationSession",
     "SessionStats",

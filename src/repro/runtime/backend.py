@@ -31,10 +31,10 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar, Union
 
-from repro.runtime.turn import blocking
 from repro.utils.errors import BackendError
 
 T = TypeVar("T")
@@ -43,6 +43,35 @@ R = TypeVar("R")
 #: Anything accepted where a backend is expected: an instance, a short name,
 #: or ``None`` for the serial backend.
 BackendSource = Union[None, str, "ExecutionBackend"]
+
+#: ``release``: a context-manager factory that frees the calling thread's
+#: execution slot for its body and retakes it afterwards.  The service's
+#: scheduler sets it on each dispatcher thread; other threads have none.
+blocking_hook = threading.local()
+
+
+@contextmanager
+def blocking() -> Iterator[None]:
+    """Free the calling thread's execution slot, if it holds one, for the body.
+
+    Wrap only waits that need no interpreter time (a blocking call into
+    other processes): another dispatcher runs meanwhile, and the slot is
+    retaken before the caller goes on.  Nested uses are no-ops, and a
+    thread that holds no slot (every library caller) passes through.
+    Never enter it holding a lock that another slot holder may take: that
+    holder would wait for the lock while holding the slot this caller
+    needs back.
+    """
+    release = getattr(blocking_hook, "release", None)
+    if release is None:
+        yield
+        return
+    blocking_hook.release = None
+    try:
+        with release():
+            yield
+    finally:
+        blocking_hook.release = release
 
 
 @dataclass(frozen=True)
@@ -324,10 +353,9 @@ class ProcessBackend(ExecutionBackend):
         :class:`~repro.utils.errors.BackendError` (default — failures stay
         loud) or degrade to ``serial``, the in-process fallback.
 
-        ``run`` waits on the workers and the backoff sleeps, so both give up
-        the caller's execution turn (:func:`~repro.runtime.turn.blocking`):
-        another dispatcher runs its search meanwhile.  The serial fallback
-        keeps the turn.
+        ``run`` waits on the workers and the backoff sleeps, so both free
+        the caller's execution slot (:func:`blocking`): another dispatcher
+        runs its search meanwhile.  The serial fallback keeps the slot.
         """
         policy = self.retry_policy
         attempt = 0

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.runtime.session import ExplanationSession, SessionStats
-from repro.runtime.turn import blocking
 from repro.utils.errors import BackendError
 
 #: Builds the session serving one (model, microarch) pair.
@@ -166,10 +165,8 @@ class SessionPool:
                     assert hit is not None
                     break
             # Another caller is building this key; wait outside the lock and
-            # the execution turn, and retry (the entry vanishes again if that
-            # build failed).
-            with blocking():
-                entry.built.wait()
+            # retry (the entry vanishes again if that build failed).
+            entry.built.wait()
         if hit is not None:
             for old in evicted_now:
                 old.close()

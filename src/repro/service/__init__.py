@@ -13,10 +13,10 @@ drains in-flight work before the backends are released.
 Requests are executed by the :class:`~repro.service.scheduler.Scheduler` —
 N dispatcher threads that claim keys from one shared round-robin ready
 list, with per-key mutual exclusion, admission control and one execution
-turn they take in order — so distinct (model, microarch) keys take turns,
-overlapping only while a dispatcher waits outside the interpreter, and
-every single request still produces the bit-for-bit seeded result of
-serial submission.
+slot: a dispatcher claims only while no execution holds it — so distinct
+(model, microarch) keys take turns, overlapping only while an execution
+waits on process-backend workers, and every single request still produces
+the bit-for-bit seeded result of serial submission.
 
 The JSON-lines wire protocol (the codec in :mod:`repro.service.protocol`) is
 one conversation (:class:`~repro.service.transport.Conversation`) spoken

@@ -11,16 +11,16 @@ with submit/poll/result semantics or the synchronous
 
 Design decisions worth knowing:
 
-* **Dispatchers that share one ready list and take turns.**  The
+* **Dispatchers that share one ready list and one execution slot.**  The
   :class:`~repro.service.scheduler.Scheduler` queues every request under
   its session key — ``(model, microarch)`` — and its dispatchers claim
   keys from one shared ready list; it never runs two requests of one key
   concurrently, so N concurrent clients sharing a warm session get exactly
   the seeded results serial submission would produce.  Distinct keys take
-  turns: a dispatcher holds the scheduler's one execution turn while it
-  runs a request, and keys overlap only while a dispatcher blocks outside
-  the interpreter (a process-backend batch, a wait for a session being
-  built), which gives the turn up.
+  turns: a dispatcher claims only while no execution holds the
+  scheduler's one slot and holds it while it runs the request, and keys
+  overlap only while an execution waits on process-backend workers, which
+  frees the slot.
   ``dispatchers=1`` (the default) is the original single-threaded service
   and stays the behavioral oracle in tests.  Parallelism lives *inside* a
   request: each explanation fans its query batches out through the
@@ -130,20 +130,32 @@ class ExplanationRequest:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ServiceError("an explanation request needs at least one block")
-        if self.seed < 0:
+        # A bool is an int: True would run as seed 1, one shard, a 1 s
+        # deadline.  The wire decoder refuses all three the same way.
+        if isinstance(self.seed, bool) or self.seed < 0:
             raise ServiceError(
                 f"request seed must be a non-negative integer, got {self.seed!r}"
             )
-        if self.deadline is not None and not self.deadline > 0:  # NaN too
+        if self.deadline is not None and (
+            isinstance(self.deadline, bool) or not self.deadline > 0  # NaN too
+        ):
             raise ServiceError(
                 f"request deadline must be positive seconds, got {self.deadline!r}"
             )
+        # A non-string key would fail later, outside the in-band failure
+        # path (an unhashable one inside the scheduler).
+        for name in ("model", "uarch"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise ServiceError(
+                    f"request {name} must be a string or None, got {value!r}"
+                )
         # Checked here, not by the sharded path alone: a fused service never
         # plans shards, and it must reject what the unfused one rejects.
         shards = self.shards
         if not (
             shards is None
-            or isinstance(shards, int)
+            or (isinstance(shards, int) and not isinstance(shards, bool))
             or (isinstance(shards, str) and shards.strip().lower() == "auto")
         ):
             raise ServiceError(
@@ -258,9 +270,8 @@ class ExplanationService:
         How many dispatcher threads serve the queue.  Requests are routed
         by session key: one key never runs concurrently with itself, so any
         dispatcher count preserves per-request seeded results bit-for-bit.
-        Dispatchers take turns running requests; distinct (model, uarch)
-        keys overlap only while one waits outside the interpreter — on
-        process-backend workers, or for a session being built.
+        One request runs at a time; distinct (model, uarch) keys overlap
+        only while one waits on process-backend workers.
     max_queue:
         Bound on buffered requests (backpressure surface).
     max_sessions:
@@ -320,7 +331,7 @@ class ExplanationService:
             raise ValueError("max_queue must be >= 1")
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
-        if default_deadline is not None and default_deadline <= 0:
+        if default_deadline is not None and not default_deadline > 0:  # NaN too
             raise ValueError("default_deadline must be positive seconds")
         if dispatchers < 1:
             raise ValueError("dispatchers must be >= 1")
@@ -505,22 +516,21 @@ class ExplanationService:
             scheduler.submit(
                 self._request_key(request), ticket, block=block, timeout=timeout
             )
-        except QueueFullError:
+        except BaseException as error:
+            # The ticket never entered the queue: drop it, whatever the
+            # scheduler raised.
             with self._lock:
                 del self._tickets[ticket.request_id]
                 self._submitted -= 1
-            # The scheduler's message already distinguishes "full right
+            if isinstance(error, ServiceClosedError):
+                # close() won the race between our closed-check and the
+                # scheduler put.
+                raise ServiceClosedError(
+                    "this explanation service has been closed"
+                ) from None
+            # A QueueFullError's message already distinguishes "full right
             # now" from "stayed full for your whole timeout"; re-raise it.
             raise
-        except ServiceClosedError:
-            # close() won the race between our closed-check and the
-            # scheduler put; the ticket never entered the queue.
-            with self._lock:
-                del self._tickets[ticket.request_id]
-                self._submitted -= 1
-            raise ServiceClosedError(
-                "this explanation service has been closed"
-            ) from None
         return ticket.request_id
 
     def poll(self, request_id: str) -> RequestStatus:
@@ -615,7 +625,7 @@ class ExplanationService:
         """Run one claimed request on a dispatcher thread.
 
         The scheduler guarantees per-key mutual exclusion and holds the
-        execution turn around this call, so this request has its session to
+        execution slot around this call, so this request has its session to
         itself for the duration; the pool lease pins the session against an
         eviction triggered by another key while this one blocks.
         With continuous batching on, the claimed request seeds a fused tick

@@ -123,6 +123,10 @@ def request_from_dict(payload: Dict[str, object]) -> ExplanationRequest:
     if shards is not None and not isinstance(shards, str):
         shards = _as_int("shards", shards, "an integer, 'auto' or null")
     seed = _as_int("seed", payload.get("seed", 0), "an integer")
+    for name in ("model", "uarch"):
+        value = payload.get(name)
+        if not (value is None or isinstance(value, str)):
+            raise ServiceError(f"'{name}' must be a string, got {value!r}")
     deadline = payload.get("deadline")
     if deadline is not None:
         invalid = f"'deadline' must be positive seconds, got {deadline!r}"
@@ -280,7 +284,6 @@ def stats_to_dict(
                     # Always 0 (one ready list); perfbench/serve.py reads it.
                     "stolen": 0,
                     "busy": d.busy,
-                    "turn_wait_s": round(d.turn_wait_s, 6),
                 }
                 for d in stats.dispatcher_stats
             ],

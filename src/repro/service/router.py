@@ -274,11 +274,10 @@ def aggregate_node_stats(per_node: Dict[str, dict]) -> Dict[str, object]:
     """Fold per-node ``stats`` payloads into one fleet-wide snapshot.
 
     Counters (requests, queue depths, resilience, fusion, result-cache
-    tiers, and every dispatcher's turn wait as ``turn_wait_s``) sum across
-    the fleet; derived rates (``hit_rate``, ``mean_occupancy``) are
-    recomputed from the summed numerators, never averaged.  The untouched
-    per-node payloads ride along under ``"per_node"`` so nothing is lost to
-    the fold.
+    tiers) sum across the fleet; derived rates (``hit_rate``,
+    ``mean_occupancy``) are recomputed from the summed numerators, never
+    averaged.  The untouched per-node payloads ride along under
+    ``"per_node"`` so nothing is lost to the fold.
     """
     snapshots = [per_node[node] for node in sorted(per_node)]
     aggregated: Dict[str, object] = {
@@ -294,14 +293,6 @@ def aggregate_node_stats(per_node: Dict[str, dict]) -> Dict[str, object]:
         "dispatchers",
     ):
         aggregated[field] = sum(int(s.get(field) or 0) for s in snapshots)
-    aggregated["turn_wait_s"] = round(
-        sum(
-            float(d.get("turn_wait_s") or 0.0)
-            for s in snapshots
-            for d in s.get("dispatcher_stats") or ()
-        ),
-        6,
-    )
     aggregated["resilience"] = _sum_numeric(
         [dict(s.get("resilience") or {}) for s in snapshots]
     )

@@ -4,21 +4,22 @@ One dispatcher thread was the service's original concurrency story: strict
 submission order on one thread made determinism trivial.  This module runs
 N dispatchers without giving up the determinism contract, by making the
 session key — ``(model, microarch)`` — the unit of mutual exclusion, while
-the dispatchers take turns at the interpreter:
+one execution runs at a time:
 
 * **One ready list.**  New work for a key is queued under the key, and the
   key joins the back of the scheduler's one list of ready keys, which every
   dispatcher claims from.  No key belongs to a dispatcher: whichever
   dispatcher is free claims the key at the head of the list.
-* **One execution turn.**  Dispatchers take turns: each holds the
-  scheduler's one :class:`~repro.runtime.turn.ExecutionTurn` while it
-  executes a claimed item (one request, or the fused group it seeds), so
-  at most one dispatcher runs in-process search work at a time.  The
-  search is pure Python, so two dispatchers running it at once only trade
-  the interpreter lock — the same work at a higher cost per unit.  Keys
-  overlap only while a dispatcher blocks outside the interpreter inside
-  :func:`~repro.runtime.turn.blocking` (a process-backend batch, a wait
-  for a session being built), which gives its turn up meanwhile.
+* **One execution slot.**  A dispatcher claims only while no execution
+  holds the scheduler's one slot, and holds the slot while it executes the
+  claimed item (one request, or the fused group it seeds), so at most one
+  dispatcher runs in-process search work at a time.  The search is pure
+  Python, so two dispatchers running it at once only trade the interpreter
+  lock — the same work at a higher cost per unit.  Keys overlap only while
+  an execution waits outside the interpreter inside
+  :func:`~repro.runtime.backend.blocking` (a process-backend batch), which
+  frees the slot meanwhile; coming back, the execution retakes the slot
+  before any new claim.
 * **Per-key mutual exclusion.**  A key is *ready* (claimable) only while no
   request of that key is in flight; claiming a key takes exactly one queued
   request and marks the key in flight until that request finishes.  Two
@@ -38,14 +39,9 @@ the dispatchers take turns at the interpreter:
   finish), and execution stays single-threaded per key.
 * **Per-key fairness.**  A claim takes one request, then the key goes to
   the back of the ready list.  Keys round-robin across the whole fleet: a
-  hot model with a deep backlog cannot starve other models.  Each
-  dispatcher holds at most one claimed item while it waits for the turn,
-  and the turn goes to waiting dispatchers in the order they asked for it,
-  so a claimed item waits behind at most one execution per other
-  dispatcher and backlogged keys take their turns in list order, as on a
-  single dispatcher.  (A plain lock let the releasing dispatcher take the
-  turn straight back: with short items, one key's whole backlog ran
-  first.)
+  hot model with a deep backlog cannot starve other models.  Nothing is
+  claimed before it may run, so backlogged keys run in list order whichever
+  dispatcher claims them, as on a single dispatcher.
 * **Admission control.**  One global bound caps queued-but-unclaimed work
   across all dispatchers.  Blocking submits wait for space (backpressure),
   non-blocking ones raise :class:`~repro.utils.errors.QueueFullError`.
@@ -61,10 +57,21 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
-from repro.runtime.turn import ExecutionTurn, Turn
+from repro.runtime.backend import blocking_hook
 from repro.utils.errors import QueueFullError, ServiceClosedError
 
 #: Runs one claimed work item; must not raise (the service catches and
@@ -79,15 +86,10 @@ class DispatcherStats:
     index: int
     executed: int
     busy: bool
-    #: Seconds spent waiting for the execution turn (see :class:`Scheduler`).
-    turn_wait_s: float = 0.0
 
     def describe(self) -> str:
         state = "busy" if self.busy else "idle"
-        return (
-            f"dispatcher {self.index}: {self.executed} executed "
-            f"({self.turn_wait_s:.3f} s turn wait), {state}"
-        )
+        return f"dispatcher {self.index}: {self.executed} executed, {state}"
 
 
 @dataclass(frozen=True)
@@ -122,10 +124,10 @@ class Scheduler:
     Parameters
     ----------
     execute:
-        Called (on a dispatcher thread, holding the execution turn) with
+        Called (on a dispatcher thread, holding the execution slot) with
         each claimed item.  Items of one key are executed one at a time,
         FIFO; distinct keys take turns, and overlap only while an execution
-        waits inside :func:`~repro.runtime.turn.blocking`.
+        waits inside :func:`~repro.runtime.backend.blocking`.
     dispatchers:
         Worker thread count.  ``1`` reproduces the single-dispatcher
         service exactly (modulo cross-key fairness, which cannot change
@@ -149,7 +151,8 @@ class Scheduler:
         self.dispatchers = dispatchers
         self.max_queue = max_queue
         self._lock = threading.Lock()
-        #: Dispatchers sleep here; submit/finish notify it.
+        #: Dispatchers, and executions waiting to retake the slot, sleep
+        #: here; submit, finish and a freed slot notify it.
         self._work = threading.Condition(self._lock)
         #: Blocking submitters wait here; claims notify it.
         self._space = threading.Condition(self._lock)
@@ -163,9 +166,12 @@ class Scheduler:
         self._executed = [0] * dispatchers
         self._busy = [False] * dispatchers
         self._absorbed = 0
-        #: One execution turn, shared by every dispatcher's handle.
-        turn = ExecutionTurn()
-        self._turns = [Turn(turn) for _ in range(dispatchers)]
+        #: The one execution slot: held from a claim until its item finishes,
+        #: except while the execution waits inside ``blocking()``.
+        self._running = False
+        #: Executions back from ``blocking()`` waiting to retake the slot; no
+        #: dispatcher claims while one waits.
+        self._returning = 0
         self._stop = False
         self._threads = [
             threading.Thread(
@@ -259,9 +265,11 @@ class Scheduler:
     # ------------------------------------------------------------ dispatchers
 
     def _claim_locked(self) -> Optional[Tuple[Hashable, _KeyState, Any]]:
-        """Take one item of the key at the head of the ready list."""
-        if not self._ready:
+        """Take the execution slot and one item of the key at the head of
+        the ready list, if the slot is free and no execution waits for it."""
+        if not self._ready or self._running or self._returning:
             return None
+        self._running = True
         key = self._ready.popleft()
         state = self._keys[key]
         state.ready = False
@@ -305,22 +313,40 @@ class Scheduler:
             if self._pending == 0:
                 self._idle.notify_all()
 
+    @contextmanager
+    def _released(self) -> Iterator[None]:
+        """Free the execution slot for the body, then retake it ahead of
+        any new claim (each dispatcher's ``blocking()`` hook)."""
+        with self._work:
+            self._running = False
+            self._work.notify_all()
+        try:
+            yield
+        finally:
+            with self._work:
+                self._returning += 1
+                self._work.wait_for(lambda: not self._running)
+                self._returning -= 1
+                self._running = True
+
     def _run(self, me: int) -> None:
+        blocking_hook.release = self._released
         while True:
             with self._work:
                 claimed = self._claim_locked()
                 while claimed is None:
-                    if self._stop:
-                        return  # nothing claimable: drained
+                    if self._stop and not self._ready:
+                        return  # nothing left to claim: drained
                     self._work.wait()
                     claimed = self._claim_locked()
                 self._busy[me] = True
             key, state, item = claimed
             try:
-                with self._turns[me]:
-                    self._execute(item)
+                self._execute(item)
             finally:
                 with self._lock:
+                    self._running = False
+                    self._work.notify_all()
                     self._busy[me] = False
                     self._executed[me] += 1
                     state.inflight = False
@@ -388,7 +414,6 @@ class Scheduler:
                         index=index,
                         executed=self._executed[index],
                         busy=self._busy[index],
-                        turn_wait_s=self._turns[index].waited,
                     )
                     for index in range(self.dispatchers)
                 ),

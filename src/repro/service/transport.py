@@ -567,7 +567,7 @@ class SocketServer:
             raise ServiceError("max_connections must be >= 1")
         if max_line_bytes < 2:
             raise ServiceError("max_line_bytes must be >= 2")
-        if idle_timeout is not None and idle_timeout <= 0:
+        if idle_timeout is not None and not idle_timeout > 0:  # NaN too
             raise ServiceError("idle_timeout must be positive (or None)")
         if max_pending_responses < 1:
             raise ServiceError("max_pending_responses must be >= 1")

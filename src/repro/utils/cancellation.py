@@ -68,7 +68,7 @@ class CancelToken:
         """A token expiring ``seconds`` from now (``None`` = never)."""
         if seconds is None:
             return cls(name=name)
-        if seconds <= 0:
+        if not seconds > 0:  # NaN too
             raise ValueError(f"deadline must be positive, got {seconds!r}")
         return cls(deadline=time.monotonic() + seconds, name=name)
 

@@ -1,7 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -211,6 +214,7 @@ class TestExplain:
             (["serve", "--max-sessions", "0"], "max_sessions"),
             (["serve", "--max-fused-requests", "0"], "max_fused_requests"),
             (["serve", "--request-timeout", "0"], "default_deadline"),
+            (["serve", "--request-timeout", "nan"], "default_deadline"),
             (["route", "--nodes", "127.0.0.1:9", "--replicas", "0"], "replicas"),
         ],
         ids=[
@@ -219,6 +223,7 @@ class TestExplain:
             "max-sessions",
             "max-fused-requests",
             "request-timeout",
+            "request-timeout-nan",
             "replicas",
         ],
     )
@@ -227,6 +232,25 @@ class TestExplain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "nan"])
+    def test_non_positive_idle_timeout_is_a_cli_error(self, value):
+        # In a child process: a server that took the value would serve
+        # until signalled instead of exiting.
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", "--model", "crude",
+                "--port", "0", "--idle-timeout", value,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH="src"),
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert "idle_timeout" in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("port", ["70000", "-1"])
     def test_out_of_range_port_is_a_cli_error(self, capsys, port):

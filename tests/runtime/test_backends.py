@@ -17,7 +17,7 @@ from repro.runtime.backend import (
     available_backends,
     resolve_backend,
 )
-from repro.runtime.turn import ExecutionTurn, Turn
+from repro.service.scheduler import Scheduler
 from repro.utils.errors import BackendError
 
 
@@ -238,22 +238,29 @@ class TestModelBackendIntegration:
         model.close()
 
 
-class TestExecutionTurn:
-    def test_process_batch_gives_up_the_turn(self, tmp_path):
-        """A batch issued by a turn holder releases the turn while the
-        workers run: the workers wait for a file that only another turn
-        holder creates, so without the release they time out instead."""
-        shared = ExecutionTurn()
-        path = tmp_path / "created-by-the-other-turn"
-
-        def take_turn_and_create():
-            with Turn(shared):
-                path.touch()
-
-        thread = threading.Thread(target=take_turn_and_create)
+class TestExecutionSlot:
+    def test_process_batch_frees_the_slot(self, tmp_path):
+        """A batch issued inside a scheduler execution frees the execution
+        slot while the workers run: the workers wait for a file that only
+        another key's execution creates, so without the release they time
+        out instead."""
+        path = tmp_path / "created-by-another-key"
+        results = []
         with ProcessBackend(2) as backend:
-            with Turn(shared):
-                thread.start()
-                assert backend.map_batch(_wait_for_path, [str(path)] * 2) == [True, True]
-        thread.join(timeout=30)
-        assert not thread.is_alive()
+
+            def execute(item):
+                if item == "batch":
+                    results.append(
+                        backend.map_batch(_wait_for_path, [str(path)] * 2)
+                    )
+                else:
+                    path.touch()
+
+            scheduler = Scheduler(execute, dispatchers=2)
+            try:
+                scheduler.submit("batch-key", "batch")
+                scheduler.submit("touch-key", "touch")
+                assert scheduler.drain(timeout=60)
+            finally:
+                scheduler.close()
+        assert results == [[True, True]]

@@ -64,6 +64,10 @@ class TestRequestDecoding:
             ("shards", True),
             ("deadline", True),
             ("deadline", float("nan")),
+            ("model", 5),
+            ("model", True),
+            ("uarch", ["x"]),
+            ("uarch", {"x": 1}),
         ],
     )
     def test_booleans_and_fractions_rejected_not_truncated(self, field, value):
@@ -240,6 +244,8 @@ class TestServeStream:
             ("deadline", "true"),
             ("deadline", "NaN"),
             ("seed", "Infinity"),  # int() raised OverflowError, ending the stream
+            ("model", "5"),
+            ("uarch", '["x"]'),  # unhashable: a TypeError ended the stream
         ],
     )
     def test_booleans_and_fractions_fail_in_band(self, fast_config, field, value):
@@ -282,7 +288,11 @@ class TestServeStream:
         assert stats["served"] >= 1
         assert stats["dispatchers"] == 2
         assert len(stats["dispatcher_stats"]) == 2
-        assert all(d["turn_wait_s"] >= 0.0 for d in stats["dispatcher_stats"])
+        assert [sorted(d) for d in stats["dispatcher_stats"]] == [
+            ["busy", "executed", "index", "stolen"]
+        ] * 2
+        assert [d["index"] for d in stats["dispatcher_stats"]] == [0, 1]
+        assert all(d["stolen"] == 0 for d in stats["dispatcher_stats"])
         assert stats["pool"]["sessions"] == 1
         assert stats["sessions"] == [["crude", "hsw"]]
 

@@ -246,23 +246,23 @@ class TestRouterParity:
 
 
 class TestAggregateNodeStats:
-    def test_turn_waits_sum_across_nodes_and_dispatchers(self):
-        def node(*waits):
+    def test_dispatcher_stats_ride_along_per_node(self):
+        def node(*executed):
             return {
-                "served": 1,
+                "served": sum(executed),
+                "dispatchers": len(executed),
                 "dispatcher_stats": [
-                    {"index": index, "executed": 1, "stolen": 0, "busy": False,
-                     "turn_wait_s": wait}
-                    for index, wait in enumerate(waits)
+                    {"index": index, "executed": count, "stolen": 0, "busy": False}
+                    for index, count in enumerate(executed)
                 ],
             }
 
         merged = aggregate_node_stats(
-            {"a:1": node(0.25, 0.5), "b:2": node(1.0), "c:3": {"served": 0}}
+            {"a:1": node(2, 3), "b:2": node(4), "c:3": {"served": 0}}
         )
-        assert merged["turn_wait_s"] == 1.75
-        assert merged["served"] == 2
-        assert merged["per_node"]["a:1"]["dispatcher_stats"][1]["turn_wait_s"] == 0.5
+        assert (merged["served"], merged["dispatchers"]) == (9, 3)
+        assert "dispatcher_stats" not in merged
+        assert merged["per_node"]["a:1"]["dispatcher_stats"][1]["executed"] == 3
 
 
 class TestRouteStream:

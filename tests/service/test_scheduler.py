@@ -1,6 +1,7 @@
-"""The scheduler in isolation: the shared ready list, per-key mutual
-exclusion, fairness, withdrawal and admission control, tested with synthetic
-items (no explanation machinery) so the concurrency invariants are visible.
+"""The scheduler in isolation: the shared ready list, the execution slot,
+per-key mutual exclusion, fairness, withdrawal and admission control, tested
+with synthetic items (no explanation machinery) so the concurrency
+invariants are visible.
 """
 
 import sys
@@ -10,7 +11,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.runtime.turn import blocking
+from repro.runtime import blocking
 from repro.service.scheduler import Scheduler
 from repro.utils.errors import QueueFullError, ServiceClosedError
 
@@ -51,7 +52,7 @@ def _submit(scheduler, key, payload, **kwargs):
 
 
 def _wait_in_flight(scheduler, count):
-    """Wait until ``count`` items are claimed (running or waiting for the turn)."""
+    """Wait until ``count`` items are claimed and not yet finished."""
     deadline = time.monotonic() + 10
     while scheduler.stats().in_flight != count:
         assert time.monotonic() < deadline
@@ -90,8 +91,16 @@ class TestRouting:
             assert payloads == sorted(payloads), key
 
     def test_distinct_keys_spread_across_threads(self):
-        recorder = _Recorder(delay=0.01)
-        scheduler = Scheduler(recorder, dispatchers=4, max_queue=64)
+        """An execution waiting inside ``blocking()`` frees the slot, so
+        another dispatcher claims the next key meanwhile."""
+        recorder = _Recorder()
+
+        def executor(item):
+            with blocking():
+                time.sleep(0.01)
+            recorder(item)
+
+        scheduler = Scheduler(executor, dispatchers=4, max_queue=64)
         try:
             for index in range(16):
                 _submit(scheduler, f"key-{index}", index)
@@ -130,10 +139,10 @@ class TestFairness:
         assert cold_position <= 3, finish_order[:10]
 
     def test_backlogged_keys_share_executions_across_dispatchers(self):
-        """Three backlogged keys on two dispatchers get equal shares.  With
-        a ready list per dispatcher, k0 and k2 (one CRC-32 home) split one
-        dispatcher while k1 had the other to itself: 15 of the first 30
-        executions went to k1."""
+        """Three backlogged keys on two dispatchers get equal shares, in
+        ready-list order.  With a ready list per dispatcher, k0 and k2 (one
+        CRC-32 home) split one dispatcher while k1 had the other to itself:
+        15 of the first 30 executions went to k1."""
         gate = threading.Event()
         order = []
 
@@ -143,41 +152,49 @@ class TestFairness:
 
         scheduler = Scheduler(executor, dispatchers=2, max_queue=64)
         try:
-            for index in range(10):
+            for index in range(15):
                 for key in ("k0", "k2", "k1"):
                     _submit(scheduler, key, index)
-            _wait_in_flight(scheduler, 2)  # one runs, one waits for the turn
-            time.sleep(0.05)  # let the claimer queue for the turn
+            _wait_in_flight(scheduler, 1)  # k0 runs; nothing else is claimed
             gate.set()
             assert scheduler.drain(timeout=30)
         finally:
             gate.set()
             scheduler.close()
-        first = order[:15]
+        first = order[:30]
         shares = {key: first.count(key) for key in ("k0", "k1", "k2")}
-        assert shares == {"k0": 5, "k1": 5, "k2": 5}, order
+        assert shares == {"k0": 10, "k1": 10, "k2": 10}, order
+        assert order == ["k0", "k2", "k1"] * 15
 
 
-class TestExecutionTurn:
-    """Dispatchers take one execution turn: at most one runs an item at a
-    time, except while it waits inside ``blocking()``."""
+class TestExecutionSlot:
+    """Dispatchers share one execution slot: a dispatcher claims only while
+    no execution holds it, so at most one item runs at a time, except while
+    an execution waits inside ``blocking()``."""
 
     def test_four_dispatchers_never_execute_at_once(self):
+        holder = {}
         lock = threading.Lock()
         inside = [0]
         most = [0]
+        claimed = []
 
         def executor(item):
             with lock:
                 inside[0] += 1
                 most[0] = max(most[0], inside[0])
-            time.sleep(0.002)  # drops the interpreter lock, keeps the turn
+            # No item is claimed ahead of the slot: this one is the only
+            # item in flight.
+            claimed.append(holder["scheduler"].stats().in_flight)
+            time.sleep(0.002)  # drops the interpreter lock, keeps the slot
             with lock:
                 inside[0] -= 1
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads as often as possible
-        scheduler = Scheduler(executor, dispatchers=4, max_queue=256)
+        scheduler = holder["scheduler"] = Scheduler(
+            executor, dispatchers=4, max_queue=256
+        )
         try:
             for index in range(48):
                 _submit(scheduler, f"key-{index % 8}", index)
@@ -187,13 +204,13 @@ class TestExecutionTurn:
             scheduler.close()
             sys.setswitchinterval(interval)
         assert most[0] == 1
+        assert claimed == [1] * 48
         assert sum(d.executed for d in stats.dispatcher_stats) == 48
-        assert sum(d.turn_wait_s for d in stats.dispatcher_stats) > 0.0
 
     def test_distinct_keys_meet_inside_blocking(self):
         """Two items of distinct keys each wait for the other inside
-        ``blocking()``: both reach the barrier, so neither holds the turn
-        while it waits (a held turn would break the barrier on timeout)."""
+        ``blocking()``: both reach the barrier, so neither holds the slot
+        while it waits (a held slot would break the barrier on timeout)."""
         barrier = threading.Barrier(2, timeout=10)
         outcomes = []
 
@@ -216,9 +233,9 @@ class TestExecutionTurn:
         assert sorted(outcomes) == [("a", "met"), ("b", "met")]
 
     def test_waiting_keys_alternate(self):
-        """The turn goes to waiting dispatchers in the order they asked, so
-        two backlogged keys alternate as on one dispatcher, instead of the
-        releasing dispatcher taking the turn straight back."""
+        """Two backlogged keys alternate as on one dispatcher: the
+        releasing dispatcher may claim again at once, but it claims the head
+        of the ready list, where the other key waits."""
         gate = threading.Event()
         order = []
 
@@ -231,14 +248,54 @@ class TestExecutionTurn:
             for index in range(10):
                 _submit(scheduler, "a", index)
                 _submit(scheduler, "b", index)
-            _wait_in_flight(scheduler, 2)  # one runs, one waits for the turn
-            time.sleep(0.05)  # let the claimer queue for the turn
+            _wait_in_flight(scheduler, 1)  # "a" runs; "b" stays unclaimed
             gate.set()
             assert scheduler.drain(timeout=30)
         finally:
             gate.set()
             scheduler.close()
-        assert all(a != b for a, b in zip(order, order[1:])), order
+        assert order == ["a", "b"] * 10
+
+    def test_return_from_blocking_runs_before_later_claims(self):
+        """An execution back from ``blocking()`` retakes the slot before
+        any new claim: "c", queued while "b" held the slot, runs only after
+        "a" has finished its work past ``blocking()``."""
+        a_inside = threading.Event()
+        a_release = threading.Event()
+        b_running = threading.Event()
+        b_release = threading.Event()
+        order = []
+
+        def executor(item):
+            key, _ = item
+            if key == "a":
+                with blocking():
+                    a_inside.set()
+                    a_release.wait(timeout=30)
+            elif key == "b":
+                b_running.set()
+                b_release.wait(timeout=30)
+            order.append(key)
+
+        scheduler = Scheduler(executor, dispatchers=2, max_queue=16)
+        try:
+            _submit(scheduler, "a", 0)
+            assert a_inside.wait(timeout=10)
+            _submit(scheduler, "b", 0)  # claimed while "a" waits outside
+            assert b_running.wait(timeout=10)
+            _submit(scheduler, "c", 0)  # the slot is held: stays queued
+            a_release.set()
+            deadline = time.monotonic() + 10
+            while scheduler._returning != 1:  # "a" waits for the slot
+                assert time.monotonic() < deadline
+                time.sleep(0.002)
+            b_release.set()
+            assert scheduler.drain(timeout=30)
+        finally:
+            a_release.set()
+            b_release.set()
+            scheduler.close()
+        assert order == ["b", "a", "c"]
 
 
 class TestAdmissionControl:
@@ -476,10 +533,12 @@ class TestLifecycle:
         scheduler = Scheduler(recorder, dispatchers=2, max_queue=64)
         _submit(scheduler, "k", 0)
         _wait_in_flight(scheduler, 1)
-        _submit(scheduler, "a", 1)
-        _wait_in_flight(scheduler, 2)  # both dispatchers hold a claim
-        for key, index in (("k", 2), ("a", 3), ("b", 4), ("k", 5), ("b", 6)):
+        # "k" holds the slot, so none of these is claimed, not even "a".
+        for key, index in (
+            ("a", 1), ("k", 2), ("a", 3), ("b", 4), ("k", 5), ("b", 6)
+        ):
             _submit(scheduler, key, index)
+        assert scheduler.stats().in_flight == 1
         # Open the gate only once close has withdrawn the backlog.
         releaser = threading.Timer(0.1, gate.set)
         releaser.start()
@@ -488,8 +547,8 @@ class TestLifecycle:
         by_key = defaultdict(list)
         for key, payload in cancelled:
             by_key[key].append(payload)
-        assert by_key == {"k": [2, 5], "a": [3], "b": [4, 6]}
-        assert sorted(payload for _, payload, _ in recorder.executed) == [0, 1]
+        assert by_key == {"k": [2, 5], "a": [1, 3], "b": [4, 6]}
+        assert [payload for _, payload, _ in recorder.executed] == [0]
         stats = scheduler.stats()
         assert (stats.queue_depth, stats.in_flight, stats.keys) == (0, 0, 0)
 

@@ -14,7 +14,7 @@ import pytest
 from repro.bb.block import BasicBlock
 from repro.models.base import CachedCostModel, CallableCostModel
 from repro.runtime.session import ExplanationSession
-from repro.runtime.turn import blocking
+from repro.runtime import blocking
 from repro.service import ExplanationRequest, ExplanationService, RequestStatus
 from repro.utils.errors import (
     QueueFullError,
@@ -26,20 +26,20 @@ from tests.conftest import FAST_CONFIG
 
 
 def _toy_factory(
-    fast_config, *, gate: "threading.Event" = None, built=None, release_turn=False
+    fast_config, *, gate: "threading.Event" = None, built=None, release_slot=False
 ):
     """A session factory over a cheap in-process model.
 
     ``gate``, when given, makes every prediction wait — the dispatcher then
     blocks mid-request, which is how the queueing tests create a backlog.
-    With ``release_turn`` the wait gives up the dispatcher's execution turn,
-    as a wait on process-backend workers does.  ``built`` collects one
-    entry per factory call, for session-reuse tests.
+    With ``release_slot`` the wait frees the scheduler's execution slot, as
+    a wait on process-backend workers does.  ``built`` collects one entry
+    per factory call, for session-reuse tests.
     """
 
     def predict(block):
         if gate is not None:
-            if release_turn:
+            if release_slot:
                 with blocking():
                     gate.wait(timeout=30)
             else:
@@ -312,6 +312,44 @@ class TestRequestSemantics:
         with pytest.raises(ServiceError):
             ExplanationRequest(blocks=())
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", True),
+            ("seed", False),
+            ("shards", True),
+            ("deadline", True),
+            ("model", 5),
+            ("model", ["x"]),
+            ("uarch", ["x"]),
+            ("uarch", b"hsw"),
+        ],
+    )
+    def test_booleans_and_non_string_keys_rejected(self, tiny_block, field, value):
+        # True would run as seed 1, one shard or a 1 s deadline; a list
+        # uarch would fail inside the scheduler instead of in band.
+        with pytest.raises(ServiceError, match=field):
+            ExplanationRequest(blocks=(tiny_block,), **{field: value})
+
+    def test_boolean_seed_refused_at_admission(self, service, tiny_block):
+        with pytest.raises(ServiceError, match="seed"):
+            service.submit(tiny_block, seed=True)
+        assert service.stats().submitted == 0
+
+    def test_scheduler_failure_leaves_no_ticket(self, service, tiny_block):
+        """Whatever the scheduler raises, the ticket is dropped and the
+        request is not counted as submitted."""
+        service.start()
+
+        def broken_submit(*args, **kwargs):
+            raise TypeError("unhashable type: 'list'")
+
+        service._scheduler.submit = broken_submit
+        with pytest.raises(TypeError):
+            service.submit(tiny_block)
+        assert service.stats().submitted == 0
+        assert not service._tickets
+
     def test_failed_request_reported_in_band(self, fast_config):
         block = BasicBlock.from_text("div rcx")
         # The default (registry) factory actually validates model names.
@@ -392,8 +430,9 @@ class TestMultiDispatcher:
             ExplanationService(config=fast_config, dispatchers=0)
 
     def test_distinct_keys_take_turns(self, fast_config, tiny_block):
-        """Two models claimed at once, but only one runs: the other waits
-        for the execution turn, still queued, and counts the wait."""
+        """Two models submitted at once, but only one runs: the other stays
+        queued and unclaimed while the first holds the execution slot, even
+        with an idle dispatcher around."""
         gate = threading.Event()
         instance = ExplanationService(
             config=fast_config,
@@ -404,23 +443,19 @@ class TestMultiDispatcher:
             first = instance.submit(tiny_block, model="a", seed=0)
             second = instance.submit(tiny_block, model="b", seed=0)
             deadline = time.monotonic() + 30
-            while not (
-                instance.stats().in_flight == 2
-                and RequestStatus.RUNNING
-                in (instance.poll(first), instance.poll(second))
-            ):
+            while instance.poll(first) is not RequestStatus.RUNNING:
                 assert time.monotonic() < deadline
                 time.sleep(0.005)
-            # Give the claimed second key every chance to misbehave.
+            # Give the idle dispatcher every chance to misbehave.
             time.sleep(0.1)
-            statuses = {instance.poll(first), instance.poll(second)}
-            assert statuses == {RequestStatus.RUNNING, RequestStatus.QUEUED}
+            assert instance.poll(second) is RequestStatus.QUEUED
+            stats = instance.stats()
+            assert (stats.in_flight, stats.queue_depth) == (1, 1)
+            assert sum(d.busy for d in stats.dispatcher_stats) == 1
         finally:
             gate.set()
             instance.close()
-        stats = instance.stats()
-        assert stats.served == 2
-        assert sum(d.turn_wait_s for d in stats.dispatcher_stats) > 0.0
+        assert instance.stats().served == 2
 
     def test_distinct_keys_overlap_while_blocking(self, fast_config, tiny_block):
         """Two models in flight at once while their model waits outside
@@ -429,7 +464,7 @@ class TestMultiDispatcher:
         instance = ExplanationService(
             config=fast_config,
             dispatchers=2,
-            session_factory=_toy_factory(fast_config, gate=gate, release_turn=True),
+            session_factory=_toy_factory(fast_config, gate=gate, release_slot=True),
         )
         try:
             first = instance.submit(tiny_block, model="a", seed=0)
@@ -450,6 +485,48 @@ class TestMultiDispatcher:
             gate.set()
             instance.close()
         assert instance.stats().served == 2
+
+    def test_lease_waiting_on_a_library_build_completes(
+        self, fast_config, tiny_block
+    ):
+        """A dispatcher whose lease waits on a session that a library
+        thread is building keeps the execution slot meanwhile, and still
+        completes: the library thread holds no slot, so nothing it needs is
+        held by the waiting dispatcher."""
+        building = threading.Event()
+        finish_build = threading.Event()
+        built = []
+        toy = _toy_factory(fast_config, built=built)
+
+        def factory(model_name, uarch):
+            building.set()
+            assert finish_build.wait(timeout=30)
+            return toy(model_name, uarch)
+
+        instance = ExplanationService(
+            config=fast_config, dispatchers=2, session_factory=factory
+        )
+        library = threading.Thread(
+            target=lambda: instance.pool.lease("crude", "hsw")
+        )
+        try:
+            library.start()
+            assert building.wait(timeout=10)
+            request_id = instance.submit(tiny_block, seed=0)
+            deadline = time.monotonic() + 30
+            while instance.poll(request_id) is not RequestStatus.RUNNING:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            time.sleep(0.05)  # let the dispatcher reach the build wait
+            finish_build.set()
+            assert instance.result(request_id, timeout=30).ok
+            library.join(timeout=10)
+            assert not library.is_alive()
+            instance.pool.release("crude", "hsw")
+        finally:
+            finish_build.set()
+            instance.close()
+        assert built == [("crude", "hsw")]  # built once, by the library
 
     def test_same_key_never_runs_concurrently(self, fast_config, tiny_block):
         """Per-key mutual exclusion: the second request of one key stays

@@ -210,6 +210,27 @@ class TestSocketRoundTrip:
         assert response == {**response, "id": "ok", "status": "done"}
         sock.close()
 
+    def test_non_string_uarch_fails_in_band_and_connection_survives(
+        self, served
+    ):
+        # It used to hang the connection up: this line and every later one
+        # went unanswered.
+        service, server = served
+        sock, lines = _raw_connect(server)
+        sock.sendall(
+            b'{"id": "first", "block": "div rcx"}\n'
+            b'{"id": "bad", "block": "add rax, rbx", "uarch": ["x"]}\n'
+            b'{"id": "after", "block": "add rax, rbx"}\n'
+        )
+        responses = [json.loads(lines.readline()) for _ in range(3)]
+        sock.close()
+        assert [(r["id"], r["status"]) for r in responses] == [
+            ("first", "done"), ("bad", "failed"), ("after", "done")
+        ]
+        assert "uarch" in responses[1]["error"]
+        stats = service.stats()
+        assert (stats.submitted, stats.served) == (2, 2)
+
     def test_poll_before_and_after_arrival(self, served, tiny_blocks):
         _, server = served
         with ServiceClient(*server.address) as client:
@@ -509,6 +530,8 @@ class TestServerLimits:
                 SocketServer(service, max_connections=0)
             with pytest.raises(ServiceError):
                 SocketServer(service, idle_timeout=0.0)
+            with pytest.raises(ServiceError):
+                SocketServer(service, idle_timeout=float("nan"))
             with pytest.raises(ServiceError):
                 SocketServer(service, max_line_bytes=1)
             with pytest.raises(ServiceError):

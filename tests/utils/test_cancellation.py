@@ -35,7 +35,7 @@ class TestConstruction:
         remaining = token.remaining()
         assert 0 < remaining <= 60.0
 
-    @pytest.mark.parametrize("seconds", [0, 0.0, -1, -0.5])
+    @pytest.mark.parametrize("seconds", [0, 0.0, -1, -0.5, float("nan")])
     def test_non_positive_timeout_rejected(self, seconds):
         with pytest.raises(ValueError, match="must be positive"):
             CancelToken.with_timeout(seconds)
